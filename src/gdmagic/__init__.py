@@ -12,6 +12,7 @@ from .abelian import (
     GroupElement,
     GroupError,
     GroupSpec,
+    cayley_tables,
     cyclic_group,
     enumerate_abelian_groups,
     find_cyclic_factor,
@@ -43,6 +44,7 @@ from .graphs import (
     graph_power,
     is_balanced_dmg,
     is_isomorphic,
+    is_tree,
     join,
     metrics,
     path,

@@ -23,6 +23,7 @@ __all__ = [
     "parse_group_spec",
     "involutions",
     "sum_of_elements",
+    "cayley_tables",
     "enumerate_abelian_groups",
     "find_cyclic_factor",
     "find_cyclic_two_factor",
@@ -163,6 +164,8 @@ class GroupSpec:
         return "(" + ",".join(str(c) for c in g) + ")"
 
     def parse_element(self, text: str) -> GroupElement:
+        """Read "(r1,...,rk)"; each coordinate must already be reduced,
+        0 <= ri < fi, so a text form names exactly one element."""
         t = text.strip()
         if not (t.startswith("(") and t.endswith(")")):
             raise GroupError(f"element must look like (r1,...,rk), got {text!r}")
@@ -174,7 +177,12 @@ class GroupSpec:
                 coords = tuple(int(p) for p in inner.split(","))
             except ValueError:
                 raise GroupError(f"bad element coordinates in {text!r}") from None
-        return self.element(coords)
+        g = self.element(coords)
+        if g != coords:
+            raise GroupError(
+                f"element {text.strip()} has a coordinate out of range for "
+                f"{self} (each must satisfy 0 <= r < factor)")
+        return g
 
 
 def trivial_group() -> GroupSpec:
@@ -225,6 +233,22 @@ def sum_of_elements(spec: GroupSpec) -> GroupElement:
     if len(invs) == 1:
         return next(iter(invs))
     return spec.zero()
+
+
+def cayley_tables(spec: GroupSpec) -> tuple[list[list[int]], list[int], int]:
+    """The group coded by element index (the position in ``elements()``, as
+    ``index_of`` gives it): ``add[a][b]`` is the code of a + b, ``neg[a]``
+    the code of -a, and the third value the code of s(spec).
+
+    The table has order**2 entries; build it only for small groups.
+    """
+    elems = list(spec.elements())
+    code = {g: i for i, g in enumerate(elems)}
+    fs = spec.factors
+    add = [[code[tuple((x + y) % f for x, y, f in zip(g, h, fs))] for h in elems]
+           for g in elems]
+    neg = [code[tuple((-x) % f for x, f in zip(g, fs))] for g in elems]
+    return add, neg, code[sum_of_elements(spec)]
 
 
 def _partitions_desc(n: int):

@@ -84,7 +84,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("label", help="run a constructive labeler")
     p.add_argument("--graph", required=True, help="graph expression")
     p.add_argument("--h", help="second product factor expression")
-    p.add_argument("--product", choices=("lex", "dir"), default="lex")
+    p.add_argument("--product", choices=("lex", "dir"),
+                   help="product of --graph and --h (default: the method's "
+                        "own product, lex for auto)")
     p.add_argument("--group", required=True, help="group spec, e.g. Z4xZ3")
     p.add_argument("--method", default="auto",
                    choices=sorted(set(_PRODUCT_METHODS + _BARE_METHODS)))
@@ -152,11 +154,16 @@ def _cmd_construct(args, out: TextIO) -> int:
 
 
 def _product_report(args, g, group) -> ConstructionReport:
+    method = args.method
+    own = method.rpartition("-")[2]
+    if own in ("lex", "dir") and args.product not in (None, own):
+        raise ConstructionError(
+            f"method {method} builds a {own} product, but --product "
+            f"{args.product} was given")
     h = construct_graph(args.h)
     pairing = find_twin_pairing(h)
-    method = args.method
     if method == "auto":
-        return auto_label(g, h, args.product, group, pairing)
+        return auto_label(g, h, args.product or "lex", group, pairing)
     if method in ("c4k2-lex", "c4k2-dir"):
         if h.n < 6 or h.n % 4 != 2:
             raise ConstructionError(

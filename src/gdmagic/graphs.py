@@ -39,6 +39,7 @@ __all__ = [
     "construct_graph",
     "from_edge_list_text",
     "from_edge_list_file",
+    "is_tree",
     "metrics",
     "find_twin_pairing",
     "validate_twin_pairing",
@@ -205,6 +206,12 @@ class GraphMetrics:
     is_connected: bool
     diameter: float  # math.inf when disconnected
     is_tree: bool
+
+
+def is_tree(g: Graph) -> bool:
+    """Connected with n - 1 edges: one BFS, and none when the edge count
+    already rules it out."""
+    return g.n > 0 and g.num_edges == g.n - 1 and min(_bfs_dist(g, 0)) >= 0
 
 
 def metrics(g: Graph) -> GraphMetrics:

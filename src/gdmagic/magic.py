@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from .abelian import GroupElement, GroupSpec, cyclic_group, parse_group_spec
-from .graphs import Graph, construct_graph, metrics
+from .graphs import Graph, construct_graph, is_tree
 
 __all__ = [
     "LabelingError",
@@ -212,15 +212,17 @@ def tree_group_magic(t: Graph) -> bool:
     """Whether a non-trivial tree admits a magic labeling over any (hence
     every) abelian group of matching order: exactly the stars K_{1,m} with
     m mod 4 != 1."""
-    m = metrics(t)
-    if not m.is_tree:
+    if not is_tree(t):
         raise LabelingError("graph is not a tree")
     if t.n < 2:
         raise LabelingError("tree must have at least two vertices")
-    is_star = any(t.degree(v) == t.n - 1
-                  and all(t.degree(u) == 1 for u in range(t.n) if u != v)
-                  for v in range(t.n))
-    return is_star and (t.n - 1) % 4 != 1
+    return _magic_star(t)
+
+
+def _magic_star(t: Graph) -> bool:
+    """For a tree on n >= 2 vertices: a star (a vertex of degree n - 1 takes
+    every edge) K_{1,m} with m mod 4 != 1."""
+    return max(t.degrees) == t.n - 1 and (t.n - 1) % 4 != 1
 
 
 def kmn_group_magic(m: int, n: int) -> bool:
@@ -288,8 +290,7 @@ def all_obstructions(g: Graph) -> list[Obstruction]:
         found = check(g)
         if found:
             out.append(found)
-    m = metrics(g)
-    if m.is_tree and g.n >= 2 and not tree_group_magic(g):
+    if g.n >= 2 and is_tree(g) and not _magic_star(g):
         out.append(Obstruction(
             TREE_SHAPE, (),
             "tree is not a star K(1,m) with m mod 4 != 1"))

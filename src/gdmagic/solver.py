@@ -1,20 +1,23 @@
 """Exhaustive search for magic labelings.
 
-Two engines share nothing but the verifier's definition of a weight:
+Two engines share nothing but the definition of a weight:
 
-* a pruned backtracking search: as soon as the last neighbor of some vertex
-  is labeled, that vertex's weight is final; the first finalized vertex pins
-  the reference constant and later disagreements cut the branch;
-* a deliberately naive permutation scan used as the independent oracle.
+* a pruned backtracking search over integer element codes (the group's
+  Cayley table from ``abelian.cayley_tables``): one sum constraint per
+  vertex, forward checking, and in count mode translation symmetry and a
+  closed-form count of the free tail;
+* a deliberately naive permutation scan, through the verifier, used as the
+  independent oracle.
 """
 
 from __future__ import annotations
 
 import itertools
-from concurrent.futures import ProcessPoolExecutor
+import math
+import os
 from dataclasses import dataclass, replace
 
-from .abelian import GroupSpec, enumerate_abelian_groups
+from .abelian import GroupSpec, cayley_tables, enumerate_abelian_groups
 from .graphs import Graph
 from .magic import Labeling, verify
 
@@ -78,107 +81,129 @@ def _naive(g: Graph, group: GroupSpec, mode: str):
     return count if mode == "count" else found
 
 
-def _backtrack(g: Graph, group: GroupSpec, order: list[int], mode: str,
-               first_choice: int | None = None):
+def _constraints(g: Graph) -> list[tuple[frozenset[int], bool]]:
+    """One weight constraint per vertex, in the smaller of two equivalent
+    forms, with duplicates dropped.
+
+    w(v) = mu is a sum over N(v); since all labels sum to s(group), it is
+    also s - (sum over V - N(v)) = mu, whose members include v itself.
+    A constraint is (members, plus): its running value starts at 0 and
+    adds each member's label (plus), or starts at s and subtracts them, and
+    it holds when the closed value equals mu.
+    """
+    everyone = frozenset(range(g.n))
+    return list(dict.fromkeys(
+        (nbrs, True) if 2 * len(nbrs) <= g.n else (everyone - nbrs, False)
+        for nbrs in g.adj))
+
+
+def _search(g: Graph, group: GroupSpec, order: list[int], mode: str,
+            prefix: tuple[int, ...] = ()):
+    """Backtracking over integer element codes with forward checking.
+
+    Vertices are labeled in ``order``, each trying the unused codes in
+    element order, so results come in lexicographic order of the label
+    sequence along ``order``. The first closed constraint fixes mu; a later
+    one that disagrees cuts the branch. Once mu is known, a constraint with
+    one unlabeled member left forces that member's label, and the branch is
+    cut when the forced label is taken. ``prefix`` fixes the codes of the
+    first vertices of ``order``. In count mode, once every constraint is
+    closed the remaining vertices take the remaining labels in any order.
+    Returns the count of labelings that extend ``prefix``, or their list.
+    """
     n = g.n
+    add, neg, s = cayley_tables(group)
+    sub = [[row[neg[b]] for b in range(n)] for row in add]
+    sub_t = [list(col) for col in zip(*sub)]
     elements = list(group.elements())
-    add, sub = group.add, group.sub
-    adj = [sorted(g.adj[v]) for v in range(n)]
-    label: list[int | None] = [None] * n
-    used = [False] * len(elements)
-    remaining = [g.degree(v) for v in range(n)]
-    wsum = [group.zero()] * n
-    state = {"mu": None, "count": 0}
+    cons = _constraints(g)
+    step = [add if plus else sub for _, plus in cons]
+    unstep = [sub if plus else add for _, plus in cons]
+    # force[c][mu][value]: the last member's label that closes c at mu
+    force = [sub if plus else sub_t for _, plus in cons]
+    value = [0 if plus else s for _, plus in cons]
+    left = [len(members) for members, _ in cons]
+    cons_of = [[c for c, (members, _) in enumerate(cons) if v in members]
+               for v in range(n)]
+    used = [False] * n
+    label = [0] * n
+    counting = mode == "count"
+    fixed = len(prefix)
+    tail = [math.factorial(k) for k in range(n + 1)]
     found: list[Labeling] = []
+    tally = 0
+    # a constraint with no members (an isolated vertex) is closed at 0
+    mu0 = 0 if 0 in left else -1
 
-    # isolated vertices have their (empty) weight fixed from the start
-    if any(d == 0 for d in g.degrees) and n > 0:
-        state["mu"] = group.zero()
-
-    def apply(v: int, elem) -> tuple[bool, bool]:
-        conflict = False
-        set_mu = False
-        for u in adj[v]:
-            wsum[u] = add(wsum[u], elem)
-            remaining[u] -= 1
-        for u in adj[v]:
-            if remaining[u] == 0:
-                if state["mu"] is None:
-                    state["mu"] = wsum[u]
-                    set_mu = True
-                elif wsum[u] != state["mu"]:
-                    conflict = True
-                    break
-        return conflict, set_mu
-
-    def undo(v: int, elem, set_mu: bool) -> None:
-        for u in adj[v]:
-            wsum[u] = sub(wsum[u], elem)
-            remaining[u] += 1
-        if set_mu:
-            state["mu"] = None
-
-    def dfs(depth: int) -> bool:
+    def dfs(depth: int, mu: int, open_: int) -> bool:
+        nonlocal tally
+        if counting and open_ == 0 and depth >= fixed:
+            tally += tail[n - depth]
+            return True
         if depth == n:
-            state["count"] += 1
-            if mode != "count":
-                assignment = tuple(elements[label[v]] for v in range(n))
-                found.append(Labeling(group, assignment, state["mu"]))
+            assignment = tuple(elements[label[v]] for v in range(n))
+            found.append(Labeling(group, assignment, elements[mu]))
             return mode != "first"
         v = order[depth]
-        for ei, elem in enumerate(elements):
-            if used[ei]:
+        mine = cons_of[v]
+        if depth < fixed:
+            candidates = prefix[depth:depth + 1]
+        else:
+            candidates = range(n)
+            if mu >= 0:
+                for c in mine:
+                    if left[c] == 1:
+                        candidates = (force[c][mu][value[c]],)
+                        break
+        for e in candidates:
+            if used[e]:
                 continue
-            conflict, set_mu = apply(v, elem)
+            new_mu, ok, closed = mu, True, 0
+            for c in mine:
+                w = step[c][value[c]][e]
+                value[c] = w
+                left[c] -= 1
+                if left[c] == 0:
+                    closed += 1
+                    if new_mu < 0:
+                        new_mu = w
+                    elif w != new_mu:
+                        ok = False
+            used[e] = True
+            if ok and new_mu >= 0:
+                # forward check; when mu is new, every constraint can force
+                for c in (range(len(cons)) if mu < 0 else mine):
+                    if left[c] == 1 and used[force[c][new_mu][value[c]]]:
+                        ok = False
+                        break
             keep_going = True
-            if not conflict:
-                used[ei] = True
-                label[v] = ei
-                keep_going = dfs(depth + 1)
-                used[ei] = False
-            undo(v, elem, set_mu)
+            if ok:
+                label[v] = e
+                keep_going = dfs(depth + 1, new_mu, open_ - closed)
+            used[e] = False
+            for c in mine:
+                value[c] = unstep[c][value[c]][e]
+                left[c] += 1
             if not keep_going:
                 return False
         return True
 
-    if n == 0:
-        state["count"] = 1
-        if mode != "count":
-            found.append(Labeling(group, (), group.zero()))
-    elif first_choice is None:
-        dfs(0)
-    else:
-        v0 = order[0]
-        elem = elements[first_choice]
-        conflict, set_mu = apply(v0, elem)
-        if not conflict:
-            used[first_choice] = True
-            label[v0] = first_choice
-            dfs(1)
-        undo(v0, elem, set_mu)
-    return state["count"] if mode == "count" else found
+    dfs(0, mu0, sum(1 for k in left if k))
+    return tally if counting else found
 
 
 def _branch_worker(args):
-    g, group, order, mode, branch = args
-    return _backtrack(g, group, order, mode, first_choice=branch)
+    return _search(*args)
 
 
-def _parallel(g: Graph, group: GroupSpec, order: list[int], mode: str,
-              jobs: int):
-    branches = [(g, group, order, mode, ei) for ei in range(group.order)]
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
-        results = list(pool.map(_branch_worker, branches))
+def _merge(mode: str, results: list):
     if mode == "count":
         return sum(results)
-    if mode == "first":
-        for labelings in results:
-            if labelings:
-                return labelings[:1]
-        return []
     merged: list[Labeling] = []
     for labelings in results:
         merged.extend(labelings)
+        if mode == "first" and merged:
+            return merged[:1]
     return merged
 
 
@@ -188,10 +213,15 @@ def search_labelings(g: Graph, group: GroupSpec,
 
     Returns a list of labelings for modes "first" and "all", or an int for
     mode "count". The naive path accepts at most 8 vertices, the pruned path
-    at most 12.
+    at most 12. With jobs > 1 the pruned search splits into one branch per
+    label of the first vertex that is not pinned, and runs them on at most
+    min(jobs, cpu count, branches) worker processes; the results are the
+    same as with jobs = 1.
     """
     if opts.mode not in ("first", "all", "count"):
         raise SolverError(f"unknown search mode {opts.mode!r}")
+    if opts.jobs < 1:
+        raise SolverError(f"--jobs must be at least 1, got {opts.jobs}")
     if g.n != group.order:
         raise SolverError(
             f"graph has {g.n} vertices but group {group} has order "
@@ -207,9 +237,25 @@ def search_labelings(g: Graph, group: GroupSpec,
             f"pruned search supports at most {PRUNED_VERTEX_CAP} vertices, "
             f"got {g.n}")
     order = _vertex_order(g, opts.vertex_order)
-    if opts.jobs > 1 and g.n > 0:
-        return _parallel(g, group, order, opts.mode, opts.jobs)
-    return _backtrack(g, group, order, opts.mode)
+    # Translation symmetry: on a regular graph l -> l + c keeps every weight
+    # equal and moves every labeling when c != 0, so in count mode the first
+    # vertex may be pinned to code 0 and the count multiplied by n.
+    pinned = (opts.mode == "count" and g.n > 1
+              and len(set(g.degrees)) == 1)
+    prefix = (0,) if pinned else ()
+    branches = [prefix + (e,) for e in range(g.n) if e not in prefix]
+    workers = min(opts.jobs, os.cpu_count() or 1, len(branches))
+    if workers > 1:
+        # imported here: only this path needs it, and it pulls in
+        # multiprocessing, about a third of the time of importing gdmagic
+        from concurrent.futures import ProcessPoolExecutor
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            result = _merge(opts.mode, list(pool.map(
+                _branch_worker,
+                [(g, group, order, opts.mode, b) for b in branches])))
+    else:
+        result = _search(g, group, order, opts.mode, prefix)
+    return result * g.n if pinned else result
 
 
 def classify_over_all_groups(g: Graph,

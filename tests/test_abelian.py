@@ -5,6 +5,7 @@ import pytest
 from gdmagic.abelian import (
     GroupError,
     GroupSpec,
+    cayley_tables,
     cyclic_group,
     enumerate_abelian_groups,
     find_cyclic_factor,
@@ -87,6 +88,24 @@ def test_element_text_round_trip():
         g.parse_element("3,0")
     with pytest.raises(GroupError):
         g.parse_element("(3)")
+
+
+@pytest.mark.parametrize("text", ["(4,0)", "(0,3)", "(-1,0)", "(3,-2)"])
+def test_parse_element_rejects_unreduced_coordinates(text):
+    with pytest.raises(GroupError, match=r"out of range"):
+        parse_group_spec("Z4xZ3").parse_element(text)
+
+
+@pytest.mark.parametrize("spec", ["trivial", "Z5", "Z4xZ3", "Z2xZ2xZ2", "Z2xZ6"])
+def test_cayley_tables_match_arithmetic(spec):
+    g = parse_group_spec(spec)
+    elems = list(g.elements())
+    add, neg, s = cayley_tables(g)
+    for a, x in enumerate(elems):
+        assert g.index_of(x) == a
+        assert elems[neg[a]] == g.neg(x)
+        assert [elems[c] for c in add[a]] == [g.add(x, y) for y in elems]
+    assert elems[s] == sum_of_elements(g)
 
 
 def test_involutions():

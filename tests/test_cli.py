@@ -1,6 +1,8 @@
 import io
 import json
 
+import pytest
+
 from gdmagic.cli import run
 
 
@@ -58,6 +60,20 @@ def test_label_round_trip(tmp_path):
     assert code == 1 and "rejected" in out
 
 
+def test_verify_rejects_unreduced_coordinates(tmp_path):
+    # these labels and mu, reduced mod 4, would form a magic labeling of C(4)
+    cert_path = tmp_path / "cert.txt"
+    cert_path.write_text("graph: C(4)\ngroup: Z4\nmu: (-1)\n"
+                         "v 0 (4)\nv 1 (5)\nv 2 (7)\nv 3 (6)\n")
+    code, out, err = _run(["verify", "--cert", str(cert_path)])
+    assert code == 2 and out == ""
+    assert "(-1)" in err and "out of range" in err
+    cert_path.write_text("graph: C(4)\ngroup: Z4\nmu: (3)\n"
+                         "v 0 (0)\nv 1 (1)\nv 2 (7)\nv 3 (2)\n")
+    code, out, err = _run(["verify", "--cert", str(cert_path)])
+    assert code == 2 and "(7)" in err
+
+
 def test_label_json():
     code, out, _ = _run(["label", "--graph", "Kb(2,3)", "--h", "C(4)",
                          "--group", "Z4xZ5", "--json"])
@@ -92,6 +108,16 @@ def test_label_method_forcing():
     assert code == 2 and "--s" in err
 
 
+@pytest.mark.parametrize("product, method", [("dir", "balanced-lex"),
+                                             ("lex", "balanced-dir")])
+def test_label_method_product_conflict(product, method):
+    code, out, err = _run(["label", "--graph", "C(4)", "--h", "C(4)",
+                           "--group", "Z2xZ8", "--product", product,
+                           "--method", method, "--s", "1"])
+    assert code == 2 and out == ""
+    assert method in err and f"--product {product}" in err
+
+
 def test_label_precondition_diagnostics():
     code, _, err = _run(["label", "--graph", "P(3)", "--h", "C(4)",
                          "--product", "dir", "--group", "Z4xZ3"])
@@ -122,6 +148,40 @@ def test_search_usage_errors():
     assert code == 2 and "error" in err
     code, _, _ = _run(["search", "--graph", "C(13)", "--group", "Z13"])
     assert code == 2
+
+
+@pytest.mark.parametrize("jobs", ["0", "-1"])
+def test_jobs_below_one_is_a_usage_error(jobs):
+    code, _, err = _run(["search", "--graph", "C(4)", "--group", "Z4",
+                         "--jobs", jobs])
+    assert code == 2 and "--jobs" in err
+    code, _, err = _run(["classify", "--graph", "C(4)", "--jobs", jobs])
+    assert code == 2 and "--jobs" in err
+
+
+# search --json output of the benchmark's first-mode instances, as the
+# previous search engine printed it
+FIRST_MODE_OUTPUT = [
+    ("C(9)", "Z3xZ3", 1,
+     '{"mode": "first", "count": 0, "labelings": []}'),
+    ("C(12)", "Z12", 1,
+     '{"mode": "first", "count": 0, "labelings": []}'),
+    ("lex(C(4),K(2))", "Z8", 1,
+     '{"mode": "first", "count": 0, "labelings": []}'),
+    ("join(KmM(8),K(1))", "Z9", 0,
+     '{"mode": "first", "count": 1, "labelings": [{"mu": "(0)", "labels": '
+     '["(1)", "(8)", "(2)", "(7)", "(3)", "(6)", "(4)", "(5)", "(0)"]}]}'),
+    ("pow(C(12),2)", "Z12", 0,
+     '{"mode": "first", "count": 1, "labelings": [{"mu": "(4)", "labels": '
+     '["(0)", "(1)", "(2)", "(5)", "(10)", "(3)", "(6)", "(7)", "(8)", '
+     '"(11)", "(4)", "(9)"]}]}'),
+]
+
+
+@pytest.mark.parametrize("graph, group, code, expected", FIRST_MODE_OUTPUT)
+def test_search_first_output_is_unchanged(graph, group, code, expected):
+    assert _run(["search", "--graph", graph, "--group", group,
+                 "--mode", "first", "--json"]) == (code, expected + "\n", "")
 
 
 def test_classify():

@@ -21,6 +21,7 @@ from gdmagic.graphs import (
     graph_power,
     is_balanced_dmg,
     is_isomorphic,
+    is_tree,
     join,
     metrics,
     path,
@@ -152,6 +153,13 @@ def test_metrics():
     disconnected = Graph.from_edges(4, [(0, 1)])
     m = metrics(disconnected)
     assert not m.is_connected and m.diameter == math.inf and not m.is_tree
+
+
+def test_is_tree_agrees_with_metrics():
+    triangle_and_point = Graph.from_edges(4, [(0, 1), (1, 2), (0, 2)])
+    for g in (path(4), star(5), cycle(5), complete(1), Graph.from_edges(0, []),
+              Graph.from_edges(4, [(0, 1)]), triangle_and_point):
+        assert is_tree(g) == metrics(g).is_tree
 
 
 def test_twin_pairing():

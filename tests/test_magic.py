@@ -197,6 +197,18 @@ def test_all_obstructions():
     assert all_obstructions(cycle(4)) == []
 
 
+@pytest.mark.parametrize("g", [path(60), cycle(60), star(9),
+                               Graph.from_edges(5, [(0, 1), (1, 2), (0, 2), (3, 4)])])
+def test_all_obstructions_runs_at_most_one_bfs(g, monkeypatch):
+    import gdmagic.graphs as graphs
+    calls = []
+    real = graphs._bfs_dist
+    monkeypatch.setattr(graphs, "_bfs_dist",
+                        lambda h, src: calls.append(src) or real(h, src))
+    all_obstructions(g)
+    assert len(calls) <= 1
+
+
 def test_certificate_round_trip():
     group = parse_group_spec("Z4xZ3")
     labels = tuple(group.elements())

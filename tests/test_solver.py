@@ -1,9 +1,12 @@
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from gdmagic.abelian import enumerate_abelian_groups, parse_group_spec
 from gdmagic.graphs import (
+    Graph,
     complete,
     complete_minus_matching,
+    construct_graph,
     cycle,
     join,
     path,
@@ -136,6 +139,49 @@ def test_parallel_matches_sequential():
     first_seq = search_labelings(cycle(4), group, SearchOptions(mode="first"))
     assert [lab.assignment for lab in first_par] == \
         [lab.assignment for lab in first_seq]
+    # KmM(8) is regular, so count mode pins the first vertex and the
+    # branches split on the second vertex's label
+    g = complete_minus_matching(8)
+    assert search_labelings(g, P("Z8"), SearchOptions(mode="count", jobs=2)) \
+        == search_labelings(g, P("Z8"), COUNT) == 1536
+
+
+# counts of the engine this one replaced; KmM(10) took it about 6 minutes
+@pytest.mark.parametrize("expr, spec, count", [
+    ("KmM(8)", "Z8", 1536),
+    ("KmM(8)", "Z2xZ4", 2304),
+    ("pow(C(12),2)", "Z12", 2304),
+    ("join(KmM(8),K(1))", "Z9", 384),
+    ("Kb(2,7)", "Z9", 40320),
+    ("KmM(10)", "Z10", 19200),
+])
+def test_regression_counts(expr, spec, count):
+    assert search_labelings(construct_graph(expr), P(spec), COUNT) == count
+
+
+@st.composite
+def small_graphs(draw):
+    n = draw(st.integers(1, 7))
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    keep = draw(st.lists(st.booleans(), min_size=len(pairs),
+                         max_size=len(pairs)))
+    return Graph.from_edges(n, [e for e, k in zip(pairs, keep) if k])
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(small_graphs())
+def test_pruned_matches_naive_oracle(g):
+    for group in enumerate_abelian_groups(g.n):
+        naive = search_labelings(g, group, ALL_NAIVE)
+        assert search_labelings(g, group, COUNT) == len(naive)
+        pruned = search_labelings(g, group, ALL)
+        assert {lab.assignment for lab in pruned} == \
+            {lab.assignment for lab in naive}
+        # both scan label sequences in lexicographic order
+        first = search_labelings(
+            g, group, SearchOptions(mode="first", vertex_order="input"))
+        assert [(lab.assignment, lab.magic_constant) for lab in first] == \
+            [(lab.assignment, lab.magic_constant) for lab in naive[:1]]
 
 
 def test_counts_are_stable_across_groups_of_same_class():
