@@ -28,6 +28,7 @@ from .graphs import (
     GraphError,
     GraphMetrics,
     GraphParseError,
+    MAX_EXPR_DEPTH,
     TwinPairing,
     complete,
     complete_bipartite,

@@ -36,6 +36,7 @@ __all__ = [
     "complete_minus_matching",
     "join",
     "graph_power",
+    "MAX_EXPR_DEPTH",
     "construct_graph",
     "from_edge_list_text",
     "from_edge_list_file",
@@ -444,10 +445,16 @@ def from_edge_list_file(filename: str) -> Graph:
 
 # expression parser --------------------------------------------------------------
 
+# Most constructions an expression may nest; the parser recurses twice per
+# level, which keeps it well inside Python's default recursion limit.
+MAX_EXPR_DEPTH = 100
+
+
 class _ExprParser:
     def __init__(self, text: str):
         self.text = text
         self.pos = 0
+        self.depth = 0
 
     def error(self, message: str) -> GraphParseError:
         return GraphParseError(f"{message} (at position {self.pos} in {self.text!r})")
@@ -510,9 +517,14 @@ class _ExprParser:
 
     def graph(self) -> Graph:
         name = self.name()
+        if self.depth == MAX_EXPR_DEPTH:
+            raise self.error(f"expression nests more than {MAX_EXPR_DEPTH} "
+                             "constructions")
+        self.depth += 1
         self.expect("(")
         g = self.payload(name)
         self.expect(")")
+        self.depth -= 1
         return g
 
     def payload(self, name: str) -> Graph:

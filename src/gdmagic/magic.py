@@ -94,6 +94,28 @@ def weight(g: Graph, labeling: Labeling, v: int) -> GroupElement:
     return total
 
 
+def _weights(g: Graph, group: GroupSpec,
+             labels: Sequence[GroupElement]) -> list[GroupElement]:
+    """Every vertex's weight, in one pass over the graph per cyclic factor.
+
+    Coordinate k of a weight is the plain-int sum of coordinate k of the
+    neighbors' labels, reduced mod the k-th factor once at the end; no group
+    addition runs. ``weight`` is the per-vertex definition this agrees with.
+    """
+    columns = []
+    for k, f in enumerate(group.factors):
+        get = [x[k] for x in labels].__getitem__
+        columns.append([sum(map(get, nbrs)) % f for nbrs in g.adj])
+    return list(zip(*columns)) if columns else [()] * g.n
+
+
+def _first_mismatch(weights: list[GroupElement]) -> Optional[tuple[int, int]]:
+    for v, w in enumerate(weights):
+        if w != weights[0]:
+            return (0, v)
+    return None
+
+
 def weight_mismatch(g: Graph, labeling: Labeling) -> Optional[tuple[int, int]]:
     """First vertex pair with differing weights, or None when all agree.
 
@@ -101,13 +123,7 @@ def weight_mismatch(g: Graph, labeling: Labeling) -> Optional[tuple[int, int]]:
     whose weight differs.
     """
     _check_sizes(g, labeling)
-    if g.n == 0:
-        return None
-    w0 = weight(g, labeling, 0)
-    for v in range(1, g.n):
-        if weight(g, labeling, v) != w0:
-            return (0, v)
-    return None
+    return _first_mismatch(_weights(g, labeling.group, labeling.assignment))
 
 
 def verify(g: Graph, labeling: Labeling) -> Optional[GroupElement]:
@@ -115,11 +131,11 @@ def verify(g: Graph, labeling: Labeling) -> Optional[GroupElement]:
 
     Edgeless graphs verify with the identity (all weights are empty sums).
     """
-    if weight_mismatch(g, labeling) is not None:
+    _check_sizes(g, labeling)
+    weights = _weights(g, labeling.group, labeling.assignment)
+    if _first_mismatch(weights) is not None:
         return None
-    if g.n == 0:
-        return labeling.group.zero()
-    return weight(g, labeling, 0)
+    return weights[0] if weights else labeling.group.zero()
 
 
 def negate_labeling(g: Graph, labeling: Labeling) -> Labeling:
@@ -397,15 +413,15 @@ def verify_certificate(cert: Certificate) -> tuple[bool, str, Optional[GroupElem
         labeling = Labeling(cert.group, cert.labels)
     except LabelingError as exc:
         return False, str(exc), None
-    mismatch = weight_mismatch(g, labeling)
+    weights = _weights(g, cert.group, labeling.assignment)
+    mismatch = _first_mismatch(weights)
     if mismatch is not None:
         a, b = mismatch
-        wa = cert.group.format_element(weight(g, labeling, a))
-        wb = cert.group.format_element(weight(g, labeling, b))
+        wa = cert.group.format_element(weights[a])
+        wb = cert.group.format_element(weights[b])
         return False, (f"weights differ: vertex {a} has {wa}, "
                        f"vertex {b} has {wb}"), None
-    mu = verify(g, labeling)
-    assert mu is not None
+    mu = weights[0]
     if mu != cert.mu:
         return False, (f"magic constant is {cert.group.format_element(mu)} but "
                        f"certificate claims {cert.group.format_element(cert.mu)}"),\

@@ -20,36 +20,27 @@ def composite_id(i: int, j: int, h_order: int) -> int:
 def lex_product(g: Graph, h: Graph) -> Graph:
     """(i,j) ~ (i',j') when i ~ i' in g, or i = i' and j ~ j' in h."""
     hn = h.n
-    edges = []
-    for u, v in g.edges():
-        for j in range(hn):
-            for jp in range(hn):
-                edges.append((u * hn + j, v * hn + jp))
+    adj = []
     for i in range(g.n):
-        for j, jp in h.edges():
-            edges.append((i * hn + j, i * hn + jp))
-    return Graph.from_edges(g.n * hn, edges)
+        outer = frozenset(v for ip in g.adj[i]
+                          for v in range(ip * hn, ip * hn + hn))
+        adj.extend(outer.union([i * hn + jp for jp in h.adj[j]])
+                   for j in range(hn))
+    return Graph(g.n * hn, tuple(adj))
 
 
 def direct_product(g: Graph, h: Graph) -> Graph:
     """(i,j) ~ (i',j') when i ~ i' in g and j ~ j' in h."""
     hn = h.n
-    edges = []
-    for u, v in g.edges():
-        for j, jp in h.edges():
-            edges.append((u * hn + j, v * hn + jp))
-            edges.append((u * hn + jp, v * hn + j))
-    return Graph.from_edges(g.n * hn, edges)
+    return Graph(g.n * hn, tuple(
+        frozenset(ip * hn + jp for ip in g.adj[i] for jp in h.adj[j])
+        for i in range(g.n) for j in range(hn)))
 
 
 def cartesian_product(g: Graph, h: Graph) -> Graph:
     """(i,j) ~ (i',j') when i = i' and j ~ j', or j = j' and i ~ i'."""
     hn = h.n
-    edges = []
-    for i in range(g.n):
-        for j, jp in h.edges():
-            edges.append((i * hn + j, i * hn + jp))
-    for u, v in g.edges():
-        for j in range(hn):
-            edges.append((u * hn + j, v * hn + j))
-    return Graph.from_edges(g.n * hn, edges)
+    return Graph(g.n * hn, tuple(
+        frozenset([i * hn + jp for jp in h.adj[j]]
+                  + [ip * hn + j for ip in g.adj[i]])
+        for i in range(g.n) for j in range(hn)))

@@ -15,6 +15,7 @@ from __future__ import annotations
 import itertools
 import math
 import os
+from contextlib import contextmanager
 from dataclasses import dataclass, replace
 
 from .abelian import GroupSpec, cayley_tables, enumerate_abelian_groups
@@ -207,6 +208,62 @@ def _merge(mode: str, results: list):
     return merged
 
 
+def _check_request(g: Graph, group: GroupSpec, opts: SearchOptions) -> None:
+    if opts.mode not in ("first", "all", "count"):
+        raise SolverError(f"unknown search mode {opts.mode!r}")
+    if opts.jobs < 1:
+        raise SolverError(f"--jobs must be at least 1, got {opts.jobs}")
+    if g.n != group.order:
+        raise SolverError(
+            f"graph has {g.n} vertices but group {group} has order "
+            f"{group.order}")
+    cap = PRUNED_VERTEX_CAP if opts.use_pruning else NAIVE_VERTEX_CAP
+    if g.n > cap:
+        raise SearchSizeError(
+            f"{'pruned' if opts.use_pruning else 'naive'} search supports at "
+            f"most {cap} vertices, got {g.n}")
+
+
+def _pinned(g: Graph, opts: SearchOptions) -> bool:
+    """Translation symmetry: on a regular graph l -> l + c keeps every weight
+    equal and moves every labeling when c != 0, so in count mode the first
+    vertex may be pinned to code 0 and the count multiplied by n."""
+    return opts.mode == "count" and g.n > 1 and len(set(g.degrees)) == 1
+
+
+@contextmanager
+def _branch_pool(opts: SearchOptions, branches: int):
+    """A process pool of min(jobs, cpu count, branches) workers, or None
+    when that is one worker or the search is naive."""
+    workers = min(opts.jobs, os.cpu_count() or 1, branches)
+    if not opts.use_pruning or workers < 2:
+        yield None
+        return
+    # imported here: only this path needs it, and it pulls in
+    # multiprocessing, about a third of the time of importing gdmagic
+    from concurrent.futures import ProcessPoolExecutor
+    with ProcessPoolExecutor(max_workers=workers) as pool:
+        yield pool
+
+
+def _run(g: Graph, group: GroupSpec, opts: SearchOptions, pool):
+    """Answer a request that passed ``_check_request``; a pruned search runs
+    its branches on ``pool`` when one is given."""
+    if not opts.use_pruning:
+        return _naive(g, group, opts.mode)
+    order = _vertex_order(g, opts.vertex_order)
+    pinned = _pinned(g, opts)
+    prefix = (0,) if pinned else ()
+    branches = [prefix + (e,) for e in range(g.n) if e not in prefix]
+    if pool is not None and len(branches) > 1:
+        result = _merge(opts.mode, list(pool.map(
+            _branch_worker,
+            [(g, group, order, opts.mode, b) for b in branches])))
+    else:
+        result = _search(g, group, order, opts.mode, prefix)
+    return result * g.n if pinned else result
+
+
 def search_labelings(g: Graph, group: GroupSpec,
                      opts: SearchOptions = SearchOptions()):
     """All magic labelings of g over the group, in a deterministic order.
@@ -218,55 +275,29 @@ def search_labelings(g: Graph, group: GroupSpec,
     min(jobs, cpu count, branches) worker processes; the results are the
     same as with jobs = 1.
     """
-    if opts.mode not in ("first", "all", "count"):
-        raise SolverError(f"unknown search mode {opts.mode!r}")
-    if opts.jobs < 1:
-        raise SolverError(f"--jobs must be at least 1, got {opts.jobs}")
-    if g.n != group.order:
-        raise SolverError(
-            f"graph has {g.n} vertices but group {group} has order "
-            f"{group.order}")
-    if not opts.use_pruning:
-        if g.n > NAIVE_VERTEX_CAP:
-            raise SearchSizeError(
-                f"naive search supports at most {NAIVE_VERTEX_CAP} vertices, "
-                f"got {g.n}")
-        return _naive(g, group, opts.mode)
-    if g.n > PRUNED_VERTEX_CAP:
-        raise SearchSizeError(
-            f"pruned search supports at most {PRUNED_VERTEX_CAP} vertices, "
-            f"got {g.n}")
-    order = _vertex_order(g, opts.vertex_order)
-    # Translation symmetry: on a regular graph l -> l + c keeps every weight
-    # equal and moves every labeling when c != 0, so in count mode the first
-    # vertex may be pinned to code 0 and the count multiplied by n.
-    pinned = (opts.mode == "count" and g.n > 1
-              and len(set(g.degrees)) == 1)
-    prefix = (0,) if pinned else ()
-    branches = [prefix + (e,) for e in range(g.n) if e not in prefix]
-    workers = min(opts.jobs, os.cpu_count() or 1, len(branches))
-    if workers > 1:
-        # imported here: only this path needs it, and it pulls in
-        # multiprocessing, about a third of the time of importing gdmagic
-        from concurrent.futures import ProcessPoolExecutor
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            result = _merge(opts.mode, list(pool.map(
-                _branch_worker,
-                [(g, group, order, opts.mode, b) for b in branches])))
-    else:
-        result = _search(g, group, order, opts.mode, prefix)
-    return result * g.n if pinned else result
+    _check_request(g, group, opts)
+    branches = g.n - 1 if _pinned(g, opts) else g.n
+    with _branch_pool(opts, branches) as pool:
+        return _run(g, group, opts, pool)
 
 
 def classify_over_all_groups(g: Graph,
                              opts: SearchOptions = SearchOptions()
                              ) -> dict[GroupSpec, bool]:
     """For each isomorphism class of abelian groups of order |V(g)|, whether
-    g admits a magic labeling; g is group distance magic when all do."""
+    g admits a magic labeling; g is group distance magic when all do.
+
+    With jobs > 1 every group's search runs on one shared process pool.
+    """
+    first = replace(opts, mode="first")
+    specs = enumerate_abelian_groups(g.n)
+    for spec in specs:
+        _check_request(g, spec, first)
     out: dict[GroupSpec, bool] = {}
-    for spec in enumerate_abelian_groups(g.n):
-        result = search_labelings(g, spec, replace(opts, mode="first"))
-        out[spec] = bool(result)
+    # first mode pins no vertex: every search splits into g.n branches
+    with _branch_pool(first, g.n) as pool:
+        for spec in specs:
+            out[spec] = bool(_run(g, spec, first, pool))
     return out
 
 

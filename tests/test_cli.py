@@ -1,3 +1,4 @@
+import hashlib
 import io
 import json
 
@@ -182,6 +183,54 @@ FIRST_MODE_OUTPUT = [
 def test_search_first_output_is_unchanged(graph, group, code, expected):
     assert _run(["search", "--graph", graph, "--group", group,
                  "--mode", "first", "--json"]) == (code, expected + "\n", "")
+
+
+# sha256 of the certificate `label` printed for each product the benchmark's
+# certify workload labels, recorded before products were built from
+# adjacency sets and weights summed per coordinate
+CERTIFY_DIGESTS = [
+    ("C(500)", "KmM(8)", "lex", "Z8xZ500",
+     "c6037a451b7b35047cc49c259a2a9f9f6fa24312c77c1c34b0ec1542a92e627b"),
+    ("K(20)", "KmM(16)", "lex", "Z16xZ20",
+     "dc2336969323e00f748a0a8d538be2b5474372509564ebda0aaede9b7ec16db9"),
+    ("C(128)", "KmM(16)", "dir", "Z16xZ128",
+     "577dc0bc7aa5e480197052a4bb500ca43e3c64e326e42a39b9b2a0abc5efafa4"),
+    ("Kb(20,21)", "KmM(8)", "lex", "Z8xZ41",
+     "104290be8543b53d67aa8b61d025ef509d73d9ff8290992ac492beb71f6749cf"),
+    ("pow(C(200),2)", "KmM(8)", "lex", "Z2xZ8xZ100",
+     "1af256b0caa155e1ad54925ca280b512055c2e19f7eb76ef1592405c8440df4b"),
+    ("C(300)", "KmM(6)", "dir", "Z6xZ300",
+     "e912ea47a55e26a9c16a38ecd98f68a11dd625def41b5151473954c0e6e3badb"),
+    ("C(50)", "KmM(6)", "lex", "Z6xZ50",
+     "1419c816993471c10da535397ec08521e1667af5ac4de7c6b792dfbede50027a"),
+    ("K(12)", "KmM(6)", "lex", "Z6xZ12",
+     "fa67d8668dd89b85e02d09e7d55e8625cd5880ae98cc6aad8cb734217fcb47cc"),
+    ("C(100)", "KmM(8)", "dir", "Z8xZ100",
+     "e97d8250d906a8ebc41102520f4c45c558769ac6f4abd079c3fcb1e11812b1c2"),
+]
+
+
+@pytest.mark.parametrize("graph, h, product, group, digest", CERTIFY_DIGESTS)
+def test_label_certificates_are_unchanged(graph, h, product, group, digest):
+    code, out, err = _run(["label", "--graph", graph, "--h", h,
+                           "--product", product, "--group", group])
+    assert (code, err) == (0, "")
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+def test_expression_nesting_cap():
+    from gdmagic.graphs import MAX_EXPR_DEPTH
+
+    def nested(depth):
+        return "join(K(1)," * (depth - 1) + "K(1)" + ")" * (depth - 1)
+
+    code, out, err = _run(["construct", nested(MAX_EXPR_DEPTH)])
+    assert code == 0 and out.startswith(f"vertices: {MAX_EXPR_DEPTH}\n")
+    for depth in (MAX_EXPR_DEPTH + 1, 600):
+        code, out, err = _run(["construct", nested(depth)])
+        assert code == 2 and out == ""
+        assert err.startswith(f"error: expression nests more than "
+                              f"{MAX_EXPR_DEPTH} constructions")
 
 
 def test_classify():

@@ -1,6 +1,12 @@
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
-from gdmagic.abelian import parse_group_spec, trivial_group
+from gdmagic import magic
+from gdmagic.abelian import (
+    enumerate_abelian_groups,
+    parse_group_spec,
+    trivial_group,
+)
 from gdmagic.graphs import (
     Graph,
     complete,
@@ -87,6 +93,40 @@ def test_verify_examples():
 
     edgeless = Graph.from_edges(4, [])
     assert verify(edgeless, _lab(Z4, 0, 1, 2, 3)) == (0,)
+
+
+@st.composite
+def labeled_graphs(draw):
+    """A graph on 0..9 vertices (isolated vertices included) and, for each
+    group of its order, a random bijective labeling."""
+    n = draw(st.integers(0, 9))
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    keep = draw(st.lists(st.booleans(), min_size=len(pairs),
+                         max_size=len(pairs)))
+    g = Graph.from_edges(n, [e for e, k in zip(pairs, keep) if k])
+    groups = enumerate_abelian_groups(n) if n else []
+    return g, [Labeling(grp, tuple(draw(st.permutations(list(grp.elements())))))
+               for grp in groups]
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(labeled_graphs())
+@example((Graph.from_edges(0, []), []))
+@example((Graph.from_edges(1, []), [Labeling(trivial_group(), ((),))]))
+@example((Graph.from_edges(4, [(1, 2)]), [_lab(Z4, 3, 1, 0, 2),
+                                          _lab(Z22, (1, 1), (0, 1), (0, 0),
+                                               (1, 0))]))
+def test_one_pass_weights_match_per_vertex_weight(case):
+    g, labelings = case
+    if g.n == 0:
+        assert magic._weights(g, trivial_group(), ()) == []
+        assert magic._weights(g, Z4, ()) == []
+    for lab in labelings:
+        expected = [weight(g, lab, v) for v in range(g.n)]
+        assert magic._weights(g, lab.group, lab.assignment) == expected
+        differs = [v for v in range(g.n) if expected[v] != expected[0]]
+        assert weight_mismatch(g, lab) == ((0, differs[0]) if differs else None)
+        assert verify(g, lab) == (None if differs else expected[0])
 
 
 def test_verify_size_mismatch():
@@ -234,6 +274,47 @@ def test_certificate_verification():
     not_magic = Certificate("P(4)", Z4, (0,), ((0,), (1,), (2,), (3,)))
     ok, detail, _ = verify_certificate(not_magic)
     assert not ok and "weights differ" in detail
+
+
+def test_verify_certificate_makes_one_weight_pass(monkeypatch):
+    calls = []
+    real = magic._weights
+    monkeypatch.setattr(magic, "_weights",
+                        lambda *args: calls.append(args) or real(*args))
+    monkeypatch.setattr(magic, "weight", None)  # the reference is not used
+    good = Certificate("C(4)", Z4, (3,), ((1,), (0,), (2,), (3,)))
+    assert verify_certificate(good) == (True, "ok", (3,))
+    assert len(calls) == 1
+    wrong_mu = Certificate("C(4)", Z4, (1,), ((1,), (0,), (2,), (3,)))
+    assert not verify_certificate(wrong_mu)[0]
+    not_magic = Certificate("C(4)", Z4, (0,), ((0,), (1,), (2,), (3,)))
+    assert not verify_certificate(not_magic)[0]
+    assert len(calls) == 3
+
+
+# (product, G, H, group, two swapped vertices, the rejection detail the
+# verifier gave before weights were summed per coordinate)
+SWAPPED = [
+    ("lex", "C(50)", "KmM(6)", "Z6xZ50", 151, 160,
+     "weights differ: vertex 0 has (4,0), vertex 144 has (1,26)"),
+    ("dir", "C(128)", "KmM(16)", "Z16xZ128", 1000, 1017,
+     "weights differ: vertex 0 has (0,114), vertex 976 has (2,1)"),
+]
+
+
+@pytest.mark.parametrize("product, g, h, spec, x, y, detail", SWAPPED)
+def test_swapped_certificate_rejection_is_unchanged(product, g, h, spec,
+                                                    x, y, detail):
+    from gdmagic.constructors import auto_label
+    from gdmagic.graphs import construct_graph
+
+    group = parse_group_spec(spec)
+    report = auto_label(construct_graph(g), construct_graph(h), product, group)
+    labels = list(report.labeling.assignment)
+    labels[x], labels[y] = labels[y], labels[x]
+    cert = Certificate(f"{product}({g},{h})", group, report.predicted_mu,
+                       tuple(labels))
+    assert verify_certificate(cert) == (False, detail, None)
 
 
 @pytest.mark.parametrize("bad", [

@@ -1,5 +1,7 @@
 import random
 
+from hypothesis import example, given, settings, strategies as st
+
 from gdmagic.graphs import (
     Graph,
     complete,
@@ -14,6 +16,58 @@ def _random_graph(rng, n, p):
     edges = [(u, v) for u in range(n) for v in range(u + 1, n)
              if rng.random() < p]
     return Graph.from_edges(n, edges)
+
+
+# The edge-list constructions the products were once built with, kept as the
+# reference for the adjacency-built ones.
+
+def _lex_oracle(g, h):
+    hn = h.n
+    edges = [(u * hn + j, v * hn + jp)
+             for u, v in g.edges() for j in range(hn) for jp in range(hn)]
+    edges += [(i * hn + j, i * hn + jp)
+              for i in range(g.n) for j, jp in h.edges()]
+    return Graph.from_edges(g.n * hn, edges)
+
+
+def _direct_oracle(g, h):
+    hn = h.n
+    edges = []
+    for u, v in g.edges():
+        for j, jp in h.edges():
+            edges.append((u * hn + j, v * hn + jp))
+            edges.append((u * hn + jp, v * hn + j))
+    return Graph.from_edges(g.n * hn, edges)
+
+
+def _cartesian_oracle(g, h):
+    hn = h.n
+    edges = [(i * hn + j, i * hn + jp)
+             for i in range(g.n) for j, jp in h.edges()]
+    edges += [(u * hn + j, v * hn + j)
+              for u, v in g.edges() for j in range(hn)]
+    return Graph.from_edges(g.n * hn, edges)
+
+
+@st.composite
+def small_graphs(draw):
+    n = draw(st.integers(1, 6))
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    keep = draw(st.lists(st.booleans(), min_size=len(pairs),
+                         max_size=len(pairs)))
+    return Graph.from_edges(n, [e for e, k in zip(pairs, keep) if k])
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(small_graphs(), small_graphs())
+@example(complete(1), cycle(4))
+@example(cycle(4), complete(1))
+@example(Graph.from_edges(3, []), path(3))
+@example(path(3), Graph.from_edges(4, []))
+def test_products_match_edge_list_oracle(g, h):
+    assert lex_product(g, h) == _lex_oracle(g, h)
+    assert direct_product(g, h) == _direct_oracle(g, h)
+    assert cartesian_product(g, h) == _cartesian_oracle(g, h)
 
 
 def test_lex_examples():

@@ -1,3 +1,5 @@
+import io
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -144,6 +146,39 @@ def test_parallel_matches_sequential():
     g = complete_minus_matching(8)
     assert search_labelings(g, P("Z8"), SearchOptions(mode="count", jobs=2)) \
         == search_labelings(g, P("Z8"), COUNT) == 1536
+
+
+@pytest.mark.parametrize("expr", ["C(4)", "S(5)", "C(8)", "KmM(6)",
+                                  "join(KmM(6),K(1))", "lex(C(4),K(2))"])
+def test_parallel_classify_matches_sequential(expr):
+    g = construct_graph(expr)
+    assert classify_over_all_groups(g, SearchOptions(jobs=2)) == \
+        classify_over_all_groups(g)
+
+
+def test_classify_starts_one_pool(monkeypatch):
+    import concurrent.futures
+    import os
+
+    from gdmagic.cli import run
+
+    made = []
+
+    class CountingPool(concurrent.futures.ProcessPoolExecutor):
+        def __init__(self, *args, **kwargs):
+            made.append(kwargs)
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
+                        CountingPool)
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    outputs = []
+    for jobs in ("1", "2"):
+        out = io.StringIO()
+        assert run(["classify", "--graph", "C(8)", "--jobs", jobs], out) == 1
+        outputs.append(out.getvalue())
+    assert made == [{"max_workers": 2}]
+    assert outputs[0] == outputs[1]
 
 
 # counts of the engine this one replaced; KmM(10) took it about 6 minutes
