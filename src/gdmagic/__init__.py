@@ -47,6 +47,7 @@ from .graphs import (
     is_isomorphic,
     is_tree,
     join,
+    matching_join_pairs,
     metrics,
     path,
     star,

@@ -14,26 +14,12 @@ from typing import Optional, TextIO
 
 from .abelian import GroupError, enumerate_abelian_groups, parse_group_spec
 from .constructors import (
+    METHODS,
     ConstructionError,
-    ConstructionReport,
-    auto_label,
-    auto_label_bare,
-    label_dir_balanced_pow2,
-    label_dir_c4k2,
-    label_lex_balanced_pow2,
-    label_lex_c4k2,
-    label_lex_even_degrees,
-    label_matching_join_graph,
-    label_star_graph,
-    _label_kmn_parts,
-    _pow2_host,
+    label_with_method,
+    method_product,
 )
-from .graphs import (
-    GraphError,
-    complete_bipartite_parts,
-    construct_graph,
-    find_twin_pairing,
-)
+from .graphs import GraphError, construct_graph
 from .magic import (
     Certificate,
     LabelingError,
@@ -53,17 +39,6 @@ from .solver import (
 
 _USAGE_ERROR = 2
 _NEGATIVE = 1
-
-_PRODUCT_METHODS = (
-    "auto",
-    "c4k2-lex",
-    "c4k2-dir",
-    "balanced-lex",
-    "balanced-dir",
-    "even-degrees-lex",
-    "kmn-mixed-lex",
-)
-_BARE_METHODS = ("auto", "star", "matching-join")
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -88,8 +63,7 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="product of --graph and --h (default: the method's "
                         "own product, lex for auto)")
     p.add_argument("--group", required=True, help="group spec, e.g. Z4xZ3")
-    p.add_argument("--method", default="auto",
-                   choices=sorted(set(_PRODUCT_METHODS + _BARE_METHODS)))
+    p.add_argument("--method", default="auto", choices=tuple(METHODS))
     p.add_argument("--s", type=int, help="cyclic 2-power exponent for the "
                                          "balanced-* methods")
     p.add_argument("--out", help="write the certificate to this file")
@@ -153,70 +127,14 @@ def _cmd_construct(args, out: TextIO) -> int:
     return 0
 
 
-def _product_report(args, g, group) -> ConstructionReport:
-    method = args.method
-    own = method.rpartition("-")[2]
-    if own in ("lex", "dir") and args.product not in (None, own):
-        raise ConstructionError(
-            f"method {method} builds a {own} product, but --product "
-            f"{args.product} was given")
-    h = construct_graph(args.h)
-    pairing = find_twin_pairing(h)
-    if method == "auto":
-        return auto_label(g, h, args.product or "lex", group, pairing)
-    if method in ("c4k2-lex", "c4k2-dir"):
-        if h.n < 6 or h.n % 4 != 2:
-            raise ConstructionError(
-                f"method {method} needs H on 4k+2 vertices, got {h.n}")
-        k = (h.n - 2) // 4
-        fn = label_lex_c4k2 if method == "c4k2-lex" else label_dir_c4k2
-        return fn(g, k, group, h=h, pairing=pairing)
-    if method in ("balanced-lex", "balanced-dir"):
-        if args.s is None:
-            raise ConstructionError(f"method {method} requires --s")
-        fn = (label_lex_balanced_pow2 if method == "balanced-lex"
-              else label_dir_balanced_pow2)
-        return fn(g, h, group, args.s, pairing)
-    if method == "even-degrees-lex":
-        return label_lex_even_degrees(g, h, group, pairing)
-    if method == "kmn-mixed-lex":
-        parts = complete_bipartite_parts(g)
-        if parts is None:
-            raise ConstructionError("G is not a complete bipartite graph")
-        evens = [p for p in parts if len(p) % 2 == 0]
-        odds = [p for p in parts if len(p) % 2 == 1]
-        if not evens or not odds or len(evens[0]) < 2:
-            raise ConstructionError(
-                "G must be K(m,n) with m even (>= 2) and n odd; got part "
-                f"sizes {sorted(len(p) for p in parts)}")
-        k, r, pairing = _pow2_host(h, pairing)
-        if r % 2 == 0:
-            raise ConstructionError(
-                f"H must be 2r-regular with r odd, got r = {r}")
-        return _label_kmn_parts(g, evens[0], odds[0], h, pairing, group, k, r)
-    raise ConstructionError(f"method {method} needs a bare graph, not --h")
-
-
 def _cmd_label(args, out: TextIO, err: TextIO) -> int:
     group = parse_group_spec(args.group)
     g = construct_graph(args.graph)
-    if args.h is not None:
-        if args.method in ("star", "matching-join"):
-            raise ConstructionError(
-                f"method {args.method} takes no --h factor")
-        report = _product_report(args, g, group)
-        product = "dir" if "dir" in report.theorem else "lex"
-        graph_expr = f"{product}({args.graph.strip()},{args.h.strip()})"
-    else:
-        if args.method == "star":
-            report = label_star_graph(g, group)
-        elif args.method == "matching-join":
-            report = label_matching_join_graph(g, group)
-        elif args.method == "auto":
-            report = auto_label_bare(g, group)
-        else:
-            raise ConstructionError(f"method {args.method} requires --h")
-        graph_expr = args.graph.strip()
+    product = method_product(args.method, args.h is not None, args.product)
+    h = None if product is None else construct_graph(args.h)
+    report = label_with_method(args.method, g, h, product, group, args.s)
+    graph_expr = (args.graph.strip() if h is None
+                  else f"{product}({args.graph.strip()},{args.h.strip()})")
     if report is None:
         message = ("no labeling exists: no center label x with 2x equal to "
                    "the sum of all group elements")
@@ -229,7 +147,6 @@ def _cmd_label(args, out: TextIO, err: TextIO) -> int:
         print(f"internal error: emitted certificate failed: {detail}",
               file=err)
         return _USAGE_ERROR
-    text = format_certificate(cert)
     if args.out:
         save_certificate(cert, args.out)
     if args.json:
@@ -249,7 +166,7 @@ def _cmd_label(args, out: TextIO, err: TextIO) -> int:
               f"(theorem {report.theorem}, mu "
               f"{group.format_element(report.predicted_mu)})", file=out)
     else:
-        out.write(text)
+        out.write(format_certificate(cert))
     return 0
 
 

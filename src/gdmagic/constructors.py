@@ -10,7 +10,7 @@ verification mismatch raises instead of being patched over.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Callable, NamedTuple, Optional
 
 from .abelian import (
     CyclicFactorSplit,
@@ -31,6 +31,7 @@ from .graphs import (
     find_twin_pairing,
     graph_power,
     join,
+    matching_join_pairs,
     star,
     validate_twin_pairing,
 )
@@ -51,6 +52,10 @@ __all__ = [
     "label_lex_even_degrees",
     "label_lex_kmn_mixed",
     "auto_label",
+    "LabelingMethod",
+    "METHODS",
+    "method_product",
+    "label_with_method",
 ]
 
 
@@ -60,6 +65,10 @@ class ConstructionError(ValueError):
     def __init__(self, message: str, diagnostics: Optional[list[str]] = None):
         super().__init__(message)
         self.diagnostics = diagnostics if diagnostics is not None else [message]
+
+
+class _WrongShape(ConstructionError):
+    """The graph is not of the shape the labeler labels."""
 
 
 @dataclass
@@ -101,6 +110,34 @@ def _split_or_error(group: GroupSpec, d: int) -> CyclicFactorSplit:
     return split
 
 
+def _twin_pair_labels(labels: list, hn: int, blocks, pairing: TwinPairing,
+                      split: CyclicFactorSplit, pair_z: int,
+                      rule: Callable[[int, int], tuple[int, GroupElement]]
+                      ) -> list:
+    """Fill blocks of a product with a twin-paired H (vertex i*hn + j is
+    vertex j of H in block i): in block i the first vertex of twin pair t
+    gets the split element rule(i, t) = (z, a), and its twin gets
+    (pair_z, 0) minus that, so every twin pair sums to (pair_z, 0)."""
+    group = split.group
+    pair_sum = split.from_pair(pair_z, split.complement.zero())
+    for i in blocks:
+        for t, (j, jp) in enumerate(pairing.pairs):
+            primary = split.from_pair(*rule(i, t))
+            labels[i * hn + j] = primary
+            labels[i * hn + jp] = group.sub(pair_sum, primary)
+    return labels
+
+
+def _inverse_pair_values(comp: GroupSpec) -> list[tuple[GroupElement, GroupElement]]:
+    pairs = []
+    taken = {comp.zero()}
+    for a in comp.elements():
+        if a not in taken:
+            pairs.append((a, comp.neg(a)))
+            taken.update(pairs[-1])
+    return pairs
+
+
 # ---------------------------------------------------------------------------
 # universal vertex over a complete-minus-matching core
 
@@ -109,35 +146,22 @@ def label_matching_join_graph(g: Graph, group: GroupSpec) -> ConstructionReport:
     graph minus a perfect matching: the hub gets the identity and every twin
     pair gets an inverse pair (x, -x); all weights collapse to the identity.
     """
-    from .magic import _matching_join_pairs
-
     n = g.n
     if n < 3 or n % 2 == 0:
-        raise ConstructionError(f"vertex count must be odd and >= 3, got {n}")
+        raise _WrongShape(f"vertex count must be odd and >= 3, got {n}")
     universal = [v for v in range(n) if g.degree(v) == n - 1]
     if len(universal) != 1:
-        raise ConstructionError("graph needs exactly one universal vertex")
+        raise _WrongShape("graph needs exactly one universal vertex")
     hub = universal[0]
-    pairs = _matching_join_pairs(g, hub)
+    pairs = matching_join_pairs(g, hub)
     if pairs is None:
-        raise ConstructionError(
+        raise _WrongShape(
             "non-hub vertices must form a complete graph minus a perfect "
             "matching")
     _check_order(group, n)
-    assignment: list[Optional[GroupElement]] = [None] * n
-    assignment[hub] = group.zero()
-    taken = {group.zero()}
-    slot = 0
-    for elem in group.elements():
-        if elem in taken:
-            continue
-        negated = group.neg(elem)
-        taken.add(elem)
-        taken.add(negated)
-        a, b = pairs[slot]
-        slot += 1
-        assignment[a] = elem
-        assignment[b] = negated
+    assignment = [group.zero()] * n
+    for (a, b), (x, neg_x) in zip(pairs, _inverse_pair_values(group)):
+        assignment[a], assignment[b] = x, neg_x
     return _verified(g, assignment, group, group.zero(), "matching-join",
                      {"n": n})
 
@@ -164,7 +188,7 @@ def label_star_graph(g: Graph, group: GroupSpec) -> Optional[ConstructionReport]
          and all(g.degree(u) == 1 for u in range(n) if u != v)),
         None)
     if center is None:
-        raise ConstructionError("graph is not a star")
+        raise _WrongShape("graph is not a star")
     _check_order(group, n)
     target = sum_of_elements(group)
     x = next((e for e in group.elements() if group.add(e, e) == target), None)
@@ -206,17 +230,11 @@ def _c4k2_host(k: int, h: Optional[Graph],
 
 def _c4k2_assignment(g: Graph, h: Graph, pairing: TwinPairing,
                      split: CyclicFactorSplit, k: int) -> list[GroupElement]:
-    group, comp = split.group, split.complement
-    pair_sum = split.from_pair(4 * k + 1, comp.zero())
-    hn = h.n
-    assignment: list[GroupElement] = [group.zero()] * (g.n * hn)
-    for i in range(g.n):
-        a_i = comp.element_at(i)
-        for t, (j, jp) in enumerate(pairing.pairs):
-            primary = split.from_pair(t, a_i)
-            assignment[i * hn + j] = primary
-            assignment[i * hn + jp] = group.sub(pair_sum, primary)
-    return assignment
+    # block i, pair t: primary label (t, a_i)
+    comp = split.complement
+    return _twin_pair_labels([split.group.zero()] * (g.n * h.n), h.n,
+                             range(g.n), pairing, split, 4 * k + 1,
+                             lambda i, t: (t, comp.element_at(i)))
 
 
 def label_lex_c4k2(g: Graph, k: int, group: GroupSpec,
@@ -250,12 +268,7 @@ def label_dir_c4k2(g: Graph, k: int, group: GroupSpec,
     common m mod 4k+2, and reaches the constant (-2mk, 0)."""
     h, pairing = _c4k2_host(k, h, pairing)
     mod = 4 * k + 2
-    residues = {d % mod for d in g.degrees}
-    if len(residues) != 1:
-        raise ConstructionError(
-            f"degrees of G are not all congruent mod {mod} "
-            f"(residues {sorted(residues)})")
-    m = residues.pop()
+    m = _common_residue(g, mod)
     _check_order(group, mod * g.n)
     split = _split_or_error(group, mod)
     assignment = _c4k2_assignment(g, h, pairing, split, k)
@@ -299,41 +312,46 @@ def _common_residue(g: Graph, mod: int) -> int:
     return residues.pop()
 
 
-def _pow2_small_s_assignment(g: Graph, h: Graph, pairing: TwinPairing,
-                             split: CyclicFactorSplit, k: int,
-                             s: int) -> list[GroupElement]:
-    # block i, pair t: primary label (t // 2^{k-s}, a_{(t mod 2^{k-s}) + 2^{k-s} i})
-    group, comp = split.group, split.complement
-    pair_sum = split.from_pair((1 << s) - 1, comp.zero())
-    chunk = 1 << (k - s)
-    hn = h.n
-    assignment: list[GroupElement] = [group.zero()] * (g.n * hn)
-    for i in range(g.n):
-        for t, (j, jp) in enumerate(pairing.pairs):
-            a = comp.element_at((t % chunk) + chunk * i)
-            primary = split.from_pair(t // chunk, a)
-            assignment[i * hn + j] = primary
-            assignment[i * hn + jp] = group.sub(pair_sum, primary)
-    return assignment
+def _balanced_host(g: Graph, h: Graph, group: GroupSpec, s: int,
+                   pairing: Optional[TwinPairing]
+                   ) -> tuple[int, int, TwinPairing, CyclicFactorSplit]:
+    """The balanced-* labelers' checks on H, s and the group; returns
+    (k, r, pairing, split) with split: group ~ Z_{2^s} x A."""
+    k, r, pairing = _pow2_host(h, pairing)
+    if s < 1:
+        raise ConstructionError(f"s must be >= 1, got {s}")
+    _check_order(group, (1 << k) * g.n)
+    # checked before 1 << s is built, as s may be arbitrarily large
+    if s >= group.order.bit_length():
+        raise ConstructionError(
+            f"s = {s} is too large: 2^s exceeds the order {group.order} "
+            f"of group {group}")
+    return k, r, pairing, _split_or_error(group, 1 << s)
 
 
-def _pow2_large_s_assignment(g: Graph, h: Graph, pairing: TwinPairing,
-                             split: CyclicFactorSplit, k: int,
-                             s: int) -> list[GroupElement]:
-    # block i, pair t: primary label ((2^{k-1} i + t) mod 2^{s-1}, a_{i // 2^{s-k}})
-    group, comp = split.group, split.complement
-    pair_sum = split.from_pair((1 << s) - 1, comp.zero())
-    halfmod = 1 << (s - 1)
-    shift = 1 << (s - k)
-    hn = h.n
-    assignment: list[GroupElement] = [group.zero()] * (g.n * hn)
-    for i in range(g.n):
-        a = comp.element_at(i // shift)
-        for t, (j, jp) in enumerate(pairing.pairs):
-            primary = split.from_pair(((1 << (k - 1)) * i + t) % halfmod, a)
-            assignment[i * hn + j] = primary
-            assignment[i * hn + jp] = group.sub(pair_sum, primary)
-    return assignment
+def _pow2_assignment(g: Graph, h: Graph, pairing: TwinPairing,
+                     split: CyclicFactorSplit, k: int,
+                     s: int) -> list[GroupElement]:
+    # block i, pair t: primary label, for s <= k-1,
+    #   (t // 2^{k-s}, a_{(t mod 2^{k-s}) + 2^{k-s} i}),
+    # and otherwise ((2^{k-1} i + t) mod 2^{s-1}, a_{i // 2^{s-k}})
+    comp = split.complement
+    if s <= k - 1:
+        chunk = 1 << (k - s)
+
+        def rule(i, t):
+            return t // chunk, comp.element_at((t % chunk) + chunk * i)
+    else:
+        if g.n % (1 << (s - k)):
+            raise ConstructionError(
+                f"vertex count {g.n} is not divisible by 2^{s - k}")
+        halfmod, shift = 1 << (s - 1), 1 << (s - k)
+
+        def rule(i, t):
+            return (((1 << (k - 1)) * i + t) % halfmod,
+                    comp.element_at(i // shift))
+    return _twin_pair_labels([split.group.zero()] * (g.n * h.n), h.n,
+                             range(g.n), pairing, split, (1 << s) - 1, rule)
 
 
 def label_lex_balanced_pow2(g: Graph, h: Graph, group: GroupSpec, s: int,
@@ -346,21 +364,14 @@ def label_lex_balanced_pow2(g: Graph, h: Graph, group: GroupSpec, s: int,
     s >= k all degrees of G must be congruent mod 2^{s-1} and the constant is
     (-r - 2^{k-1} m, 0).
     """
-    k, r, pairing = _pow2_host(h, pairing)
-    if s < 1:
-        raise ConstructionError(f"s must be >= 1, got {s}")
-    _check_order(group, (1 << k) * g.n)
-    split = _split_or_error(group, 1 << s)
+    k, r, pairing, split = _balanced_host(g, h, group, s, pairing)
     if s <= k - 1:
-        assignment = _pow2_small_s_assignment(g, h, pairing, split, k, s)
+        assignment = _pow2_assignment(g, h, pairing, split, k, s)
         predicted = split.from_pair((-r) % (1 << s), split.complement.zero())
         return _verified(lex_product(g, h), assignment, group, predicted,
                          "balanced-lex-small-s", {"k": k, "s": s, "r": r})
     m = _common_residue(g, 1 << (s - 1))
-    if g.n % (1 << (s - k)):
-        raise ConstructionError(
-            f"vertex count {g.n} is not divisible by 2^{s - k}")
-    assignment = _pow2_large_s_assignment(g, h, pairing, split, k, s)
+    assignment = _pow2_assignment(g, h, pairing, split, k, s)
     predicted = split.from_pair((-r - (1 << (k - 1)) * m) % (1 << s),
                                 split.complement.zero())
     return _verified(lex_product(g, h), assignment, group, predicted,
@@ -372,24 +383,13 @@ def label_dir_balanced_pow2(g: Graph, h: Graph, group: GroupSpec, s: int,
                             ) -> ConstructionReport:
     """Label G x H for a balanced H on 2^k vertices; all degrees of G must be
     congruent to a common m mod 2^s and the constant is (-mr, 0)."""
-    k, r, pairing = _pow2_host(h, pairing)
-    if s < 1:
-        raise ConstructionError(f"s must be >= 1, got {s}")
-    _check_order(group, (1 << k) * g.n)
-    split = _split_or_error(group, 1 << s)
+    k, r, pairing, split = _balanced_host(g, h, group, s, pairing)
     m = _common_residue(g, 1 << s)
-    if s <= k - 1:
-        assignment = _pow2_small_s_assignment(g, h, pairing, split, k, s)
-        tag = "balanced-dir-small-s"
-    else:
-        if g.n % (1 << (s - k)):
-            raise ConstructionError(
-                f"vertex count {g.n} is not divisible by 2^{s - k}")
-        assignment = _pow2_large_s_assignment(g, h, pairing, split, k, s)
-        tag = "balanced-dir-large-s"
+    assignment = _pow2_assignment(g, h, pairing, split, k, s)
     predicted = split.from_pair((-m * r) % (1 << s), split.complement.zero())
+    size = "small" if s <= k - 1 else "large"
     return _verified(direct_product(g, h), assignment, group, predicted,
-                     tag, {"k": k, "s": s, "r": r, "m": m})
+                     f"balanced-dir-{size}-s", {"k": k, "s": s, "r": r, "m": m})
 
 
 def label_lex_even_degrees(g: Graph, h: Graph, group: GroupSpec,
@@ -411,31 +411,12 @@ def label_lex_even_degrees(g: Graph, h: Graph, group: GroupSpec,
             f"group {group} has no Z{1 << k} direct factor; route to the "
             f"small-s labeler with s <= {k - 1}")
     comp = split.complement
-    pair_sum = split.from_pair((1 << k) - 1, comp.zero())
-    hn = h.n
-    assignment: list[GroupElement] = [group.zero()] * (g.n * hn)
-    for i in range(g.n):
-        a_i = comp.element_at(i)
-        for t, (j, jp) in enumerate(pairing.pairs):
-            primary = split.from_pair((2 * t) % (1 << k), a_i)
-            assignment[i * hn + j] = primary
-            assignment[i * hn + jp] = group.sub(pair_sum, primary)
+    assignment = _twin_pair_labels(
+        [group.zero()] * (g.n * h.n), h.n, range(g.n), pairing, split,
+        (1 << k) - 1, lambda i, t: ((2 * t) % (1 << k), comp.element_at(i)))
     predicted = split.from_pair((-r) % (1 << k), comp.zero())
     return _verified(lex_product(g, h), assignment, group, predicted,
                      "even-degrees-lex", {"k": k, "r": r})
-
-
-def _inverse_pair_values(comp: GroupSpec) -> list[tuple[GroupElement, GroupElement]]:
-    pairs = []
-    taken = {comp.zero()}
-    for a in comp.elements():
-        if a in taken:
-            continue
-        na = comp.neg(a)
-        taken.add(a)
-        taken.add(na)
-        pairs.append((a, na))
-    return pairs
 
 
 def _label_kmn_parts(g: Graph, xs: list[int], ys: list[int], h: Graph,
@@ -454,25 +435,38 @@ def _label_kmn_parts(g: Graph, xs: list[int], ys: list[int], h: Graph,
     need = len(xs) // 2
     x_vals = [v for pr in value_pairs[:need] for v in pr]
     y_vals = [comp.zero()] + [v for pr in value_pairs[need:] for v in pr]
-    x_pair_sum = split.from_pair((1 << (k - 1)) - 1, comp.zero())
-    y_pair_sum = split.from_pair((1 << k) - 1, comp.zero())
-    hn = h.n
-    assignment: list[GroupElement] = [group.zero()] * (g.n * hn)
-    for a, i in zip(x_vals, xs):
-        for q, (j, jp) in enumerate(pairing.pairs):
-            primary = split.from_pair(((1 << (k - 1)) + 1) * q % (1 << k), a)
-            assignment[i * hn + j] = primary
-            assignment[i * hn + jp] = group.sub(x_pair_sum, primary)
-    for a, i in zip(y_vals, ys):
-        for q, (j, jp) in enumerate(pairing.pairs):
-            primary = split.from_pair((2 * q) % (1 << k), a)
-            assignment[i * hn + j] = primary
-            assignment[i * hn + jp] = group.sub(y_pair_sum, primary)
+    x_a, y_a = dict(zip(xs, x_vals)), dict(zip(ys, y_vals))
+    assignment = [group.zero()] * (g.n * h.n)
+    _twin_pair_labels(
+        assignment, h.n, x_a, pairing, split, (1 << (k - 1)) - 1,
+        lambda i, t: (((1 << (k - 1)) + 1) * t % (1 << k), x_a[i]))
+    _twin_pair_labels(assignment, h.n, y_a, pairing, split, (1 << k) - 1,
+                      lambda i, t: ((2 * t) % (1 << k), y_a[i]))
     predicted = split.from_pair((-r) % (1 << k), comp.zero())
     return _verified(lex_product(g, h), assignment, group, predicted,
                      "kmn-mixed-lex",
                      {"k": k, "r": r, "m": len(xs), "n": len(ys),
                       "t": (r - 1) // 2})
+
+
+def _label_kmn_graph(g: Graph, h: Graph, group: GroupSpec,
+                     pairing: Optional[TwinPairing]) -> ConstructionReport:
+    """The mixed-parity labeler on a complete bipartite G given as a graph,
+    in any vertex order; unlike label_lex_kmn_mixed it never reroutes."""
+    parts = complete_bipartite_parts(g)
+    if parts is None:
+        raise _WrongShape("G is not a complete bipartite graph")
+    evens = [p for p in parts if len(p) % 2 == 0]
+    odds = [p for p in parts if len(p) % 2 == 1]
+    if not evens or not odds or len(evens[0]) < 2:
+        raise _WrongShape(
+            "G must be K(m,n) with m even (>= 2) and n odd; got part "
+            f"sizes {sorted(len(p) for p in parts)}")
+    k, r, pairing = _pow2_host(h, pairing)
+    if r % 2 == 0:
+        raise ConstructionError(
+            f"H must be 2r-regular with r odd, got r = {r}")
+    return _label_kmn_parts(g, evens[0], odds[0], h, pairing, group, k, r)
 
 
 def label_lex_kmn_mixed(m: int, n: int, h: Graph, group: GroupSpec,
@@ -524,10 +518,8 @@ def auto_label(g: Graph, h: Graph, product: str, group: GroupSpec,
     if hn >= 4 and hn & (hn - 1) == 0:
         return _auto_pow2(g, h, product, group, pairing)
     if hn >= 6 and hn % 4 == 2 and {hn - 1 - d for d in h.degrees} == {1}:
-        k = (hn - 2) // 4
-        if product == "lex":
-            return label_lex_c4k2(g, k, group, h=h, pairing=pairing)
-        return label_dir_c4k2(g, k, group, h=h, pairing=pairing)
+        return METHODS[f"c4k2-{product}"].label_product(
+            g, h, product, group, None, pairing)
     raise ConstructionError(
         "H must have 2^k vertices (k >= 2) and be balanced, or be a complete "
         f"graph minus a perfect matching on 4k+2 vertices; got {hn} vertices")
@@ -549,20 +541,16 @@ def _auto_pow2(g: Graph, h: Graph, product: str, group: GroupSpec,
                     return label_lex_even_degrees(g, h, group, pairing)
                 except ConstructionError as exc:
                     diagnostics.append(f"even-degrees (s={n0}): {exc}")
-                parts = complete_bipartite_parts(g)
-                if parts is not None:
-                    evens = [p for p in parts if len(p) % 2 == 0]
-                    odds = [p for p in parts if len(p) % 2 == 1]
-                    if evens and odds and r % 2 == 1 and len(evens[0]) >= 2:
-                        try:
-                            return _label_kmn_parts(g, evens[0], odds[0], h,
-                                                    pairing, group, k, r)
-                        except ConstructionError as exc:
-                            diagnostics.append(f"kmn-mixed (s={n0}): {exc}")
+                if r % 2 == 1:
+                    try:
+                        return _label_kmn_graph(g, h, group, pairing)
+                    except _WrongShape:
+                        pass
+                    except ConstructionError as exc:
+                        diagnostics.append(f"kmn-mixed (s={n0}): {exc}")
         try:
-            if product == "lex":
-                return label_lex_balanced_pow2(g, h, group, n0, pairing)
-            return label_dir_balanced_pow2(g, h, group, n0, pairing)
+            return METHODS[f"balanced-{product}"].label_product(
+                g, h, product, group, n0, pairing)
         except ConstructionError as exc:
             diagnostics.append(f"s={n0}: {exc}")
     raise ConstructionError(
@@ -574,19 +562,115 @@ def auto_label_bare(g: Graph, group: GroupSpec) -> Optional[ConstructionReport]:
     """Label a bare (non-product) graph when its shape admits a construction:
     stars and universal-vertex-over-matching graphs. Returns None for a star
     whose center equation has no solution."""
-    n = g.n
-    is_star_shape = n >= 2 and any(
-        g.degree(v) == n - 1 and all(g.degree(u) == 1 for u in range(n) if u != v)
-        for v in range(n))
-    if is_star_shape:
-        return label_star_graph(g, group)
-    if n >= 3 and n % 2 == 1:
-        universal = [v for v in range(n) if g.degree(v) == n - 1]
-        if len(universal) == 1:
-            from .magic import _matching_join_pairs
-            if _matching_join_pairs(g, universal[0]) is not None:
-                return label_matching_join_graph(g, group)
+    for method in ("star", "matching-join"):
+        try:
+            return METHODS[method].label_bare(g, group)
+        except _WrongShape:
+            pass
     raise ConstructionError(
         "graph is neither a star nor a universal vertex over a complete "
         "graph minus a perfect matching; provide a second factor for the "
         "product constructions")
+
+
+# ---------------------------------------------------------------------------
+# method table: the `label --method` choices
+
+class LabelingMethod(NamedTuple):
+    """A method's own product ("lex", "dir", or None: none fixed), whether
+    it needs the exponent s, and its labelers label_product(g, h, product,
+    group, s, pairing) and label_bare(g, group), None for a shape it does
+    not take."""
+
+    product: Optional[str]
+    needs_s: bool
+    label_product: Optional[Callable[..., ConstructionReport]]
+    label_bare: Optional[Callable[..., Optional[ConstructionReport]]]
+
+
+def _c4k2_k(method: str, h: Graph) -> int:
+    if h.n < 6 or h.n % 4 != 2:
+        raise ConstructionError(
+            f"method {method} needs H on 4k+2 vertices, got {h.n}")
+    return (h.n - 2) // 4
+
+
+# The entries call the labelers by their module-level names, so that a
+# labeler rebound in this module (a tracer's wrapper) is the one called.
+METHODS: dict[str, LabelingMethod] = {
+    "auto": LabelingMethod(
+        None, False,
+        lambda g, h, product, group, s, pairing:
+            auto_label(g, h, product, group, pairing),
+        lambda g, group: auto_label_bare(g, group)),
+    "balanced-dir": LabelingMethod(
+        "dir", True,
+        lambda g, h, product, group, s, pairing:
+            label_dir_balanced_pow2(g, h, group, s, pairing),
+        None),
+    "balanced-lex": LabelingMethod(
+        "lex", True,
+        lambda g, h, product, group, s, pairing:
+            label_lex_balanced_pow2(g, h, group, s, pairing),
+        None),
+    "c4k2-dir": LabelingMethod(
+        "dir", False,
+        lambda g, h, product, group, s, pairing: label_dir_c4k2(
+            g, _c4k2_k("c4k2-dir", h), group, h=h, pairing=pairing),
+        None),
+    "c4k2-lex": LabelingMethod(
+        "lex", False,
+        lambda g, h, product, group, s, pairing: label_lex_c4k2(
+            g, _c4k2_k("c4k2-lex", h), group, h=h, pairing=pairing),
+        None),
+    "even-degrees-lex": LabelingMethod(
+        "lex", False,
+        lambda g, h, product, group, s, pairing:
+            label_lex_even_degrees(g, h, group, pairing),
+        None),
+    "kmn-mixed-lex": LabelingMethod(
+        "lex", False,
+        lambda g, h, product, group, s, pairing:
+            _label_kmn_graph(g, h, group, pairing),
+        None),
+    "matching-join": LabelingMethod(
+        None, False, None,
+        lambda g, group: label_matching_join_graph(g, group)),
+    "star": LabelingMethod(
+        None, False, None, lambda g, group: label_star_graph(g, group)),
+}
+
+
+def method_product(method: str, has_h: bool,
+                   product: Optional[str]) -> Optional[str]:
+    """The product `method` labels, given whether there is a second factor
+    H and the product asked for (None: any): its own, else the one asked
+    for, else lex; None for a bare graph. Raises on a shape or product the
+    method does not take."""
+    entry = METHODS[method]
+    if not has_h:
+        if entry.label_bare is None:
+            raise ConstructionError(f"method {method} requires --h")
+        return None
+    if entry.label_product is None:
+        raise ConstructionError(f"method {method} takes no --h factor")
+    if entry.product is not None and product not in (None, entry.product):
+        raise ConstructionError(
+            f"method {method} builds a {entry.product} product, but "
+            f"--product {product} was given")
+    return product or entry.product or "lex"
+
+
+def label_with_method(method: str, g: Graph, h: Optional[Graph],
+                      product: Optional[str], group: GroupSpec,
+                      s: Optional[int]) -> Optional[ConstructionReport]:
+    """Run `method` on the product of G and H that method_product names,
+    or on G alone when h is None. Returns None only for a star whose
+    center equation has no solution."""
+    entry = METHODS[method]
+    product = method_product(method, h is not None, product)
+    if h is None:
+        return entry.label_bare(g, group)
+    if entry.needs_s and s is None:
+        raise ConstructionError(f"method {method} requires --s")
+    return entry.label_product(g, h, product, group, s, None)

@@ -46,6 +46,7 @@ __all__ = [
     "validate_twin_pairing",
     "is_balanced_dmg",
     "complete_bipartite_parts",
+    "matching_join_pairs",
     "enumerate_trees",
     "find_isomorphism",
     "is_isomorphic",
@@ -308,6 +309,24 @@ def complete_bipartite_parts(g: Graph) -> Optional[tuple[list[int], list[int]]]:
     if not part1 or g.num_edges != len(part0) * len(part1):
         return None
     return part0, part1
+
+
+def matching_join_pairs(g: Graph, hub: int) -> Optional[list[tuple[int, int]]]:
+    """Twin pairs of a complete-minus-matching joined to a universal hub.
+
+    Every non-hub vertex must be adjacent to the hub and miss exactly one
+    other non-hub vertex; those misses must pair up.
+    """
+    others = [v for v in range(g.n) if v != hub]
+    partner = {}
+    for u in others:
+        non = [w for w in others if w != u and w not in g.adj[u]]
+        if hub not in g.adj[u] or len(non) != 1:
+            return None
+        partner[u] = non[0]
+    if any(partner[partner[u]] != u for u in others):
+        return None
+    return [(u, w) for u, w in partner.items() if u < w]
 
 
 # isomorphism (desk scale only) ----------------------------------------------

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from .abelian import GroupElement, GroupSpec, cyclic_group, parse_group_spec
-from .graphs import Graph, construct_graph, is_tree
+from .graphs import Graph, construct_graph, is_tree, matching_join_pairs
 
 __all__ = [
     "LabelingError",
@@ -248,30 +248,6 @@ def kmn_group_magic(m: int, n: int) -> bool:
     return (m + n) % 4 != 2
 
 
-def _matching_join_pairs(g: Graph, hub: int) -> Optional[list[tuple[int, int]]]:
-    """Twin pairs of a complete-minus-matching joined to a universal hub.
-
-    Every non-hub vertex must be adjacent to the hub and miss exactly one
-    other non-hub vertex; those misses must pair up.
-    """
-    others = [v for v in range(g.n) if v != hub]
-    partner = {}
-    for u in others:
-        if hub not in g.adj[u]:
-            return None
-        non = [w for w in others if w != u and w not in g.adj[u]]
-        if len(non) != 1:
-            return None
-        partner[u] = non[0]
-    pairs = []
-    for u in others:
-        if partner[partner[u]] != u:
-            return None
-        if u < partner[u]:
-            pairs.append((u, partner[u]))
-    return pairs
-
-
 def detect_biregular_universal(g: Graph) -> Optional[tuple[int, int]]:
     """Detect an odd-order graph with one universal vertex and all other
     degrees equal to some r2 in {1, 2, 3, n-3}, or r2 = n-2 when the rest is
@@ -293,7 +269,7 @@ def detect_biregular_universal(g: Graph) -> Optional[tuple[int, int]]:
         return None
     r2 = rest.pop()
     if r2 == n - 2:
-        return (v, r2) if _matching_join_pairs(g, v) is not None else None
+        return (v, r2) if matching_join_pairs(g, v) is not None else None
     if r2 in (1, 2, 3, n - 3):
         return (v, r2)
     return None

@@ -272,3 +272,115 @@ def test_bad_group_spec():
 def test_unknown_verb():
     code, _, _ = _run(["frobnicate"])
     assert code == 2
+
+
+# `label` over a grid of every method, --product, --s, small G x H products
+# with every group of matching order, and bare graphs: sha256 per method of
+# every (argv, exit code, stdout, stderr), recorded before the labelers were
+# rebuilt on one twin-pair core and one method table
+LABEL_SWEEP_G = ("K(2)", "C(3)", "P(3)", "Kb(2,3)")
+LABEL_SWEEP_H = ("C(4)", "KmM(6)", "KmM(8)", "C(5)")
+LABEL_SWEEP_BARE = ("S(3)", "S(4)", "S(5)", "join(KmM(6),K(1))", "C(5)")
+LABEL_SWEEP_DIGESTS = [
+    ("auto",
+     "f1d2e8376013f059ef2260d43f2a644fb7b56afb2c97d4fb1ac7a5adee2fed25"),
+    ("balanced-dir",
+     "e776381a9ed0a5986916d5aebd0fa4103af0948e398a9055f3bc59fa9440ce88"),
+    ("balanced-lex",
+     "3c17069c256b87c74b0bef7f6e4ca631f48e69bae8226d4458d7c1a423b74cf3"),
+    ("c4k2-dir",
+     "e491e88961a33458de3b1edd83dff48ee51b1e238e2e7d1abb961edc93be3bf7"),
+    ("c4k2-lex",
+     "2c242fa1e6749e40d6f8e0c9d3b79710a835fb3ff99cf51f1ff64d6a25a6acb3"),
+    ("even-degrees-lex",
+     "952dcb312396f2f921c9e8459a10578665eed37b3dc4ad0f07c1e48580ccbf8f"),
+    ("kmn-mixed-lex",
+     "75b99a1e9481e338043f2f96ed9ec2227cc33b63717af4a1c82a2e62a265c5c4"),
+    ("matching-join",
+     "1f374954fafae5cdb66206caf22b07dd5c99ab7acb67ddbf32e84dcf6c16908f"),
+    ("star",
+     "24b27c0d50769b51e636a6f401788a068c3bd9275a5122180c8efd6bec745484"),
+]
+LABEL_HELP_DIGEST = (
+    "05e6669185d07aa1dd909791209741e4a22e1fc801913695aa165a75d3587c7c")
+
+
+def _label_sweep(method):
+    from gdmagic.abelian import enumerate_abelian_groups
+    from gdmagic.graphs import construct_graph
+
+    def order(expr):
+        return construct_graph(expr).n
+
+    s_values = ((None, "1", "2", "3") if method.startswith("balanced")
+                else (None,))
+    cases = [(g, h, str(group))
+             for g in LABEL_SWEEP_G for h in LABEL_SWEEP_H
+             for group in enumerate_abelian_groups(order(g) * order(h))]
+    cases += [(g, None, str(group)) for g in LABEL_SWEEP_BARE
+              for group in enumerate_abelian_groups(order(g))]
+    for g, h, group in cases:
+        for product in (None, "lex", "dir") if h is not None else (None,):
+            for s in s_values:
+                argv = ["label", "--graph", g, "--group", group,
+                        "--method", method]
+                if h is not None:
+                    argv += ["--h", h]
+                if product is not None:
+                    argv += ["--product", product]
+                if s is not None:
+                    argv += ["--s", s]
+                yield argv
+
+
+@pytest.fixture
+def one_parser(monkeypatch):
+    """Build the argument parser once: it is most of the time of a run()."""
+    import functools
+
+    from gdmagic import cli
+    monkeypatch.setattr(cli, "_build_parser",
+                        functools.lru_cache(cli._build_parser))
+
+
+@pytest.mark.parametrize("method, digest", LABEL_SWEEP_DIGESTS)
+def test_label_sweep_is_unchanged(one_parser, method, digest):
+    sha = hashlib.sha256()
+    for argv in _label_sweep(method):
+        sha.update(repr((argv, *_run(argv))).encode())
+    assert sha.hexdigest() == digest
+
+
+def test_label_help_is_unchanged(capsys):
+    assert run(["label", "--help"]) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == LABEL_HELP_DIGEST
+
+
+@pytest.mark.parametrize("method", ["balanced-lex", "balanced-dir"])
+@pytest.mark.parametrize("s", ["20000", "1000000000"])
+def test_label_s_above_the_group_order_is_a_usage_error(method, s):
+    code, out, err = _run(["label", "--graph", "C(4)", "--h", "C(4)",
+                           "--group", "Z2xZ8", "--method", method, "--s", s])
+    assert (code, out) == (2, "")
+    assert err == (f"error: s = {s} is too large: 2^s exceeds the order 16 "
+                   "of group Z2xZ8\n")
+
+
+def test_label_formats_the_certificate_once(monkeypatch, tmp_path):
+    from gdmagic import cli, magic
+
+    calls = []
+    real = magic.format_certificate
+
+    def counting(cert):
+        calls.append(cert.graph_expr)
+        return real(cert)
+
+    monkeypatch.setattr(magic, "format_certificate", counting)
+    monkeypatch.setattr(cli, "format_certificate", counting)
+    argv = ["label", "--graph", "C(3)", "--h", "C(4)", "--group", "Z4xZ3"]
+    for extra in ([], ["--out", str(tmp_path / "cert.txt")]):
+        calls.clear()
+        assert _run(argv + extra)[0] == 0
+        assert calls == ["lex(C(3),C(4))"]

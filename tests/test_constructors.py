@@ -346,6 +346,30 @@ def test_auto_bare():
         auto_label_bare(cycle(5), P("Z5"))
 
 
+@pytest.mark.parametrize("method, h, labeler", [
+    ("even-degrees-lex", cycle(4), "label_lex_even_degrees"),
+    ("auto", cycle(4), "label_lex_even_degrees"),
+    ("auto", None, "label_star_graph"),
+])
+def test_method_table_calls_labelers_by_module_name(monkeypatch, method, h,
+                                                    labeler):
+    # a labeler rebound in the module (as a tracer does) is the one the
+    # table and auto_label call
+    from gdmagic import constructors
+
+    calls = []
+    real = getattr(constructors, labeler)
+
+    def spy(*args, **kwargs):
+        calls.append(labeler)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(constructors, labeler, spy)
+    g, group = (cycle(3), P("Z4xZ3")) if h is not None else (star(4), P("Z5"))
+    rep = constructors.label_with_method(method, g, h, None, group, None)
+    assert calls == [labeler] and rep.theorem in ("even-degrees-lex", "star")
+
+
 # cross-cutting invariants --------------------------------------------------------
 
 def _sample_reports():

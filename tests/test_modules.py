@@ -1,0 +1,41 @@
+import ast
+import pathlib
+
+import gdmagic
+
+PACKAGE = pathlib.Path(gdmagic.__file__).parent
+
+
+def _private_imports(path):
+    """(line, module, name) for every `_`-prefixed name the module imports
+    from a sibling module of the package, at any nesting depth."""
+    found = []
+    for node in ast.walk(ast.parse(path.read_text(), str(path))):
+        if not isinstance(node, ast.ImportFrom):
+            continue
+        sibling = node.level > 0 or (node.module or "").startswith("gdmagic")
+        if not sibling:
+            continue
+        for alias in node.names:
+            if alias.name.startswith("_") and alias.name != "__version__":
+                found.append((node.lineno, node.module, alias.name))
+    return sorted(found)
+
+
+def test_modules_import_no_private_names_from_each_other():
+    offenders = {path.name: _private_imports(path)
+                 for path in sorted(PACKAGE.glob("*.py"))}
+    assert {name: hits for name, hits in offenders.items() if hits} == {}
+
+
+def test_private_import_scan_sees_nested_imports(tmp_path):
+    module = tmp_path / "m.py"
+    module.write_text("from .graphs import Graph\n"
+                      "def f():\n"
+                      "    from .magic import _hidden\n"
+                      "from gdmagic.constructors import (auto_label,\n"
+                      "    _pow2_host)\n"
+                      "from os import _exit\n")
+    assert _private_imports(module) == [(3, "magic", "_hidden"),
+                                        (4, "gdmagic.constructors",
+                                         "_pow2_host")]
