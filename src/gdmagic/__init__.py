@@ -29,6 +29,7 @@ from .graphs import (
     GraphMetrics,
     GraphParseError,
     MAX_EXPR_DEPTH,
+    MAX_TREE_VERTICES,
     TwinPairing,
     complete,
     complete_bipartite,

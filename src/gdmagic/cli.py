@@ -8,6 +8,8 @@ certificate rejected, obstruction found), 2 usage or precondition error.
 from __future__ import annotations
 
 import argparse
+import contextlib
+import functools
 import json
 import sys
 from typing import Optional, TextIO
@@ -41,7 +43,9 @@ _USAGE_ERROR = 2
 _NEGATIVE = 1
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """Built on the first run() of a process, then reused."""
     parser = argparse.ArgumentParser(
         prog="gdmagic",
         description="Construct, search for, and verify distance magic "
@@ -255,7 +259,8 @@ def run(argv: list[str], out: Optional[TextIO] = None,
     err = err if err is not None else sys.stderr
     parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            args = parser.parse_args(argv)
     except SystemExit as exc:
         return _USAGE_ERROR if exc.code not in (0, None) else 0
     try:

@@ -47,6 +47,7 @@ __all__ = [
     "is_balanced_dmg",
     "complete_bipartite_parts",
     "matching_join_pairs",
+    "MAX_TREE_VERTICES",
     "enumerate_trees",
     "find_isomorphism",
     "is_isomorphic",
@@ -334,8 +335,8 @@ def matching_join_pairs(g: Graph, hub: int) -> Optional[list[tuple[int, int]]]:
 def find_isomorphism(g: Graph, h: Graph) -> Optional[list[int]]:
     """Backtracking isomorphism search; returns a g->h vertex map or None.
 
-    Intended for small instances (tree dedup, structure recognition); the
-    only pruning is by degree and adjacency consistency.
+    Intended for small instances; the only pruning is by degree and
+    adjacency consistency.
     """
     if g.n != h.n or g.num_edges != h.num_edges:
         return None
@@ -376,57 +377,99 @@ def is_isomorphic(g: Graph, h: Graph) -> bool:
 
 # tree enumeration -------------------------------------------------------------
 
-def _tree_from_pruefer(seq: tuple[int, ...], n: int) -> Graph:
-    degree = [1] * n
-    for x in seq:
-        degree[x] += 1
-    import heapq
-    leaves = [v for v in range(n) if degree[v] == 1]
-    heapq.heapify(leaves)
+# Largest tree order enumerate_trees accepts: n = 14 gives 3159 trees in about
+# 0.1 s, while n = 16 gives 19,320 trees and about 74 MB more memory.
+MAX_TREE_VERTICES = 14
+
+
+def _next_rooted_levels(levels: list[int], p: int) -> None:
+    """Beyer-Hedetniemi successor, in place: decrease the canonical level
+    sequence at position p and refill the tail by copying the subtree of
+    p's new parent, giving the next rooted tree in decreasing order."""
+    q = p - 1
+    while levels[q] != levels[p] - 1:
+        q -= 1
+    for i in range(p, len(levels)):
+        levels[i] = levels[i - p + q]
+
+
+def _second_branch(levels: list[int]) -> int:
+    """Index where the root's second subtree starts (len(levels) if none)."""
+    m = 2
+    while m < len(levels) and levels[m] != 1:
+        m += 1
+    return m
+
+
+def _centre_rooted(levels: list[int]) -> bool:
+    """Whether a canonical rooted level sequence is the one chosen for its
+    free tree. The root's first subtree is its highest; the root must be
+    the centre or, when the tree is bicentral (the other centre heads the
+    first subtree), the centre whose half is larger, or lexicographically
+    not smaller when the two halves have equal size."""
+    m = _second_branch(levels)
+    h1 = max(levels[1:m])
+    h2 = max(levels[m:], default=0)
+    if h2 == h1:
+        return True
+    if h2 != h1 - 1:
+        return False
+    left, rest = m - 1, len(levels) - m + 1
+    return left < rest or (left == rest
+                           and [x - 1 for x in levels[1:m]] <= [0] + levels[m:])
+
+
+def _free_tree_levels(n: int):
+    """Wright, Richmond, Odlyzko and McKay, "Constant time generation of
+    free trees" (SIAM J. Comput. 15, 1986): every free tree on n >= 2
+    vertices exactly once, as its centre-rooted level sequence, in
+    decreasing lexicographic order from the path to the star."""
+    levels = list(range(n // 2 + 1)) + list(range(1, (n + 1) // 2))
+    while True:
+        if not _centre_rooted(levels):
+            # No sequence with this first subtree is chosen: step to the
+            # next first subtree, and give the rest a path tall enough to
+            # keep the root central.
+            p = _second_branch(levels) - 1
+            deep = levels[p] > 2
+            _next_rooted_levels(levels, p)
+            if deep:
+                h = max(levels[1:_second_branch(levels)])
+                levels[n - h:] = range(1, h + 1)
+        yield tuple(levels)
+        p = n - 1
+        while levels[p] == 1:
+            p -= 1
+        if p == 0:
+            return
+        _next_rooted_levels(levels, p)
+
+
+def _tree_from_levels(levels: Sequence[int]) -> Graph:
+    """Vertex i is the i-th entry; its parent is the nearest earlier vertex
+    one level up."""
+    last = [0] * len(levels)
     edges = []
-    for x in seq:
-        leaf = heapq.heappop(leaves)
-        edges.append((leaf, x))
-        degree[leaf] -= 1
-        degree[x] -= 1
-        if degree[x] == 1:
-            heapq.heappush(leaves, x)
-    u = heapq.heappop(leaves)
-    v = heapq.heappop(leaves)
-    edges.append((u, v))
-    return Graph.from_edges(n, edges)
-
-
-def _iso_signature(g: Graph):
-    sigs = []
-    for v in range(g.n):
-        dist = _bfs_dist(g, v)
-        sigs.append((g.degree(v), tuple(sorted(dist))))
-    return tuple(sorted(sigs))
+    for v in range(1, len(levels)):
+        edges.append((last[levels[v] - 1], v))
+        last[levels[v]] = v
+    return Graph.from_edges(len(levels), edges)
 
 
 def enumerate_trees(n: int) -> list[Graph]:
     """One representative per isomorphism class of trees on n vertices.
 
-    Decodes every Pruefer sequence and deduplicates: candidates are bucketed
-    by a refined degree/distance signature, then confirmed with an exact
-    isomorphism check. Supported for 1 <= n <= 10.
+    Generated directly, with no isomorphism test: each tree is built from
+    its centre-rooted level sequence (vertex 0 is a centre), in generation
+    order, from the path to the star. Supported for
+    1 <= n <= MAX_TREE_VERTICES.
     """
-    if not 1 <= n <= 10:
-        raise GraphError(f"tree enumeration supports 1..10 vertices, got {n}")
+    if not 1 <= n <= MAX_TREE_VERTICES:
+        raise GraphError(f"tree enumeration supports 1..{MAX_TREE_VERTICES} "
+                         f"vertices, got {n}")
     if n == 1:
         return [Graph.from_edges(1, [])]
-    if n == 2:
-        return [Graph.from_edges(2, [(0, 1)])]
-    reps: list[Graph] = []
-    buckets: dict[tuple, list[Graph]] = {}
-    for seq in itertools.product(range(n), repeat=n - 2):
-        t = _tree_from_pruefer(seq, n)
-        bucket = buckets.setdefault(_iso_signature(t), [])
-        if not any(find_isomorphism(t, r) is not None for r in bucket):
-            bucket.append(t)
-            reps.append(t)
-    return reps
+    return [_tree_from_levels(levels) for levels in _free_tree_levels(n)]
 
 
 # edge-list files ---------------------------------------------------------------

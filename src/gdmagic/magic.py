@@ -212,15 +212,22 @@ def obstruction_two_universal(g: Graph) -> Optional[Obstruction]:
 
 def obstruction_shared_neighborhood(g: Graph) -> Optional[Obstruction]:
     """A pair u, v with |N(u) & N(v)| = deg(u)-1 = deg(v)-1 rules out
-    magicness; the first witness in lexicographic pair order is returned."""
-    for u in range(g.n):
-        for v in range(u + 1, g.n):
-            du, dv = g.degree(u), g.degree(v)
-            if du == dv and len(g.adj[u] & g.adj[v]) == du - 1:
+    magicness; the first witness in lexicographic pair order is returned.
+    Each u is compared only with the later vertices of its own degree."""
+    adj, degrees = g.adj, g.degrees
+    same_degree: dict[int, list[int]] = {}
+    for v, d in enumerate(degrees):
+        same_degree.setdefault(d, []).append(v)
+    done = dict.fromkeys(same_degree, 0)
+    for u, d in enumerate(degrees):
+        done[d] += 1
+        nbrs, shared = adj[u], d - 1
+        for v in same_degree[d][done[d]:]:
+            if len(nbrs & adj[v]) == shared:
                 return Obstruction(
                     SHARED_NEIGHBORHOOD, (u, v),
-                    f"deg({u}) = deg({v}) = {du} and the neighborhoods share "
-                    f"{du - 1} vertices")
+                    f"deg({u}) = deg({v}) = {d} and the neighborhoods share "
+                    f"{shared} vertices")
     return None
 
 

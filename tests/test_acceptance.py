@@ -90,7 +90,7 @@ def test_criterion_2_matching_join():
 
 def test_criterion_3_tree_characterization():
     trees_checked = 0
-    for n in range(2, 8):
+    for n in range(2, 11):
         for tree in enumerate_trees(n):
             expected = tree_group_magic(tree)
             results = classify_over_all_groups(tree)
@@ -99,9 +99,9 @@ def test_criterion_3_tree_characterization():
             else:
                 assert not any(results.values()), (n, tree.edges())
             trees_checked += 1
-    assert trees_checked == 24
+    assert trees_checked == 200
     _passed(3, "classification over all groups agrees with the star "
-               f"characterization on all {trees_checked} trees with 2..7 "
+               f"characterization on all {trees_checked} trees with 2..10 "
                "vertices")
 
 

@@ -384,3 +384,43 @@ def test_label_formats_the_certificate_once(monkeypatch, tmp_path):
         calls.clear()
         assert _run(argv + extra)[0] == 0
         assert calls == ["lex(C(3),C(4))"]
+
+
+def test_argparse_messages_go_to_the_given_streams(capsys):
+    code, out, err = _run(["search", "--graph", "C(4)"])
+    assert (code, out) == (2, "")
+    assert "the following arguments are required: --group" in err
+    assert capsys.readouterr() == ("", "")
+    help_out = io.StringIO()
+    assert run(["groups", "--help"], help_out, io.StringIO()) == 0
+    assert help_out.getvalue().startswith("usage: gdmagic groups")
+    assert capsys.readouterr() == ("", "")
+
+
+def test_parser_is_built_once_per_process():
+    from gdmagic import cli
+    assert cli._build_parser() is cli._build_parser()
+
+
+# `obstructions --json` on the benchmark's decide graphs, as printed before
+# the shared-neighborhood scan was restricted to vertices of equal degree.
+DECIDE_OBSTRUCTIONS = [
+    ("lex(C(100),KmM(8))", 0, '{"obstructions": []}\n'),
+    ("lex(Kb(20,21),KmM(8))", 0, '{"obstructions": []}\n'),
+    ("pow(C(600),4)", 0, '{"obstructions": []}\n'),
+    ("join(K(2),C(398))", 1,
+     '{"obstructions": [{"kind": "two-universal", "witness": [0, 1], "detail": '
+     '"vertices 0 and 1 are both adjacent to every other vertex"}, {"kind": '
+     '"shared-neighborhood", "witness": [0, 1], "detail": "deg(0) = deg(1) = '
+     '399 and the neighborhoods share 398 vertices"}]}\n'),
+    ("P(400)", 1,
+     '{"obstructions": [{"kind": "shared-neighborhood", "witness": [0, 399], '
+     '"detail": "deg(0) = deg(399) = 1 and the neighborhoods share 0 '
+     'vertices"}, {"kind": "tree-shape", "witness": [], "detail": "tree is not '
+     'a star K(1,m) with m mod 4 != 1"}]}\n'),
+]
+
+
+@pytest.mark.parametrize("graph, code, expected", DECIDE_OBSTRUCTIONS)
+def test_decide_obstructions_are_unchanged(graph, code, expected):
+    assert _run(["obstructions", "--graph", graph, "--json"]) == (code, expected, "")

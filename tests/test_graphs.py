@@ -1,9 +1,11 @@
+import heapq
 import itertools
 import math
 
 import pytest
 
 from gdmagic.graphs import (
+    MAX_TREE_VERTICES,
     Graph,
     GraphError,
     GraphParseError,
@@ -224,9 +226,29 @@ def test_enumerate_trees_counts():
             assert m.is_tree and t.n == n
 
 
+def _tree_from_pruefer(seq, n):
+    """Decode a Pruefer sequence: the brute-force oracle's tree builder."""
+    degree = [1] * n
+    for x in seq:
+        degree[x] += 1
+    leaves = [v for v in range(n) if degree[v] == 1]
+    heapq.heapify(leaves)
+    edges = []
+    for x in seq:
+        leaf = heapq.heappop(leaves)
+        edges.append((leaf, x))
+        degree[leaf] -= 1
+        degree[x] -= 1
+        if degree[x] == 1:
+            heapq.heappush(leaves, x)
+    u = heapq.heappop(leaves)
+    v = heapq.heappop(leaves)
+    edges.append((u, v))
+    return Graph.from_edges(n, edges)
+
+
 def test_enumerate_trees_matches_brute_force_dedup():
     # independent oracle: pairwise isomorphism dedup without signatures
-    from gdmagic.graphs import _tree_from_pruefer
     for n in range(3, 8):
         reps = []
         for seq in itertools.product(range(n), repeat=n - 2):
@@ -234,10 +256,89 @@ def test_enumerate_trees_matches_brute_force_dedup():
             if not any(is_isomorphic(t, r) for r in reps):
                 reps.append(t)
         assert len(reps) == len(enumerate_trees(n))
+        trees = enumerate_trees(n)
+        for r in reps:
+            assert sum(is_isomorphic(r, t) for t in trees) == 1
 
 
 def test_enumerate_trees_range():
-    with pytest.raises(GraphError):
+    with pytest.raises(GraphError, match=rf"1\.\.{MAX_TREE_VERTICES} vertices"):
         enumerate_trees(0)
-    with pytest.raises(GraphError):
-        enumerate_trees(11)
+    with pytest.raises(GraphError, match=rf"1\.\.{MAX_TREE_VERTICES} vertices"):
+        enumerate_trees(MAX_TREE_VERTICES + 1)
+
+
+# OEIS A000055: the number of trees on n unlabeled vertices
+A000055 = {1: 1, 2: 1, 3: 1, 4: 2, 5: 3, 6: 6, 7: 11, 8: 23, 9: 47, 10: 106,
+           11: 235, 12: 551, 13: 1301, 14: 3159, 15: 7741, 16: 19320}
+
+
+def _centres(t):
+    """The one or two centres of a tree, by stripping leaves layer by layer."""
+    degree = list(t.degrees)
+    layer = [v for v in range(t.n) if degree[v] <= 1]
+    remaining = t.n
+    while remaining > 2:
+        remaining -= len(layer)
+        nxt = []
+        for v in layer:
+            for w in t.adj[v]:
+                degree[w] -= 1
+                if degree[w] == 1:
+                    nxt.append(w)
+        layer = nxt
+    return layer
+
+
+def _tree_code(t):
+    """Canonical text of a tree: the smaller AHU code over its centres."""
+    def code(v, parent):
+        return "(" + "".join(sorted(code(w, v) for w in t.adj[v]
+                                    if w != parent)) + ")"
+    return min(code(c, -1) for c in _centres(t))
+
+
+def test_tree_code_separates_and_identifies():
+    assert _tree_code(path(4)) == _tree_code(Graph.from_edges(4, [(2, 0), (0, 3), (3, 1)]))
+    assert _tree_code(path(4)) != _tree_code(star(3))
+    # a bicentral tree, and a relabelled copy with the halves swapped
+    fork = Graph.from_edges(5, [(0, 1), (1, 2), (2, 3), (1, 4)])
+    assert sorted(_centres(fork)) == [1, 2]
+    assert _tree_code(fork) == _tree_code(
+        Graph.from_edges(5, [(4, 3), (3, 2), (2, 1), (3, 0)]))
+    assert _tree_code(fork) != _tree_code(path(5))
+
+
+def test_enumerate_trees_counts_match_a000055():
+    for n in range(1, MAX_TREE_VERTICES + 1):
+        trees = enumerate_trees(n)
+        assert len(trees) == A000055[n], n
+        assert all(t.n == n and is_tree(t) for t in trees)
+
+
+def test_enumerate_trees_are_pairwise_non_isomorphic():
+    for n in range(1, MAX_TREE_VERTICES + 1):
+        codes = {_tree_code(t) for t in enumerate_trees(n)}
+        assert len(codes) == A000055[n], n
+
+
+def test_enumerate_trees_is_deterministic_and_centre_rooted():
+    for n in range(1, MAX_TREE_VERTICES + 1):
+        trees = enumerate_trees(n)
+        assert trees == enumerate_trees(n)
+        assert all(0 in _centres(t) for t in trees)
+    # generation order: from the path to the star
+    assert enumerate_trees(5) == [
+        Graph.from_edges(5, [(0, 1), (1, 2), (0, 3), (3, 4)]),
+        Graph.from_edges(5, [(0, 1), (1, 2), (0, 3), (0, 4)]),
+        star(4)]
+
+
+def test_enumerate_trees_match_networkx():
+    nx = pytest.importorskip("networkx")
+    for n in range(1, 13):
+        ours = sorted(_tree_code(t) for t in enumerate_trees(n))
+        theirs = sorted(
+            _tree_code(Graph.from_edges(n, [(int(u), int(v)) for u, v in t.edges()]))
+            for t in nx.nonisomorphic_trees(n))
+        assert ours == theirs, n

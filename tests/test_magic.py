@@ -1,3 +1,5 @@
+import random
+
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
@@ -188,6 +190,50 @@ def test_obstruction_shared_neighborhood():
     assert found is not None and found.witness == (0, 3)
     assert obstruction_shared_neighborhood(cycle(4)) is None
     assert obstruction_shared_neighborhood(star(3)) is None
+
+
+def _shared_neighborhood_all_pairs(g):
+    """The all-pairs scan obstruction_shared_neighborhood replaced: the
+    oracle for its first witness and detail."""
+    for u in range(g.n):
+        for v in range(u + 1, g.n):
+            du, dv = g.degree(u), g.degree(v)
+            if du == dv and len(g.adj[u] & g.adj[v]) == du - 1:
+                return magic.Obstruction(
+                    SHARED_NEIGHBORHOOD, (u, v),
+                    f"deg({u}) = deg({v}) = {du} and the neighborhoods share "
+                    f"{du - 1} vertices")
+    return None
+
+
+@st.composite
+def graphs_with_near_twins(draw):
+    """A random graph on 0..24 vertices of random density, plus copies of
+    some vertices that keep all but at most one of the original's
+    neighbours, so that witnesses turn up at varied positions."""
+    n = draw(st.integers(0, 24))
+    rnd = random.Random(draw(st.integers(0, 2**32 - 1)))
+    p = draw(st.sampled_from([0.05, 0.2, 0.5, 0.8, 0.95]))
+    edges = [(u, v) for u in range(n) for v in range(u + 1, n) if rnd.random() < p]
+    for _ in range(draw(st.integers(0, 3)) if n else 0):
+        src = rnd.randrange(n)
+        nbrs = sorted({b for a, b in edges if a == src} | {a for a, b in edges if b == src})
+        if nbrs and rnd.random() < 0.7:
+            nbrs.remove(rnd.choice(nbrs))
+        edges += [(w, n) for w in nbrs]
+        n += 1
+    order = list(range(n))
+    rnd.shuffle(order)
+    return Graph.from_edges(n, [(order[u], order[v]) for u, v in edges])
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(graphs_with_near_twins())
+@example(path(4))
+@example(Graph.from_edges(0, []))
+@example(Graph.from_edges(3, []))
+def test_shared_neighborhood_matches_all_pairs_scan(g):
+    assert obstruction_shared_neighborhood(g) == _shared_neighborhood_all_pairs(g)
 
 
 def test_tree_group_magic():
