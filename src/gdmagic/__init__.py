@@ -52,7 +52,6 @@ from .graphs import (
     metrics,
     path,
     star,
-    validate_twin_pairing,
 )
 from .products import cartesian_product, composite_id, direct_product, lex_product
 from .magic import (

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import sys
 from dataclasses import dataclass
 from typing import Iterator, Optional
 
@@ -206,10 +207,15 @@ def parse_group_spec(text: str) -> GroupSpec:
     factors = []
     for part in t.split("x"):
         part = part.strip()
-        if len(part) < 2 or part[0] != "Z" or not part[1:].isdigit():
+        if len(part) < 2 or part[0] != "Z" or not part[1:].isdecimal():
             raise GroupError(
                 f"bad group spec {text!r}: expected Z<int>(xZ<int>)* or 'trivial'")
-        f = int(part[1:])
+        try:
+            f = int(part[1:])
+        except ValueError:  # more digits than int() converts
+            raise GroupError(
+                f"bad group spec: factor of {len(part) - 1} digits is over "
+                f"the {sys.get_int_max_str_digits()}-digit limit") from None
         if f < 2:
             raise GroupError(f"bad group spec {text!r}: factor {f} < 2")
         factors.append(f)

@@ -24,16 +24,12 @@ from .graphs import (
     Graph,
     TwinPairing,
     complete,
-    complete_bipartite,
     complete_bipartite_parts,
     complete_minus_matching,
-    cycle,
     find_twin_pairing,
-    graph_power,
     join,
     matching_join_pairs,
     star,
-    validate_twin_pairing,
 )
 from .magic import Labeling, verify
 from .products import direct_product, lex_product
@@ -209,23 +205,16 @@ def label_star(n: int, group: GroupSpec) -> Optional[ConstructionReport]:
 # ---------------------------------------------------------------------------
 # products with a complete-minus-matching factor on 4k+2 vertices
 
-def _c4k2_host(k: int, h: Optional[Graph],
-               pairing: Optional[TwinPairing]) -> tuple[Graph, TwinPairing]:
-    if k < 1:
-        raise ConstructionError(f"k must be >= 1, got {k}")
-    size = 4 * k + 2
-    if h is None:
-        h = graph_power(cycle(size), 2 * k)
-    if h.n != size:
-        raise ConstructionError(f"H must have {size} vertices, got {h.n}")
+def _c4k2_host(method: str, h: Graph) -> tuple[int, TwinPairing]:
+    """Validate H: a complete graph minus a perfect matching on 4k+2
+    vertices, k >= 1. Returns (k, pairing)."""
+    if h.n < 6 or h.n % 4 != 2:
+        raise ConstructionError(
+            f"method {method} needs H on 4k+2 vertices, got {h.n}")
     if {h.n - 1 - d for d in h.degrees} != {1}:
         raise ConstructionError(
             "H must be a complete graph minus a perfect matching")
-    if pairing is None:
-        pairing = find_twin_pairing(h)
-        assert pairing is not None
-    validate_twin_pairing(h, pairing)
-    return h, pairing
+    return (h.n - 2) // 4, find_twin_pairing(h)
 
 
 def _c4k2_assignment(g: Graph, h: Graph, pairing: TwinPairing,
@@ -237,16 +226,14 @@ def _c4k2_assignment(g: Graph, h: Graph, pairing: TwinPairing,
                              lambda i, t: (t, comp.element_at(i)))
 
 
-def label_lex_c4k2(g: Graph, k: int, group: GroupSpec,
-                   h: Optional[Graph] = None,
-                   pairing: Optional[TwinPairing] = None) -> ConstructionReport:
-    """Label G o H for H the (2k)-th power of a (4k+2)-cycle, i.e. the
-    complete graph minus a matching on 4k+2 vertices.
+def label_lex_c4k2(g: Graph, h: Graph, group: GroupSpec) -> ConstructionReport:
+    """Label G o H for H the complete graph minus a matching on 4k+2
+    vertices, i.e. the (2k)-th power of a (4k+2)-cycle.
 
     Needs all degrees of G even, or all odd; the magic constant comes out as
     (2k+2, 0) respectively (1, 0) in Z_{4k+2} x A coordinates.
     """
-    h, pairing = _c4k2_host(k, h, pairing)
+    k, pairing = _c4k2_host("c4k2-lex", h)
     parities = {d % 2 for d in g.degrees}
     if len(parities) != 1:
         raise ConstructionError(
@@ -261,12 +248,10 @@ def label_lex_c4k2(g: Graph, k: int, group: GroupSpec,
                      "c4k2-lex", {"k": k})
 
 
-def label_dir_c4k2(g: Graph, k: int, group: GroupSpec,
-                   h: Optional[Graph] = None,
-                   pairing: Optional[TwinPairing] = None) -> ConstructionReport:
+def label_dir_c4k2(g: Graph, h: Graph, group: GroupSpec) -> ConstructionReport:
     """Label G x H for the same H; needs all degrees of G congruent to a
     common m mod 4k+2, and reaches the constant (-2mk, 0)."""
-    h, pairing = _c4k2_host(k, h, pairing)
+    k, pairing = _c4k2_host("c4k2-dir", h)
     mod = 4 * k + 2
     m = _common_residue(g, mod)
     _check_order(group, mod * g.n)
@@ -280,8 +265,7 @@ def label_dir_c4k2(g: Graph, k: int, group: GroupSpec,
 # ---------------------------------------------------------------------------
 # products with a balanced factor on 2^k vertices
 
-def _pow2_host(h: Graph,
-               pairing: Optional[TwinPairing]) -> tuple[int, int, TwinPairing]:
+def _pow2_host(h: Graph) -> tuple[int, int, TwinPairing]:
     """Validate H: 2^k vertices with k >= 2, regular, twin-paired. Returns
     (k, r, pairing) where H is 2r-regular."""
     n = h.n
@@ -292,12 +276,9 @@ def _pow2_host(h: Graph,
     degs = set(h.degrees)
     if len(degs) != 1:
         raise ConstructionError("H must be regular")
+    pairing = find_twin_pairing(h)
     if pairing is None:
-        pairing = find_twin_pairing(h)
-        if pairing is None:
-            raise ConstructionError(
-                "H is not balanced: no twin pairing exists")
-    validate_twin_pairing(h, pairing)
+        raise ConstructionError("H is not balanced: no twin pairing exists")
     deg = degs.pop()
     assert deg % 2 == 0  # neighborhoods are unions of twin pairs
     return k, deg // 2, pairing
@@ -312,12 +293,11 @@ def _common_residue(g: Graph, mod: int) -> int:
     return residues.pop()
 
 
-def _balanced_host(g: Graph, h: Graph, group: GroupSpec, s: int,
-                   pairing: Optional[TwinPairing]
+def _balanced_host(g: Graph, h: Graph, group: GroupSpec, s: int
                    ) -> tuple[int, int, TwinPairing, CyclicFactorSplit]:
     """The balanced-* labelers' checks on H, s and the group; returns
     (k, r, pairing, split) with split: group ~ Z_{2^s} x A."""
-    k, r, pairing = _pow2_host(h, pairing)
+    k, r, pairing = _pow2_host(h)
     if s < 1:
         raise ConstructionError(f"s must be >= 1, got {s}")
     _check_order(group, (1 << k) * g.n)
@@ -354,9 +334,8 @@ def _pow2_assignment(g: Graph, h: Graph, pairing: TwinPairing,
                              range(g.n), pairing, split, (1 << s) - 1, rule)
 
 
-def label_lex_balanced_pow2(g: Graph, h: Graph, group: GroupSpec, s: int,
-                            pairing: Optional[TwinPairing] = None
-                            ) -> ConstructionReport:
+def label_lex_balanced_pow2(g: Graph, h: Graph, group: GroupSpec,
+                            s: int) -> ConstructionReport:
     """Label G o H for a balanced 2r-regular H on 2^k vertices, splitting the
     group as Z_{2^s} x A.
 
@@ -364,7 +343,7 @@ def label_lex_balanced_pow2(g: Graph, h: Graph, group: GroupSpec, s: int,
     s >= k all degrees of G must be congruent mod 2^{s-1} and the constant is
     (-r - 2^{k-1} m, 0).
     """
-    k, r, pairing, split = _balanced_host(g, h, group, s, pairing)
+    k, r, pairing, split = _balanced_host(g, h, group, s)
     if s <= k - 1:
         assignment = _pow2_assignment(g, h, pairing, split, k, s)
         predicted = split.from_pair((-r) % (1 << s), split.complement.zero())
@@ -378,12 +357,11 @@ def label_lex_balanced_pow2(g: Graph, h: Graph, group: GroupSpec, s: int,
                      "balanced-lex-large-s", {"k": k, "s": s, "r": r, "m": m})
 
 
-def label_dir_balanced_pow2(g: Graph, h: Graph, group: GroupSpec, s: int,
-                            pairing: Optional[TwinPairing] = None
-                            ) -> ConstructionReport:
+def label_dir_balanced_pow2(g: Graph, h: Graph, group: GroupSpec,
+                            s: int) -> ConstructionReport:
     """Label G x H for a balanced H on 2^k vertices; all degrees of G must be
     congruent to a common m mod 2^s and the constant is (-mr, 0)."""
-    k, r, pairing, split = _balanced_host(g, h, group, s, pairing)
+    k, r, pairing, split = _balanced_host(g, h, group, s)
     m = _common_residue(g, 1 << s)
     assignment = _pow2_assignment(g, h, pairing, split, k, s)
     predicted = split.from_pair((-m * r) % (1 << s), split.complement.zero())
@@ -392,14 +370,13 @@ def label_dir_balanced_pow2(g: Graph, h: Graph, group: GroupSpec, s: int,
                      f"balanced-dir-{size}-s", {"k": k, "s": s, "r": r, "m": m})
 
 
-def label_lex_even_degrees(g: Graph, h: Graph, group: GroupSpec,
-                           pairing: Optional[TwinPairing] = None
-                           ) -> ConstructionReport:
+def label_lex_even_degrees(g: Graph, h: Graph,
+                           group: GroupSpec) -> ConstructionReport:
     """Label G o H when every degree of G is even and positive, splitting off
     a full Z_{2^k} factor; pair t of block i takes (2t, a_i) and the constant
     is (-r, 0). For groups without an exact Z_{2^k} factor use the small-s
     labeler instead."""
-    k, r, pairing = _pow2_host(h, pairing)
+    k, r, pairing = _pow2_host(h)
     if any(d % 2 or d == 0 for d in g.degrees):
         raise ConstructionError(
             "G has an odd-degree or isolated vertex; all degrees must be "
@@ -419,16 +396,32 @@ def label_lex_even_degrees(g: Graph, h: Graph, group: GroupSpec,
                      "even-degrees-lex", {"k": k, "r": r})
 
 
-def _label_kmn_parts(g: Graph, xs: list[int], ys: list[int], h: Graph,
-                     pairing: TwinPairing, group: GroupSpec, k: int,
-                     r: int) -> ConstructionReport:
-    """Core of the mixed-parity complete bipartite labeler.
+def label_lex_kmn_mixed(g: Graph, h: Graph,
+                        group: GroupSpec) -> ConstructionReport:
+    """Label K_{m,n} o H with m even, n odd, and H a 2r-regular balanced
+    graph on 2^k vertices with r odd, over a group with an exact Z_{2^k}
+    factor. G may number its vertices in any order.
 
     The even side's block values are chosen inverse-closed (pairs (a, -a))
     and the identity sits on the odd side; this is what makes the union of
     all block labelings a bijection. Both block sums land on (2^{k-1}, 0)
     and every weight on (-r, 0).
     """
+    parts = complete_bipartite_parts(g)
+    if parts is None:
+        raise _WrongShape("G is not a complete bipartite graph")
+    evens = [p for p in parts if len(p) % 2 == 0]
+    odds = [p for p in parts if len(p) % 2 == 1]
+    if not evens or not odds or len(evens[0]) < 2:
+        raise _WrongShape(
+            "G must be K(m,n) with m even (>= 2) and n odd; got part "
+            f"sizes {sorted(len(p) for p in parts)}")
+    xs, ys = evens[0], odds[0]
+    k, r, pairing = _pow2_host(h)
+    if r % 2 == 0:
+        raise ConstructionError(
+            f"H must be 2r-regular with r odd, got r = {r}")
+    _check_order(group, (1 << k) * g.n)
     split = _split_or_error(group, 1 << k)
     comp = split.complement
     value_pairs = _inverse_pair_values(comp)
@@ -449,59 +442,11 @@ def _label_kmn_parts(g: Graph, xs: list[int], ys: list[int], h: Graph,
                       "t": (r - 1) // 2})
 
 
-def _label_kmn_graph(g: Graph, h: Graph, group: GroupSpec,
-                     pairing: Optional[TwinPairing]) -> ConstructionReport:
-    """The mixed-parity labeler on a complete bipartite G given as a graph,
-    in any vertex order; unlike label_lex_kmn_mixed it never reroutes."""
-    parts = complete_bipartite_parts(g)
-    if parts is None:
-        raise _WrongShape("G is not a complete bipartite graph")
-    evens = [p for p in parts if len(p) % 2 == 0]
-    odds = [p for p in parts if len(p) % 2 == 1]
-    if not evens or not odds or len(evens[0]) < 2:
-        raise _WrongShape(
-            "G must be K(m,n) with m even (>= 2) and n odd; got part "
-            f"sizes {sorted(len(p) for p in parts)}")
-    k, r, pairing = _pow2_host(h, pairing)
-    if r % 2 == 0:
-        raise ConstructionError(
-            f"H must be 2r-regular with r odd, got r = {r}")
-    return _label_kmn_parts(g, evens[0], odds[0], h, pairing, group, k, r)
-
-
-def label_lex_kmn_mixed(m: int, n: int, h: Graph, group: GroupSpec,
-                        pairing: Optional[TwinPairing] = None
-                        ) -> ConstructionReport:
-    """Label K_{m,n} o H with m even, n odd, and H a 2r-regular balanced
-    graph on 2^k vertices with r odd.
-
-    When the group has no exact Z_{2^k} factor the job is routed to the
-    small-s labeler (which needs no degree condition on K_{m,n})."""
-    if m < 2 or m % 2:
-        raise ConstructionError(f"m must be even and >= 2, got {m}")
-    if n < 1 or n % 2 == 0:
-        raise ConstructionError(f"n must be odd and >= 1, got {n}")
-    k, r, pairing = _pow2_host(h, pairing)
-    if r % 2 == 0:
-        raise ConstructionError(
-            f"H must be 2r-regular with r odd, got r = {r}")
-    _check_order(group, (1 << k) * (m + n))
-    g = complete_bipartite(m, n)
-    if find_cyclic_factor(group, 1 << k) is None:
-        for s in range(k - 1, 0, -1):
-            if find_cyclic_factor(group, 1 << s) is not None:
-                return label_lex_balanced_pow2(g, h, group, s, pairing)
-        raise ConstructionError(
-            f"group {group} has no cyclic 2-power direct factor")
-    return _label_kmn_parts(g, list(range(m)), list(range(m, m + n)),
-                            h, pairing, group, k, r)
-
-
 # ---------------------------------------------------------------------------
 # dispatcher
 
-def auto_label(g: Graph, h: Graph, product: str, group: GroupSpec,
-               pairing: Optional[TwinPairing] = None) -> ConstructionReport:
+def auto_label(g: Graph, h: Graph, product: str,
+               group: GroupSpec) -> ConstructionReport:
     """Pick a labeler for the product of G with a balanced H.
 
     For H on 2^k vertices the available cyclic 2-power exponents of the
@@ -516,18 +461,18 @@ def auto_label(g: Graph, h: Graph, product: str, group: GroupSpec,
         raise ConstructionError(f"product must be 'lex' or 'dir', got {product!r}")
     hn = h.n
     if hn >= 4 and hn & (hn - 1) == 0:
-        return _auto_pow2(g, h, product, group, pairing)
+        return _auto_pow2(g, h, product, group)
     if hn >= 6 and hn % 4 == 2 and {hn - 1 - d for d in h.degrees} == {1}:
         return METHODS[f"c4k2-{product}"].label_product(
-            g, h, product, group, None, pairing)
+            g, h, product, group, None)
     raise ConstructionError(
         "H must have 2^k vertices (k >= 2) and be balanced, or be a complete "
         f"graph minus a perfect matching on 4k+2 vertices; got {hn} vertices")
 
 
-def _auto_pow2(g: Graph, h: Graph, product: str, group: GroupSpec,
-               pairing: Optional[TwinPairing]) -> ConstructionReport:
-    k, r, pairing = _pow2_host(h, pairing)
+def _auto_pow2(g: Graph, h: Graph, product: str,
+               group: GroupSpec) -> ConstructionReport:
+    k, r, _ = _pow2_host(h)
     _check_order(group, (1 << k) * g.n)
     exponents = sorted(two_power_exponents(group), reverse=True)
     if not exponents:
@@ -538,19 +483,19 @@ def _auto_pow2(g: Graph, h: Graph, product: str, group: GroupSpec,
         if n0 >= k and product == "lex":
             if n0 == k:
                 try:
-                    return label_lex_even_degrees(g, h, group, pairing)
+                    return label_lex_even_degrees(g, h, group)
                 except ConstructionError as exc:
                     diagnostics.append(f"even-degrees (s={n0}): {exc}")
                 if r % 2 == 1:
                     try:
-                        return _label_kmn_graph(g, h, group, pairing)
+                        return label_lex_kmn_mixed(g, h, group)
                     except _WrongShape:
                         pass
                     except ConstructionError as exc:
                         diagnostics.append(f"kmn-mixed (s={n0}): {exc}")
         try:
             return METHODS[f"balanced-{product}"].label_product(
-                g, h, product, group, n0, pairing)
+                g, h, product, group, n0)
         except ConstructionError as exc:
             diagnostics.append(f"s={n0}: {exc}")
     raise ConstructionError(
@@ -579,8 +524,8 @@ def auto_label_bare(g: Graph, group: GroupSpec) -> Optional[ConstructionReport]:
 class LabelingMethod(NamedTuple):
     """A method's own product ("lex", "dir", or None: none fixed), whether
     it needs the exponent s, and its labelers label_product(g, h, product,
-    group, s, pairing) and label_bare(g, group), None for a shape it does
-    not take."""
+    group, s) and label_bare(g, group), None for a shape it does not
+    take."""
 
     product: Optional[str]
     needs_s: bool
@@ -588,50 +533,38 @@ class LabelingMethod(NamedTuple):
     label_bare: Optional[Callable[..., Optional[ConstructionReport]]]
 
 
-def _c4k2_k(method: str, h: Graph) -> int:
-    if h.n < 6 or h.n % 4 != 2:
-        raise ConstructionError(
-            f"method {method} needs H on 4k+2 vertices, got {h.n}")
-    return (h.n - 2) // 4
-
-
 # The entries call the labelers by their module-level names, so that a
 # labeler rebound in this module (a tracer's wrapper) is the one called.
 METHODS: dict[str, LabelingMethod] = {
     "auto": LabelingMethod(
         None, False,
-        lambda g, h, product, group, s, pairing:
-            auto_label(g, h, product, group, pairing),
+        lambda g, h, product, group, s: auto_label(g, h, product, group),
         lambda g, group: auto_label_bare(g, group)),
     "balanced-dir": LabelingMethod(
         "dir", True,
-        lambda g, h, product, group, s, pairing:
-            label_dir_balanced_pow2(g, h, group, s, pairing),
+        lambda g, h, product, group, s:
+            label_dir_balanced_pow2(g, h, group, s),
         None),
     "balanced-lex": LabelingMethod(
         "lex", True,
-        lambda g, h, product, group, s, pairing:
-            label_lex_balanced_pow2(g, h, group, s, pairing),
+        lambda g, h, product, group, s:
+            label_lex_balanced_pow2(g, h, group, s),
         None),
     "c4k2-dir": LabelingMethod(
         "dir", False,
-        lambda g, h, product, group, s, pairing: label_dir_c4k2(
-            g, _c4k2_k("c4k2-dir", h), group, h=h, pairing=pairing),
+        lambda g, h, product, group, s: label_dir_c4k2(g, h, group),
         None),
     "c4k2-lex": LabelingMethod(
         "lex", False,
-        lambda g, h, product, group, s, pairing: label_lex_c4k2(
-            g, _c4k2_k("c4k2-lex", h), group, h=h, pairing=pairing),
+        lambda g, h, product, group, s: label_lex_c4k2(g, h, group),
         None),
     "even-degrees-lex": LabelingMethod(
         "lex", False,
-        lambda g, h, product, group, s, pairing:
-            label_lex_even_degrees(g, h, group, pairing),
+        lambda g, h, product, group, s: label_lex_even_degrees(g, h, group),
         None),
     "kmn-mixed-lex": LabelingMethod(
         "lex", False,
-        lambda g, h, product, group, s, pairing:
-            _label_kmn_graph(g, h, group, pairing),
+        lambda g, h, product, group, s: label_lex_kmn_mixed(g, h, group),
         None),
     "matching-join": LabelingMethod(
         None, False, None,
@@ -673,4 +606,4 @@ def label_with_method(method: str, g: Graph, h: Optional[Graph],
         return entry.label_bare(g, group)
     if entry.needs_s and s is None:
         raise ConstructionError(f"method {method} requires --s")
-    return entry.label_product(g, h, product, group, s, None)
+    return entry.label_product(g, h, product, group, s)

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import sys
 from collections import deque
 from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
@@ -43,7 +44,6 @@ __all__ = [
     "is_tree",
     "metrics",
     "find_twin_pairing",
-    "validate_twin_pairing",
     "is_balanced_dmg",
     "complete_bipartite_parts",
     "matching_join_pairs",
@@ -193,10 +193,14 @@ def graph_power(g: Graph, k: int) -> Graph:
         raise GraphError(f"graph power needs k >= 1, got {k}")
     edges = []
     for u in range(g.n):
-        dist = _bfs_dist(g, u)
-        for v in range(u + 1, g.n):
-            if 1 <= dist[v] <= k:
-                edges.append((u, v))
+        # breadth-first from u, cut off after k levels
+        seen, frontier = {u}, {u}
+        for _ in range(k):
+            frontier = {w for x in frontier for w in g.adj[x]} - seen
+            if not frontier:
+                break
+            seen |= frontier
+        edges += [(u, v) for v in sorted(seen) if v > u]
     return Graph.from_edges(g.n, edges)
 
 
@@ -262,21 +266,6 @@ def find_twin_pairing(g: Graph) -> Optional[TwinPairing]:
             pairs.append((members[t], members[t + 1]))
     pairs.sort()
     return TwinPairing(tuple(pairs))
-
-
-def validate_twin_pairing(g: Graph, pairing: TwinPairing) -> None:
-    """Raise unless the pairing partitions V(g) into genuine twin pairs."""
-    seen: set[int] = set()
-    for a, b in pairing.pairs:
-        if a == b or not (0 <= a < g.n and 0 <= b < g.n):
-            raise GraphError(f"bad twin pair ({a},{b})")
-        if a in seen or b in seen:
-            raise GraphError(f"twin pair ({a},{b}) reuses a vertex")
-        if g.adj[a] != g.adj[b]:
-            raise GraphError(f"vertices {a} and {b} are not twins")
-        seen.update((a, b))
-    if len(seen) != g.n:
-        raise GraphError("twin pairs do not cover every vertex")
 
 
 def is_balanced_dmg(g: Graph) -> bool:
@@ -474,24 +463,43 @@ def enumerate_trees(n: int) -> list[Graph]:
 
 # edge-list files ---------------------------------------------------------------
 
+def _too_long(digits: str) -> str:
+    return (f"integer of {len(digits)} digits is over the "
+            f"{sys.get_int_max_str_digits()}-digit limit")
+
+
+def _int_pair(line: str) -> Optional[tuple[int, int]]:
+    """The two integers of an edge-list line, or None when it holds
+    anything else."""
+    parts = line.split()
+    digits = [p.removeprefix("-") for p in parts]
+    if len(parts) != 2 or not all(d.isdecimal() for d in digits):
+        return None
+    try:
+        return int(parts[0]), int(parts[1])
+    except ValueError:  # more digits than int() converts
+        raise GraphError(
+            "edge list line: " + _too_long(max(digits, key=len))) from None
+
+
 def from_edge_list_text(text: str) -> Graph:
     """Parse the edge-list format: first line "n m", then m lines "u v"."""
     lines = [ln for ln in (raw.strip() for raw in text.splitlines()) if ln]
     if not lines:
         raise GraphError("empty edge list")
-    head = lines[0].split()
-    if len(head) != 2 or not all(p.lstrip("-").isdigit() for p in head):
+    head = _int_pair(lines[0])
+    if head is None:
         raise GraphError(f"edge list header must be 'n m', got {lines[0]!r}")
-    n, m = int(head[0]), int(head[1])
+    n, m = head
     if len(lines) - 1 != m:
         raise GraphError(f"edge list declares {m} edges but has {len(lines) - 1}")
     edges = []
     seen = set()
     for ln in lines[1:]:
-        parts = ln.split()
-        if len(parts) != 2 or not all(p.lstrip("-").isdigit() for p in parts):
+        pair = _int_pair(ln)
+        if pair is None:
             raise GraphError(f"bad edge line {ln!r}")
-        u, v = int(parts[0]), int(parts[1])
+        u, v = pair
         key = (min(u, v), max(u, v))
         if key in seen:
             raise GraphError(f"duplicate edge {u} {v}")
@@ -547,11 +555,16 @@ class _ExprParser:
     def integer(self) -> int:
         self.skip_ws()
         start = self.pos
-        while self.pos < len(self.text) and self.text[self.pos].isdigit():
+        while self.pos < len(self.text) and self.text[self.pos].isdecimal():
             self.pos += 1
         if start == self.pos:
             raise self.error("expected an integer")
-        return int(self.text[start:self.pos])
+        try:
+            return int(self.text[start:self.pos])
+        except ValueError:  # more digits than int() converts
+            raise GraphParseError(
+                _too_long(self.text[start:self.pos])
+                + f" (at position {start})") from None
 
     def raw_path(self) -> str:
         self.skip_ws()

@@ -9,6 +9,7 @@ constant.
 from __future__ import annotations
 
 import re
+import sys
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -345,9 +346,14 @@ def parse_certificate(text: str) -> Certificate:
             continue
         if line.startswith("v "):
             parts = line.split(None, 2)
-            if len(parts) != 3 or not parts[1].isdigit():
+            if len(parts) != 3 or not parts[1].isdecimal():
                 raise CertificateError(f"bad vertex line {line!r}")
-            idx = int(parts[1])
+            try:
+                idx = int(parts[1])
+            except ValueError:  # more digits than int() converts
+                raise CertificateError(
+                    f"vertex index of {len(parts[1])} digits is over the "
+                    f"{sys.get_int_max_str_digits()}-digit limit") from None
             if idx in raw_labels:
                 raise CertificateError(f"duplicate vertex {idx}")
             raw_labels[idx] = parts[2]
@@ -362,7 +368,8 @@ def parse_certificate(text: str) -> Certificate:
     group = parse_group_spec(fields["group"])
     mu = group.parse_element(fields["mu"])
     n = group.order
-    if sorted(raw_labels) != list(range(n)):
+    # the count first: the group's order may be far beyond any list's
+    if len(raw_labels) != n or sorted(raw_labels) != list(range(n)):
         raise CertificateError(
             f"certificate must label vertices 0..{n - 1} exactly once")
     labels = tuple(group.parse_element(raw_labels[v]) for v in range(n))

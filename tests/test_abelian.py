@@ -1,6 +1,7 @@
 import itertools
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from gdmagic.abelian import (
     GroupError,
@@ -262,3 +263,20 @@ def test_cyclic_group_helper():
     assert cyclic_group(7).factors == (7,)
     with pytest.raises(GroupError):
         cyclic_group(0)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(st.lists(st.one_of(
+    st.sampled_from(["Z", "x", "trivial", " ", "-", "z", "X", "\u00b2",
+                     "\u0663", "Z4", "xZ"]),
+    st.integers(0, 40).map(str),
+    st.integers(4301, 4400).map(lambda n: "9" * n)), max_size=8).map("".join))
+@example("Z" + "9" * 5000)
+@example("Z4xZ" + "1" + "0" * 4300)
+@example("Z\u00b2")
+def test_parse_group_spec_raises_only_group_errors(text):
+    try:
+        spec = parse_group_spec(text)
+    except GroupError:
+        return
+    assert parse_group_spec(str(spec)) == spec

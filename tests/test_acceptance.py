@@ -15,6 +15,7 @@ from gdmagic.abelian import (
 )
 from gdmagic.constructors import (
     ConstructionError,
+    auto_label,
     label_dir_balanced_pow2,
     label_dir_c4k2,
     label_lex_balanced_pow2,
@@ -30,6 +31,7 @@ from gdmagic.graphs import (
     complete_multipartite,
     cycle,
     enumerate_trees,
+    graph_power,
     join,
     path,
     star,
@@ -115,7 +117,7 @@ def test_criterion_4_c4k2_products():
             split = find_cyclic_factor(group, 6)
             if split is None:
                 continue
-            rep = label_lex_c4k2(g, 1, group)
+            rep = label_lex_c4k2(g, graph_power(cycle(6), 2), group)
             z = 4 if even else 1
             assert rep.predicted_mu == split.from_pair(z, split.complement.zero())
             assert verify(rep.graph, rep.labeling) == rep.predicted_mu
@@ -129,7 +131,7 @@ def test_criterion_4_c4k2_products():
         for text in specs:
             group = P(text)
             split = find_cyclic_factor(group, 6)
-            rep = label_dir_c4k2(g, 1, group)
+            rep = label_dir_c4k2(g, graph_power(cycle(6), 2), group)
             assert rep.predicted_mu == split.from_pair(z, split.complement.zero())
             assert verify(rep.graph, rep.labeling) == rep.predicted_mu
             dir_cases += 1
@@ -209,24 +211,26 @@ def test_criterion_5_balanced_pow2_sweeps():
 
 def test_criterion_6_kmn_mixed():
     group = P("Z4xZ5")
-    rep = label_lex_kmn_mixed(2, 3, cycle(4), group)
+    rep = label_lex_kmn_mixed(complete_bipartite(2, 3), cycle(4), group)
     assert rep.predicted_mu == group.element((3, 0))
     assert verify(rep.graph, rep.labeling) == (3, 0)
 
     routed_group = P("Z2xZ2xZ5")
-    rep = label_lex_kmn_mixed(2, 3, cycle(4), routed_group)
+    rep = auto_label(complete_bipartite(2, 3), cycle(4), "lex", routed_group)
     split = find_cyclic_factor(routed_group, 2)
     assert rep.theorem == "balanced-lex-small-s"
     assert rep.predicted_mu == split.from_pair(1, split.complement.zero())
     assert verify(rep.graph, rep.labeling) == rep.predicted_mu
 
     try:
-        label_lex_kmn_mixed(3, 3, cycle(4), P("Z4xZ6"))
+        label_lex_kmn_mixed(complete_bipartite(3, 3), cycle(4),
+                            P("Z4xZ6"))
         raise AssertionError("odd m must be rejected")
     except ConstructionError as exc:
         assert "even" in str(exc)
     try:
-        label_lex_kmn_mixed(2, 3, complete_bipartite(4, 4), P("Z8xZ5"))
+        label_lex_kmn_mixed(complete_bipartite(2, 3),
+                            complete_bipartite(4, 4), P("Z8xZ5"))
         raise AssertionError("even r must be rejected")
     except ConstructionError as exc:
         assert "odd" in str(exc)
@@ -266,22 +270,23 @@ def test_criterion_7_obstruction_consistency():
 
 def _criteria_2_to_6_reports():
     kmm8 = complete_minus_matching(8)
+    kmm6 = graph_power(cycle(6), 2)
     reports = [
         label_matching_join(5, P("Z5")),
         label_matching_join(9, P("Z9")),
         label_matching_join(9, P("Z3xZ3")),
         label_matching_join(15, P("Z3xZ5")),
-        label_lex_c4k2(complete(2), 1, P("Z6xZ2")),
-        label_lex_c4k2(cycle(3), 1, P("Z6xZ3")),
-        label_dir_c4k2(complete(4), 1, P("Z6xZ4")),
-        label_dir_c4k2(cycle(6), 1, P("Z6xZ6")),
+        label_lex_c4k2(complete(2), kmm6, P("Z6xZ2")),
+        label_lex_c4k2(cycle(3), kmm6, P("Z6xZ3")),
+        label_dir_c4k2(complete(4), kmm6, P("Z6xZ4")),
+        label_dir_c4k2(cycle(6), kmm6, P("Z6xZ6")),
         label_lex_balanced_pow2(path(3), cycle(4), P("Z2xZ6"), 1),
         label_lex_balanced_pow2(complete(4), cycle(4), P("Z4xZ4"), 2),
         label_lex_balanced_pow2(cycle(3), kmm8, P("Z8xZ3"), 3),
         label_dir_balanced_pow2(cycle(4), cycle(4), P("Z2xZ8"), 1),
         label_lex_even_degrees(cycle(3), cycle(4), P("Z4xZ3")),
-        label_lex_kmn_mixed(2, 3, cycle(4), P("Z4xZ5")),
-        label_lex_kmn_mixed(2, 3, cycle(4), P("Z2xZ2xZ5")),
+        label_lex_kmn_mixed(complete_bipartite(2, 3), cycle(4), P("Z4xZ5")),
+        auto_label(complete_bipartite(2, 3), cycle(4), "lex", P("Z2xZ2xZ5")),
     ]
     return reports
 

@@ -269,6 +269,51 @@ def test_bad_group_spec():
     assert code == 2
 
 
+# one integer over Python's int/str conversion limit (4300 digits by default)
+HUGE = "9" * 5000
+
+
+def test_huge_integer_in_a_graph_expression():
+    code, out, err = _run(["construct", f"K({HUGE})"])
+    assert (code, out) == (2, "")
+    assert "integer of 5000 digits is over the 4300-digit limit" in err
+
+
+def test_huge_integer_in_a_group_spec():
+    code, out, err = _run(["search", "--graph", "C(4)", "--group",
+                           f"Z{HUGE}"])
+    assert (code, out) == (2, "")
+    assert "factor of 5000 digits is over the 4300-digit limit" in err
+
+
+def test_huge_vertex_index_in_a_certificate(tmp_path):
+    cert = tmp_path / "c.txt"
+    cert.write_text(f"graph: K(1)\ngroup: trivial\nmu: ()\nv {HUGE} ()\n")
+    code, out, err = _run(["verify", "--cert", str(cert)])
+    assert (code, out) == (2, "")
+    assert "vertex index of 5000 digits is over the 4300-digit limit" in err
+
+
+def test_certificate_of_a_huge_group_is_rejected_at_once(tmp_path):
+    cert = tmp_path / "c.txt"
+    cert.write_text("graph: K(1)\ngroup: Z" + "9" * 30 + "\nmu: (0)\n"
+                    "v 0 (0)\n")
+    code, out, err = _run(["verify", "--cert", str(cert)])
+    assert (code, out) == (2, "")
+    assert f"must label vertices 0..{'9' * 29}8 exactly once" in err
+
+
+@pytest.mark.parametrize("text", [f"{HUGE} 0\n", f"2 1\n0 {HUGE}\n",
+                                  f"2 1\n-{HUGE} 1\n"],
+                         ids=["header", "edge", "negative"])
+def test_huge_integer_in_an_edge_list(tmp_path, text):
+    edges = tmp_path / "e.txt"
+    edges.write_text(text)
+    code, out, err = _run(["construct", f"file({edges})"])
+    assert (code, out) == (2, "")
+    assert "integer of 5000 digits is over the 4300-digit limit" in err
+
+
 def test_unknown_verb():
     code, _, _ = _run(["frobnicate"])
     assert code == 2

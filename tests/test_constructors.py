@@ -1,4 +1,5 @@
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from gdmagic.abelian import (
     enumerate_abelian_groups,
@@ -6,6 +7,7 @@ from gdmagic.abelian import (
     parse_group_spec,
 )
 from gdmagic.constructors import (
+    METHODS,
     ConstructionError,
     auto_label,
     auto_label_bare,
@@ -19,12 +21,15 @@ from gdmagic.constructors import (
     label_matching_join_graph,
     label_star,
     label_star_graph,
+    label_with_method,
 )
 from gdmagic.graphs import (
+    Graph,
     complete,
     complete_bipartite,
     complete_minus_matching,
     complete_multipartite,
+    construct_graph,
     cycle,
     find_twin_pairing,
     graph_power,
@@ -33,6 +38,7 @@ from gdmagic.graphs import (
     star,
 )
 from gdmagic.magic import verify
+from gdmagic.products import direct_product, lex_product
 
 P = parse_group_spec
 
@@ -131,46 +137,60 @@ def test_star_emptiness_matches_mod4_rule():
 # products with K_{4k+2} - M ------------------------------------------------------
 
 def test_lex_c4k2_k2():
-    rep = label_lex_c4k2(complete(2), 1, P("Z6xZ2"))
-    assert rep.predicted_mu == (1, 0)
     h = graph_power(cycle(6), 2)
+    rep = label_lex_c4k2(complete(2), h, P("Z6xZ2"))
+    assert rep.predicted_mu == (1, 0)
     assert _block_sums(rep, 6) == [P("Z6xZ2").element((3, 0))] * 2
     pairing = find_twin_pairing(h)
     assert _pair_sums(rep, pairing, 6) == {P("Z6xZ2").element((5, 0))}
 
 
 def test_lex_c4k2_c3():
-    rep = label_lex_c4k2(cycle(3), 1, P("Z6xZ3"))
+    rep = label_lex_c4k2(cycle(3), graph_power(cycle(6), 2), P("Z6xZ3"))
     assert rep.predicted_mu == (4, 0)
 
 
 def test_lex_c4k2_rejects_mixed_parity():
     with pytest.raises(ConstructionError):
-        label_lex_c4k2(path(3), 1, P("Z6xZ3"))
+        label_lex_c4k2(path(3), graph_power(cycle(6), 2), P("Z6xZ3"))
 
 
 def test_lex_c4k2_rejects_missing_split():
     # Z18 = Z2 x Z9 has no Z3 prime-power factor, hence no Z6 split
     with pytest.raises(ConstructionError):
-        label_lex_c4k2(cycle(3), 1, P("Z18"))
+        label_lex_c4k2(cycle(3), graph_power(cycle(6), 2), P("Z18"))
 
 
 def test_dir_c4k2():
-    rep = label_dir_c4k2(complete(4), 1, P("Z6xZ4"))
+    rep = label_dir_c4k2(complete(4), graph_power(cycle(6), 2), P("Z6xZ4"))
     assert rep.predicted_mu == (0, 0)
     assert rep.parameters["m"] == 3
-    rep = label_dir_c4k2(cycle(6), 1, P("Z6xZ6"))
+    rep = label_dir_c4k2(cycle(6), graph_power(cycle(6), 2), P("Z6xZ6"))
     assert rep.predicted_mu == (2, 0)
     with pytest.raises(ConstructionError):
-        label_dir_c4k2(path(3), 1, P("Z6xZ3"))
+        label_dir_c4k2(path(3), graph_power(cycle(6), 2), P("Z6xZ3"))
 
 
 def test_c4k2_k2_host():
     # k = 2: host on 10 vertices, C5 has even degrees
     group = P("Z10xZ5")
-    rep = label_lex_c4k2(cycle(5), 2, group)
+    rep = label_lex_c4k2(cycle(5), graph_power(cycle(10), 4), group)
     split = find_cyclic_factor(group, 10)
     assert rep.predicted_mu == split.from_pair(6, split.complement.zero())
+
+
+@pytest.mark.parametrize("labeler, method", [(label_lex_c4k2, "c4k2-lex"),
+                                             (label_dir_c4k2, "c4k2-dir")])
+def test_c4k2_reads_k_from_h(labeler, method):
+    rep = labeler(complete(2), graph_power(cycle(10), 4), P("Z10xZ2"))
+    assert rep.parameters["k"] == 2
+    for h in (cycle(4), complete_minus_matching(8), cycle(5)):
+        with pytest.raises(ConstructionError,
+                           match=f"method {method} needs H on 4k\\+2 "
+                                 f"vertices, got {h.n}"):
+            labeler(complete(2), h, P(f"Z{2 * h.n}"))
+    with pytest.raises(ConstructionError, match="minus a perfect matching"):
+        labeler(complete(2), cycle(6), P("Z6xZ2"))
 
 
 # balanced factors on 2^k vertices ------------------------------------------------
@@ -265,7 +285,7 @@ def test_even_degrees_rejects():
 
 def test_kmn_mixed():
     group = P("Z4xZ5")
-    rep = label_lex_kmn_mixed(2, 3, cycle(4), group)
+    rep = label_lex_kmn_mixed(complete_bipartite(2, 3), cycle(4), group)
     assert rep.theorem == "kmn-mixed-lex"
     assert rep.predicted_mu == (3, 0)
     split = find_cyclic_factor(group, 4)
@@ -279,7 +299,7 @@ def test_kmn_mixed():
 
 
 def test_kmn_mixed_routes_without_exact_factor():
-    rep = label_lex_kmn_mixed(2, 3, cycle(4), P("Z2xZ2xZ5"))
+    rep = auto_label(complete_bipartite(2, 3), cycle(4), "lex", P("Z2xZ2xZ5"))
     assert rep.theorem == "balanced-lex-small-s"
     split = find_cyclic_factor(P("Z2xZ2xZ5"), 2)
     assert rep.predicted_mu == split.from_pair(1, split.complement.zero())
@@ -287,11 +307,27 @@ def test_kmn_mixed_routes_without_exact_factor():
 
 def test_kmn_mixed_rejects():
     with pytest.raises(ConstructionError):
-        label_lex_kmn_mixed(3, 3, cycle(4), P("Z4xZ6"))  # m odd
+        label_lex_kmn_mixed(complete_bipartite(3, 3), cycle(4),
+                            P("Z4xZ6"))  # m odd
     with pytest.raises(ConstructionError):
-        label_lex_kmn_mixed(2, 2, cycle(4), P("Z4xZ4"))  # n even
+        label_lex_kmn_mixed(complete_bipartite(2, 2), cycle(4),
+                            P("Z4xZ4"))  # n even
     with pytest.raises(ConstructionError):  # r = 2 even
-        label_lex_kmn_mixed(2, 3, complete_bipartite(4, 4), P("Z8xZ5"))
+        label_lex_kmn_mixed(complete_bipartite(2, 3),
+                            complete_bipartite(4, 4), P("Z8xZ5"))
+
+
+def test_kmn_mixed_takes_either_side_order_and_checks_the_group():
+    # K(3,2) numbers its odd side first
+    rep = label_lex_kmn_mixed(complete_bipartite(3, 2), cycle(4), P("Z4xZ5"))
+    assert rep.parameters["m"] == 2 and rep.parameters["n"] == 3
+    assert verify(rep.graph, rep.labeling) == rep.predicted_mu
+    with pytest.raises(ConstructionError, match="has order 16, expected 20"):
+        label_lex_kmn_mixed(complete_bipartite(2, 3), cycle(4), P("Z4xZ4"))
+    # the labeler does not reroute; auto_label does
+    with pytest.raises(ConstructionError, match="no Z4 direct factor"):
+        label_lex_kmn_mixed(complete_bipartite(2, 3), cycle(4),
+                            P("Z2xZ2xZ5"))
 
 
 # dispatcher --------------------------------------------------------------------
@@ -374,15 +410,17 @@ def test_method_table_calls_labelers_by_module_name(monkeypatch, method, h,
 
 def _sample_reports():
     kmm8 = complete_minus_matching(8)
+    kmm6 = graph_power(cycle(6), 2)
     return [
         (label_matching_join(7, P("Z7")), None),
-        (label_lex_c4k2(complete(2), 1, P("Z6xZ2")), 6),
-        (label_dir_c4k2(cycle(6), 1, P("Z6xZ6")), 6),
+        (label_lex_c4k2(complete(2), kmm6, P("Z6xZ2")), 6),
+        (label_dir_c4k2(cycle(6), kmm6, P("Z6xZ6")), 6),
         (label_lex_balanced_pow2(path(3), cycle(4), P("Z2xZ6"), 1), 4),
         (label_lex_balanced_pow2(complete(4), cycle(4), P("Z4xZ4"), 2), 4),
         (label_dir_balanced_pow2(cycle(4), cycle(4), P("Z2xZ8"), 1), 4),
         (label_lex_even_degrees(cycle(3), cycle(4), P("Z4xZ3")), 4),
-        (label_lex_kmn_mixed(2, 3, cycle(4), P("Z4xZ5")), 4),
+        (label_lex_kmn_mixed(complete_bipartite(2, 3), cycle(4), P("Z4xZ5")),
+         4),
         (label_lex_balanced_pow2(cycle(3), kmm8, P("Z8xZ3"), 3), 8),
     ]
 
@@ -393,3 +431,118 @@ def test_every_report_verifies_and_is_bijective():
         assert len(set(rep.labeling.assignment)) == group.order
         assert verify(rep.graph, rep.labeling) == rep.predicted_mu
         assert rep.labeling.magic_constant == rep.predicted_mu
+
+
+# every product method of the table against the README's preconditions ---------
+
+PROPERTY_HOSTS = ("C(4)", "KmM(6)", "KmM(8)", "Kb(4,4)")
+
+
+@st.composite
+def small_graphs(draw):
+    n = draw(st.integers(1, 6))
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    keep = draw(st.lists(st.booleans(), min_size=len(pairs),
+                         max_size=len(pairs)))
+    return Graph.from_edges(n, [e for e, k in zip(pairs, keep) if k])
+
+
+# graphs on <= 6 vertices whose degrees meet the methods' conditions far
+# more often than random ones do
+SHAPED_GRAPHS = (
+    ["Km(2,2,2)", "Km(1,1,2)", "KmM(4)", "KmM(6)", "join(K(1),KmM(4))"]
+    + [f"K({n})" for n in range(1, 7)] + [f"C({n})" for n in range(3, 7)]
+    + [f"Km({n})" for n in range(2, 7)]  # no edges
+    + [f"S({n})" for n in range(2, 6)]
+    + [f"Kb({m},{n})" for m in range(1, 6) for n in range(1, 7 - m)])
+
+
+def _congruent(g, mod):
+    return len({d % mod for d in g.degrees}) == 1
+
+
+def _is_kmn_mixed(g):
+    """G is K(m,n) with m even (>= 2) and n odd, by a scan of all vertex
+    subsets for a side whose edges are exactly those to the other side."""
+    for mask in range(1, (1 << g.n) - 1):
+        side = {v for v in range(g.n) if mask >> v & 1}
+        m, n = len(side), g.n - len(side)
+        if (m % 2 == 0 and n % 2 == 1 and g.num_edges == m * n
+                and all((u in side) != (v in side) for u, v in g.edges())):
+            return True
+    return False
+
+
+def _readme_precondition(method, product, g, h, group, s):
+    """Whether the README's method table promises a labeling: the input
+    shape holds and the group has the required cyclic factor."""
+    if h.n == 6:  # KmM(6) = K(4k+2) - M with k = 1
+        if not method.startswith("c4k2") or not find_cyclic_factor(group, 6):
+            return False
+        return _congruent(g, 2) if product == "lex" else _congruent(g, 6)
+    k, r = h.n.bit_length() - 1, h.degree(0) // 2
+    if method == "balanced-lex":
+        return bool(find_cyclic_factor(group, 1 << s)) and (
+            s < k or _congruent(g, 1 << (s - 1)))
+    if method == "balanced-dir":
+        return bool(find_cyclic_factor(group, 1 << s)) and _congruent(
+            g, 1 << s)
+    if not find_cyclic_factor(group, 1 << k):
+        return False
+    if method == "even-degrees-lex":
+        return all(d % 2 == 0 and d > 0 for d in g.degrees)
+    if method == "kmn-mixed-lex":
+        return r % 2 == 1 and _is_kmn_mixed(g)
+    return False
+
+
+def _product_calls(group):
+    """(method, product, s) for every product entry of METHODS but auto,
+    with every s that 2^s <= |group| allows for the methods that take one."""
+    for method, entry in METHODS.items():
+        if entry.label_product is None or method == "auto":
+            continue
+        for product in (entry.product,) if entry.product else ("lex", "dir"):
+            exponents = (range(1, group.order.bit_length()) if entry.needs_s
+                         else (None,))
+            for s in exponents:
+                yield method, product, s
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(small_graphs() | st.sampled_from(SHAPED_GRAPHS).map(construct_graph),
+       st.sampled_from(PROPERTY_HOSTS))
+@example(complete_bipartite(2, 3), "C(4)")
+@example(complete_bipartite(3, 2), "KmM(8)")
+@example(cycle(3), "KmM(6)")
+@example(complete(1), "Kb(4,4)")
+def test_product_labelers_meet_the_readme_table(g, h_expr):
+    h = construct_graph(h_expr)
+    products = {"lex": lex_product(g, h), "dir": direct_product(g, h)}
+
+    def check(rep, product, group):
+        assert rep.graph == products[product]
+        assert sorted(rep.labeling.assignment) == list(group.elements())
+        assert verify(rep.graph, rep.labeling) == rep.predicted_mu
+
+    for group in enumerate_abelian_groups(g.n * h.n):
+        labeled = {"lex": False, "dir": False}
+        for method, product, s in _product_calls(group):
+            try:
+                rep = label_with_method(method, g, h, product, group, s)
+            except ConstructionError:
+                assert not _readme_precondition(method, product, g, h, group,
+                                                s), (method, s, group)
+                continue
+            check(rep, product, group)
+            labeled[product] = True
+        # auto tries every route of the table, so it labels exactly when
+        # some method does
+        for product in ("lex", "dir"):
+            try:
+                rep = label_with_method("auto", g, h, product, group, None)
+            except ConstructionError:
+                assert not labeled[product], (product, group)
+                continue
+            assert labeled[product], (product, group)
+            check(rep, product, group)

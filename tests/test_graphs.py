@@ -1,8 +1,10 @@
 import heapq
 import itertools
 import math
+import re
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from gdmagic.graphs import (
     MAX_TREE_VERTICES,
@@ -28,7 +30,6 @@ from gdmagic.graphs import (
     metrics,
     path,
     star,
-    validate_twin_pairing,
 )
 
 
@@ -118,6 +119,9 @@ def test_edge_list_round_trip(tmp_path):
     "2 1\n0 2",
     "2 1\n0 0",
     "2 1\nx y",
+    "--2 0",
+    "2 1\n0 \u00b9",
+    pytest.param("1 1\n0 " + "0" * 5000, id="5000-digit-vertex"),
 ])
 def test_edge_list_rejects(bad):
     with pytest.raises(GraphError):
@@ -132,6 +136,42 @@ def test_graph_power():
     assert graph_power(cycle(6), 2) == expected
     assert graph_power(path(4), 1) == path(4)
     assert graph_power(path(4), 3) == complete(4)
+
+
+def _all_pairs_power(g, k):
+    """The k-th power from a full BFS out of every vertex."""
+    edges = []
+    for u in range(g.n):
+        dist = [-1] * g.n
+        dist[u] = 0
+        queue = [u]
+        for x in queue:
+            for w in g.adj[x]:
+                if dist[w] < 0:
+                    dist[w] = dist[x] + 1
+                    queue.append(w)
+        edges += [(u, v) for v in range(u + 1, g.n) if 1 <= dist[v] <= k]
+    return Graph.from_edges(g.n, edges)
+
+
+@st.composite
+def graphs_and_powers(draw):
+    n = draw(st.integers(0, 12))
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    keep = draw(st.lists(st.booleans(), min_size=len(pairs),
+                         max_size=len(pairs)))
+    g = Graph.from_edges(n, [e for e, k in zip(pairs, keep) if k])
+    return g, draw(st.integers(1, 13))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(graphs_and_powers())
+@example((cycle(600), 4))
+@example((path(40), 39))
+@example((Graph.from_edges(5, [(0, 1), (3, 4)]), 10**100))
+def test_graph_power_matches_all_pairs_bfs(case):
+    g, k = case
+    assert graph_power(g, k).edges() == _all_pairs_power(g, k).edges()
 
 
 def test_graph_power_monotone_and_complete_at_diameter():
@@ -167,7 +207,6 @@ def test_is_tree_agrees_with_metrics():
 def test_twin_pairing():
     pairing = find_twin_pairing(cycle(4))
     assert pairing.pairs == ((0, 2), (1, 3))
-    validate_twin_pairing(cycle(4), pairing)
 
     assert find_twin_pairing(cycle(6)) is None
 
@@ -342,3 +381,55 @@ def test_enumerate_trees_match_networkx():
             _tree_code(Graph.from_edges(n, [(int(u), int(v)) for u, v in t.edges()]))
             for t in nx.nonisomorphic_trees(n))
         assert ours == theirs, n
+
+
+# the expression parser on generated text ----------------------------------------
+
+# integers are single digits, so no text builds a large graph, or digit
+# runs past int()'s 4300-digit conversion limit
+_INTS = st.one_of(st.integers(0, 3).map(str),
+                  st.integers(4301, 4400).map(lambda n: "9" * n))
+_LEAVES = st.one_of(
+    st.tuples(st.sampled_from(["K", "C", "P", "S", "KmM"]), _INTS).map(
+        lambda t: f"{t[0]}({t[1]})"),
+    st.tuples(_INTS, _INTS).map(lambda t: f"Kb({t[0]},{t[1]})"),
+    st.lists(_INTS, min_size=1, max_size=3).map(
+        lambda xs: f"Km({','.join(xs)})"))
+_EXPRESSIONS = st.recursive(_LEAVES, lambda sub: st.one_of(
+    st.tuples(st.sampled_from(["join", "lex", "dir", "cart"]), sub, sub).map(
+        lambda t: f"{t[0]}({t[1]},{t[2]})"),
+    st.tuples(sub, _INTS).map(lambda t: f"pow({t[0]},{t[1]})")),
+    max_leaves=3)
+# no "file": a missing file is an OSError, which the CLI reports on its own
+_JUNK = list("(),xZ -.\"\x00\u00b2\u0663") + ["K(", "pow(", "lex(", "9" * 4301]
+
+
+@st.composite
+def mangled_expressions(draw):
+    """A generated expression with up to three characters or pieces
+    inserted or deleted."""
+    text = draw(_EXPRESSIONS)
+    for _ in range(draw(st.integers(0, 3))):
+        i = draw(st.integers(0, len(text)))
+        if draw(st.booleans()):
+            text = text[:i] + draw(st.sampled_from(_JUNK)) + text[i:]
+        else:
+            text = text[:i] + text[i + 1:]
+    return text
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(mangled_expressions())
+@example("K(" + "9" * 5000 + ")")
+@example("Kb(2," + "1" + "0" * 4300 + ")")
+@example("pow(C(4)," + "9" * 4301 + ")")
+@example("K(\u00b2)")
+def test_parser_raises_only_graph_errors(text):
+    # deletions may join digits; keep every integer a single digit
+    if any(1 < len(run) <= 4300 for run in re.findall(r"\d+", text)):
+        return
+    try:
+        g = construct_graph(text)
+    except GraphError:
+        return
+    _assert_simple(g)

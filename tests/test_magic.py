@@ -372,3 +372,25 @@ def test_swapped_certificate_rejection_is_unchanged(product, g, h, spec,
 def test_certificate_parse_rejects(bad):
     with pytest.raises(CertificateError):
         parse_certificate(bad)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(st.sampled_from(["K(2)", "C(3)", "P(3)", "Kb(2,3)", "C(4)", "K(4)"]),
+       st.sampled_from(["C(4)", "KmM(6)", "KmM(8)", "Kb(4,4)"]),
+       st.sampled_from(["lex", "dir"]), st.booleans())
+def test_auto_label_certificates_survive_format_and_parse(g, h, product,
+                                                          tagged):
+    from gdmagic.constructors import ConstructionError, auto_label
+    from gdmagic.graphs import construct_graph
+
+    gg, hh = construct_graph(g), construct_graph(h)
+    for group in enumerate_abelian_groups(gg.n * hh.n):
+        try:
+            rep = auto_label(gg, hh, product, group)
+        except ConstructionError:
+            continue
+        cert = Certificate(f"{product}({g},{h})", group, rep.predicted_mu,
+                           rep.labeling.assignment,
+                           rep.theorem if tagged else None)
+        assert parse_certificate(format_certificate(cert)) == cert
+        assert verify_certificate(cert)[0]

@@ -1,5 +1,7 @@
 import ast
+import importlib
 import pathlib
+import types
 
 import gdmagic
 
@@ -39,3 +41,28 @@ def test_private_import_scan_sees_nested_imports(tmp_path):
     assert _private_imports(module) == [(3, "magic", "_hidden"),
                                         (4, "gdmagic.constructors",
                                          "_pow2_host")]
+
+
+def _stale_exports(module):
+    """Names the module's __all__ lists but the module does not define."""
+    return [name for name in getattr(module, "__all__", ())
+            if not hasattr(module, name)]
+
+
+def test_every_exported_name_exists():
+    stale = {}
+    for path in sorted(PACKAGE.glob("*.py")):
+        if path.stem == "__main__":  # importing it runs the CLI
+            continue
+        name = "gdmagic" if path.stem == "__init__" else f"gdmagic.{path.stem}"
+        missing = _stale_exports(importlib.import_module(name))
+        if missing:
+            stale[path.name] = missing
+    assert stale == {}
+
+
+def test_stale_export_scan_sees_a_missing_name():
+    module = types.ModuleType("m")
+    module.__all__ = ["present", "deleted"]
+    module.present = object()
+    assert _stale_exports(module) == ["deleted"]
