@@ -86,6 +86,14 @@ class GroupSpec:
     def order(self) -> int:
         return math.prod(self.factors)
 
+    def order_text(self) -> str:
+        """The order in decimal; past the int-to-str digit limit, a phrase
+        that says so, since such an int cannot be printed."""
+        try:
+            return str(self.order)
+        except ValueError:
+            return f"of more than {sys.get_int_max_str_digits()} digits"
+
     @property
     def arity(self) -> int:
         return len(self.factors)
@@ -178,12 +186,13 @@ class GroupSpec:
                 coords = tuple(int(p) for p in inner.split(","))
             except ValueError:
                 raise GroupError(f"bad element coordinates in {text!r}") from None
-        g = self.element(coords)
-        if g != coords:
-            raise GroupError(
-                f"element {text.strip()} has a coordinate out of range for "
-                f"{self} (each must satisfy 0 <= r < factor)")
-        return g
+        if len(coords) == len(self.factors) and all(
+                0 <= c < f for c, f in zip(coords, self.factors)):
+            return coords
+        self.element(coords)  # raises on a wrong arity
+        raise GroupError(
+            f"element {text.strip()} has a coordinate out of range for "
+            f"{self} (each must satisfy 0 <= r < factor)")
 
 
 def trivial_group() -> GroupSpec:

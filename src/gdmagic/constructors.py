@@ -94,7 +94,7 @@ def _verified(graph: Graph, assignment, group: GroupSpec,
 def _check_order(group: GroupSpec, expected: int) -> None:
     if group.order != expected:
         raise ConstructionError(
-            f"group {group} has order {group.order}, expected {expected}")
+            f"group {group} has order {group.order_text()}, expected {expected}")
 
 
 def _split_or_error(group: GroupSpec, d: int) -> CyclicFactorSplit:

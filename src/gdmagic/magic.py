@@ -8,6 +8,7 @@ constant.
 
 from __future__ import annotations
 
+import itertools
 import re
 import sys
 from dataclasses import dataclass
@@ -66,16 +67,34 @@ class Labeling:
     magic_constant: Optional[GroupElement] = None
 
     def __post_init__(self):
-        elems = tuple(self.group.element(g) for g in self.assignment)
-        object.__setattr__(self, "assignment", elems)
+        elems = self.assignment
+        if not _reduced(self.group, elems):
+            elems = tuple(self.group.element(g) for g in elems)
+            object.__setattr__(self, "assignment", elems)
         if len(elems) != self.group.order:
             raise LabelingError(
-                f"{len(elems)} labels for a group of order {self.group.order}")
+                f"{len(elems)} labels for a group of order "
+                f"{self.group.order_text()}")
         if len(set(elems)) != len(elems):
             raise LabelingError("assignment is not injective")
         if self.magic_constant is not None:
             object.__setattr__(self, "magic_constant",
                                self.group.element(self.magic_constant))
+
+
+def _reduced(group: GroupSpec, labels) -> bool:
+    """Whether ``labels`` is already what coercing it through
+    ``group.element`` would give: a tuple of tuples of plain ints of the
+    group's arity, each coordinate in 0 <= c < its factor."""
+    if type(labels) is not tuple or not {tuple}.issuperset(map(type, labels)):
+        return False
+    if not {group.arity}.issuperset(map(len, labels)):
+        return False
+    for column, f in zip(zip(*labels), group.factors):
+        if (not {int}.issuperset(map(type, column))
+                or min(column) < 0 or max(column) >= f):
+            return False
+    return True
 
 
 def _check_sizes(g: Graph, labeling: Labeling) -> None:
@@ -133,10 +152,18 @@ def verify(g: Graph, labeling: Labeling) -> Optional[GroupElement]:
     Edgeless graphs verify with the identity (all weights are empty sums).
     """
     _check_sizes(g, labeling)
-    weights = _weights(g, labeling.group, labeling.assignment)
-    if _first_mismatch(weights) is not None:
-        return None
-    return weights[0] if weights else labeling.group.zero()
+    labels, adj = labeling.assignment, g.adj
+    # per cyclic factor, vertex 0's coordinate of the weight, then a stop
+    # at the first vertex whose coordinate differs
+    mu = []
+    for k, f in enumerate(labeling.group.factors):
+        get = [x[k] for x in labels].__getitem__
+        target = sum(map(get, adj[0])) % f
+        for nbrs in adj:
+            if sum(map(get, nbrs)) % f != target:
+                return None
+        mu.append(target)
+    return tuple(mu)
 
 
 def negate_labeling(g: Graph, labeling: Labeling) -> Labeling:
@@ -214,22 +241,51 @@ def obstruction_two_universal(g: Graph) -> Optional[Obstruction]:
 def obstruction_shared_neighborhood(g: Graph) -> Optional[Obstruction]:
     """A pair u, v with |N(u) & N(v)| = deg(u)-1 = deg(v)-1 rules out
     magicness; the first witness in lexicographic pair order is returned.
-    Each u is compared only with the later vertices of its own degree."""
+
+    Two vertices of degree 1 form a witness exactly when their neighbours
+    differ. For degree d >= 2, N(u) is the d-1 shared neighbours plus one
+    more, so their least element is one of the two smallest of N(u) and
+    their greatest one of the two largest: both vertices of a witness sit
+    in one bucket (d, least, greatest), and only pairs within a bucket are
+    tested.
+    """
     adj, degrees = g.adj, g.degrees
-    same_degree: dict[int, list[int]] = {}
-    for v, d in enumerate(degrees):
-        same_degree.setdefault(d, []).append(v)
-    done = dict.fromkeys(same_degree, 0)
+    best = None
+    ones = [v for v, d in enumerate(degrees) if d == 1]
+    for v in ones[1:]:
+        if adj[v] != adj[ones[0]]:
+            best = (ones[0], v)
+            break
+    buckets: dict[tuple[int, int, int], list[int]] = {}
+    slots = []  # slots[u]: (bucket, position of u in it) per key of u
     for u, d in enumerate(degrees):
-        done[d] += 1
-        nbrs, shared = adj[u], d - 1
-        for v in same_degree[d][done[d]:]:
-            if len(nbrs & adj[v]) == shared:
-                return Obstruction(
-                    SHARED_NEIGHBORHOOD, (u, v),
-                    f"deg({u}) = deg({v}) = {d} and the neighborhoods share "
-                    f"{shared} vertices")
-    return None
+        mine = []
+        if d >= 2:
+            s = sorted(adj[u])
+            for key in {(d, s[0], s[-1]), (d, s[0], s[-2]), (d, s[1], s[-1])}:
+                bucket = buckets.setdefault(key, [])
+                mine.append((bucket, len(bucket)))
+                bucket.append(u)
+        slots.append(mine)
+    for u, mine in enumerate(slots):
+        if best is not None and best[0] <= u:
+            break
+        nbrs, shared = adj[u], degrees[u] - 1
+        for bucket, pos in mine:
+            for v in itertools.islice(bucket, pos + 1, None):
+                if best is not None and (u, v) >= best:
+                    break
+                if len(nbrs & adj[v]) == shared:
+                    best = (u, v)
+                    break
+    if best is None:
+        return None
+    u, v = best
+    d = degrees[u]
+    return Obstruction(
+        SHARED_NEIGHBORHOOD, (u, v),
+        f"deg({u}) = deg({v}) = {d} and the neighborhoods share "
+        f"{d - 1} vertices")
 
 
 def tree_group_magic(t: Graph) -> bool:
@@ -370,8 +426,12 @@ def parse_certificate(text: str) -> Certificate:
     n = group.order
     # the count first: the group's order may be far beyond any list's
     if len(raw_labels) != n or sorted(raw_labels) != list(range(n)):
-        raise CertificateError(
-            f"certificate must label vertices 0..{n - 1} exactly once")
+        try:
+            detail = f"certificate must label vertices 0..{n - 1} exactly once"
+        except ValueError:  # n - 1 has more digits than int-to-str converts
+            detail = (f"certificate labels {len(raw_labels)} vertices but "
+                      f"group {group} has order {group.order_text()}")
+        raise CertificateError(detail)
     labels = tuple(group.parse_element(raw_labels[v]) for v in range(n))
     return Certificate(fields["graph"], group, mu, labels, theorem)
 
@@ -398,7 +458,7 @@ def verify_certificate(cert: Certificate) -> tuple[bool, str, Optional[GroupElem
         return False, f"bad graph expression: {exc}", None
     if g.n != cert.group.order:
         return False, (f"graph has {g.n} vertices but group {cert.group} "
-                       f"has order {cert.group.order}"), None
+                       f"has order {cert.group.order_text()}"), None
     try:
         labeling = Labeling(cert.group, cert.labels)
     except LabelingError as exc:

@@ -216,7 +216,7 @@ def _check_request(g: Graph, group: GroupSpec, opts: SearchOptions) -> None:
     if g.n != group.order:
         raise SolverError(
             f"graph has {g.n} vertices but group {group} has order "
-            f"{group.order}")
+            f"{group.order_text()}")
     cap = PRUNED_VERTEX_CAP if opts.use_pruning else NAIVE_VERTEX_CAP
     if g.n > cap:
         raise SearchSizeError(

@@ -303,6 +303,35 @@ def test_certificate_of_a_huge_group_is_rejected_at_once(tmp_path):
     assert f"must label vertices 0..{'9' * 29}8 exactly once" in err
 
 
+# two factors under the limit whose product, the order, is over it
+HUGE_ORDER_GROUP = "Z" + "9" * 4000 + "xZ" + "9" * 4000
+HUGE_ORDER = "has order of more than 4300 digits"
+
+
+def test_search_over_a_group_of_huge_order():
+    code, out, err = _run(["search", "--graph", "C(4)", "--group",
+                           HUGE_ORDER_GROUP])
+    assert (code, out) == (2, "")
+    assert f"graph has 4 vertices but group {HUGE_ORDER_GROUP} {HUGE_ORDER}" in err
+
+
+def test_label_over_a_group_of_huge_order():
+    code, out, err = _run(["label", "--graph", "C(4)", "--h", "KmM(4)",
+                           "--group", HUGE_ORDER_GROUP])
+    assert (code, out) == (2, "")
+    assert f"group {HUGE_ORDER_GROUP} {HUGE_ORDER}, expected 16" in err
+
+
+def test_certificate_over_a_group_of_huge_order(tmp_path):
+    cert = tmp_path / "c.txt"
+    cert.write_text(f"graph: C(4)\ngroup: {HUGE_ORDER_GROUP}\nmu: (0,0)\n"
+                    + "".join(f"v {v} (0,{v})\n" for v in range(4)))
+    code, out, err = _run(["verify", "--cert", str(cert)])
+    assert (code, out) == (2, "")
+    assert (f"certificate labels 4 vertices but group {HUGE_ORDER_GROUP} "
+            f"{HUGE_ORDER}") in err
+
+
 @pytest.mark.parametrize("text", [f"{HUGE} 0\n", f"2 1\n0 {HUGE}\n",
                                   f"2 1\n-{HUGE} 1\n"],
                          ids=["header", "edge", "negative"])

@@ -48,6 +48,9 @@ from gdmagic.magic import (
 Z4 = parse_group_spec("Z4")
 Z5 = parse_group_spec("Z5")
 Z22 = parse_group_spec("Z2xZ2")
+Z24 = parse_group_spec("Z2xZ4")
+Z42 = parse_group_spec("Z4xZ2")
+Z222 = parse_group_spec("Z2xZ2xZ2")
 
 
 def _lab(group, *coords):
@@ -60,6 +63,74 @@ def test_labeling_validation():
         Labeling(Z4, ((0,), (1,), (2,)))  # wrong size
     with pytest.raises(LabelingError):
         Labeling(Z4, ((0,), (1,), (2,), (2,)))  # not injective
+
+
+def _labeling_as_before(group, assignment):
+    """What Labeling stored before it checked labels in place: every label
+    coerced through group.element, then the size and injectivity checks."""
+    elems = tuple(group.element(x) for x in assignment)
+    if len(elems) != group.order:
+        raise LabelingError(
+            f"{len(elems)} labels for a group of order {group.order}")
+    if len(set(elems)) != len(elems):
+        raise LabelingError("assignment is not injective")
+    return elems
+
+
+@st.composite
+def raw_assignments(draw):
+    """A group and a permutation of its elements with some labels made
+    awkward: coordinates shifted out of range (also below 0) by a multiple
+    of their factor or written as bools, labels as lists or of the wrong
+    arity, a duplicate label, one label too few or too many, and the whole
+    assignment as a list."""
+    group = draw(st.sampled_from([Z4, Z22, Z24, Z222]))
+    labels = []
+    for x in draw(st.permutations(list(group.elements()))):
+        x = list(x)
+        for k, f in enumerate(group.factors):
+            how = draw(st.sampled_from(["int", "int", "shift", "bool"]))
+            if how == "shift":
+                x[k] += f * draw(st.integers(-2, 2))
+            elif how == "bool" and x[k] in (0, 1):
+                x[k] = bool(x[k])
+        shape = draw(st.sampled_from(["tuple"] * 5 + ["list", "short", "long"]))
+        if shape == "short":
+            x = x[:-1]
+        elif shape == "long":
+            x.append(0)
+        labels.append(x if shape == "list" else tuple(x))
+    size = draw(st.sampled_from(["same"] * 4 + ["duplicate", "fewer", "more"]))
+    if size == "duplicate":
+        labels[-1] = labels[0]
+    elif size == "fewer":
+        labels.pop()
+    elif size == "more":
+        labels.append(labels[0])
+    return group, draw(st.sampled_from([tuple, list]))(labels)
+
+
+def _outcome(build):
+    try:
+        return "stored", build()
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(raw_assignments())
+@example((Z4, ((0,), (1,), (2,), (3,))))
+@example((Z4, ((0,), (1,), (2,), (7,))))
+@example((Z22, [(0, 0), (0, 1), (1, 0), (True, True)]))
+@example((Z222, tuple(Z222.elements())))
+def test_labeling_coercion_is_unchanged(case):
+    group, assignment = case
+    new = _outcome(lambda: Labeling(group, assignment).assignment)
+    assert new == _outcome(lambda: _labeling_as_before(group, assignment))
+    if new[0] == "stored":
+        assert type(new[1]) is tuple
+        assert all(type(x) is tuple and all(type(c) is int for c in x)
+                   for x in new[1])
 
 
 def test_weight_examples():
@@ -118,6 +189,13 @@ def labeled_graphs(draw):
 @example((Graph.from_edges(4, [(1, 2)]), [_lab(Z4, 3, 1, 0, 2),
                                           _lab(Z22, (1, 1), (0, 1), (0, 0),
                                                (1, 0))]))
+# every weight agrees on the first factor (on the first two over Z2xZ2xZ2)
+# and differs on the last
+@example((cycle(8), [
+    _lab(Z24, (0, 0), (0, 1), (1, 0), (1, 1), (0, 2), (0, 3), (1, 2), (1, 3)),
+    _lab(Z42, (0, 0), (1, 0), (3, 0), (2, 0), (0, 1), (1, 1), (3, 1), (2, 1)),
+    _lab(Z222, (0, 0, 0), (0, 1, 0), (1, 0, 0), (1, 1, 0), (0, 0, 1),
+         (0, 1, 1), (1, 0, 1), (1, 1, 1))]))
 def test_one_pass_weights_match_per_vertex_weight(case):
     g, labelings = case
     if g.n == 0:
@@ -206,6 +284,11 @@ def _shared_neighborhood_all_pairs(g):
     return None
 
 
+def _from_adjacency(adj):
+    return Graph.from_edges(len(adj), [(u, v) for u, nbrs in enumerate(adj)
+                                       for v in nbrs if u < v])
+
+
 @st.composite
 def graphs_with_near_twins(draw):
     """A random graph on 0..24 vertices of random density, plus copies of
@@ -232,6 +315,18 @@ def graphs_with_near_twins(draw):
 @example(path(4))
 @example(Graph.from_edges(0, []))
 @example(Graph.from_edges(3, []))
+# degree-1 vertices: two with different neighbours, all with one neighbour,
+# and a perfect matching
+@example(path(5))
+@example(star(6))
+@example(Graph.from_edges(4, [(0, 1), (2, 3)]))
+# the smallest witness (1, 2) is in a later bucket of vertex 1 than the
+# larger witness (1, 7)
+@example(_from_adjacency([{1, 2, 3, 4, 5, 6, 8}, {0, 3, 4, 5, 6, 8},
+                          {0, 4, 5, 6, 7, 8}, {0, 1, 4, 5, 6, 7, 8},
+                          {0, 1, 2, 3, 5, 6, 7, 8}, {0, 1, 2, 3, 4, 6, 7, 8},
+                          {0, 1, 2, 3, 4, 5, 7, 8}, {2, 3, 4, 5, 6, 8},
+                          {0, 1, 2, 3, 4, 5, 6, 7}]))
 def test_shared_neighborhood_matches_all_pairs_scan(g):
     assert obstruction_shared_neighborhood(g) == _shared_neighborhood_all_pairs(g)
 
