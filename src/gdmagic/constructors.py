@@ -48,6 +48,7 @@ __all__ = [
     "label_lex_even_degrees",
     "label_lex_kmn_mixed",
     "auto_label",
+    "auto_label_bare",
     "LabelingMethod",
     "METHODS",
     "method_product",

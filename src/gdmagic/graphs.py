@@ -15,12 +15,11 @@ reported against concrete ids:
 
 from __future__ import annotations
 
-import itertools
 import math
 import sys
 from collections import deque
 from dataclasses import dataclass
-from typing import Iterable, Optional, Sequence
+from typing import Callable, Iterable, NamedTuple, Optional, Sequence
 
 __all__ = [
     "Graph",
@@ -38,6 +37,8 @@ __all__ = [
     "join",
     "graph_power",
     "MAX_EXPR_DEPTH",
+    "Construction",
+    "CONSTRUCTIONS",
     "construct_graph",
     "from_edge_list_text",
     "from_edge_list_file",
@@ -114,7 +115,7 @@ class Graph:
 def complete(n: int) -> Graph:
     if n < 1:
         raise GraphError(f"K(n) needs n >= 1, got {n}")
-    return Graph.from_edges(n, itertools.combinations(range(n), 2))
+    return complete_multipartite((1,) * n)
 
 
 def cycle(n: int) -> Graph:
@@ -133,37 +134,34 @@ def star(n: int) -> Graph:
     """K_{1,n}: center 0, leaves 1..n."""
     if n < 1:
         raise GraphError(f"S(n) needs n >= 1, got {n}")
-    return Graph.from_edges(n + 1, [(0, i) for i in range(1, n + 1)])
+    return complete_multipartite((1, n))
 
 
 def complete_bipartite(m: int, n: int) -> Graph:
     if m < 1 or n < 1:
         raise GraphError(f"Kb(m,n) needs m,n >= 1, got ({m},{n})")
-    return Graph.from_edges(m + n, [(i, m + j) for i in range(m) for j in range(n)])
+    return complete_multipartite((m, n))
 
 
 def complete_multipartite(sizes: Sequence[int]) -> Graph:
+    """Parts of the given sizes, numbered consecutively in the given order;
+    every vertex is adjacent to all vertices outside its part."""
     if not sizes or any(s < 1 for s in sizes):
         raise GraphError(f"Km needs part sizes >= 1, got {tuple(sizes)}")
-    starts = [0]
+    n = sum(sizes)
+    everyone = frozenset(range(n))
+    adj: list[frozenset[int]] = []
     for s in sizes:
-        starts.append(starts[-1] + s)
-    n = starts[-1]
-    part = [0] * n
-    for p, (a, b) in enumerate(zip(starts, starts[1:])):
-        for v in range(a, b):
-            part[v] = p
-    edges = [(u, v) for u in range(n) for v in range(u + 1, n) if part[u] != part[v]]
-    return Graph.from_edges(n, edges)
+        part = range(len(adj), len(adj) + s)
+        adj += [everyone.difference(part)] * s
+    return Graph(n, tuple(adj))
 
 
 def complete_minus_matching(n: int) -> Graph:
     """K_n minus the perfect matching {2i, 2i+1}; n must be even."""
     if n < 2 or n % 2:
         raise GraphError(f"KmM(n) needs an even n >= 2, got {n}")
-    edges = [(u, v) for u, v in itertools.combinations(range(n), 2)
-             if not (u // 2 == v // 2)]
-    return Graph.from_edges(n, edges)
+    return complete_multipartite((2,) * (n // 2))
 
 
 def join(g: Graph, h: Graph) -> Graph:
@@ -519,6 +517,47 @@ def from_edge_list_file(filename: str) -> Graph:
 # level, which keeps it well inside Python's default recursion limit.
 MAX_EXPR_DEPTH = 100
 
+# Most characters of the input that a parse error quotes: a longer input is
+# quoted as the stretch of this width around the error position.
+_ERROR_WINDOW = 80
+
+
+class Construction(NamedTuple):
+    """An expression atom: its comma-separated arguments, each named by the
+    parser method that reads it, and the builder that takes them."""
+
+    args: tuple[str, ...]
+    build: Callable[..., Graph]
+
+
+def _products():
+    from . import products  # products imports this module
+    return products
+
+
+# The atoms of graph expressions. The builders call the constructions by
+# their module-level names, so that a construction rebound in its module
+# (a tracer's wrapper) is the one called.
+CONSTRUCTIONS: dict[str, Construction] = {
+    "K": Construction(("integer",), lambda n: complete(n)),
+    "C": Construction(("integer",), lambda n: cycle(n)),
+    "P": Construction(("integer",), lambda n: path(n)),
+    "S": Construction(("integer",), lambda n: star(n)),
+    "Kb": Construction(("integer", "integer"),
+                       lambda m, n: complete_bipartite(m, n)),
+    "Km": Construction(("integers",), lambda sizes: complete_multipartite(sizes)),
+    "KmM": Construction(("integer",), lambda n: complete_minus_matching(n)),
+    "join": Construction(("graph", "graph"), lambda g, h: join(g, h)),
+    "pow": Construction(("graph", "integer"), lambda g, k: graph_power(g, k)),
+    "lex": Construction(("graph", "graph"),
+                        lambda g, h: _products().lex_product(g, h)),
+    "dir": Construction(("graph", "graph"),
+                        lambda g, h: _products().direct_product(g, h)),
+    "cart": Construction(("graph", "graph"),
+                         lambda g, h: _products().cartesian_product(g, h)),
+    "file": Construction(("raw_path",), lambda name: from_edge_list_file(name)),
+}
+
 
 class _ExprParser:
     def __init__(self, text: str):
@@ -527,7 +566,12 @@ class _ExprParser:
         self.depth = 0
 
     def error(self, message: str) -> GraphParseError:
-        return GraphParseError(f"{message} (at position {self.pos} in {self.text!r})")
+        start = max(0, min(self.pos - _ERROR_WINDOW // 2,
+                           len(self.text) - _ERROR_WINDOW))
+        end = start + _ERROR_WINDOW
+        quoted = (("..." if start else "") + repr(self.text[start:end])
+                  + ("..." if end < len(self.text) else ""))
+        return GraphParseError(f"{message} (at position {self.pos} in {quoted})")
 
     def skip_ws(self) -> None:
         while self.pos < len(self.text) and self.text[self.pos].isspace():
@@ -566,6 +610,13 @@ class _ExprParser:
                 _too_long(self.text[start:self.pos])
                 + f" (at position {start})") from None
 
+    def integers(self) -> list[int]:
+        out = [self.integer()]
+        while self.peek() == ",":
+            self.pos += 1
+            out.append(self.integer())
+        return out
+
     def raw_path(self) -> str:
         self.skip_ws()
         if self.peek() == '"':
@@ -603,46 +654,15 @@ class _ExprParser:
         return g
 
     def payload(self, name: str) -> Graph:
-        if name == "K":
-            return complete(self.integer())
-        if name == "C":
-            return cycle(self.integer())
-        if name == "P":
-            return path(self.integer())
-        if name == "S":
-            return star(self.integer())
-        if name == "KmM":
-            return complete_minus_matching(self.integer())
-        if name == "Kb":
-            m = self.integer()
-            self.expect(",")
-            return complete_bipartite(m, self.integer())
-        if name == "Km":
-            sizes = [self.integer()]
-            while self.peek() == ",":
+        row = CONSTRUCTIONS.get(name)
+        if row is None:
+            raise self.error(f"unknown construction {name!r}")
+        args = []
+        for i, kind in enumerate(row.args):
+            if i:
                 self.expect(",")
-                sizes.append(self.integer())
-            return complete_multipartite(sizes)
-        if name == "join":
-            a = self.graph()
-            self.expect(",")
-            return join(a, self.graph())
-        if name == "pow":
-            a = self.graph()
-            self.expect(",")
-            return graph_power(a, self.integer())
-        if name in ("lex", "dir", "cart"):
-            from . import products
-            a = self.graph()
-            self.expect(",")
-            b = self.graph()
-            fn = {"lex": products.lex_product,
-                  "dir": products.direct_product,
-                  "cart": products.cartesian_product}[name]
-            return fn(a, b)
-        if name == "file":
-            return from_edge_list_file(self.raw_path())
-        raise self.error(f"unknown construction {name!r}")
+            args.append(getattr(self, kind)())
+        return row.build(*args)
 
 
 def construct_graph(expr: str) -> Graph:

@@ -280,3 +280,21 @@ def test_parse_group_spec_raises_only_group_errors(text):
     except GroupError:
         return
     assert parse_group_spec(str(spec)) == spec
+
+
+def test_enumerate_abelian_groups_order_cap(monkeypatch):
+    from gdmagic import abelian
+
+    assert abelian.MAX_GROUP_ORDER == 10**12
+
+    def no_factoring(n):
+        raise AssertionError(f"factored {n}")
+
+    monkeypatch.setattr(abelian, "_factorize", no_factoring)
+    for n, shown in ((10**12 + 1, str(10**12 + 1)),
+                     (10**18 + 3, str(10**18 + 3)),
+                     (10**5000, "of more than 4300 digits")):
+        with pytest.raises(GroupError) as info:
+            enumerate_abelian_groups(n)
+        assert str(info.value) == (
+            f"order {shown} is over the cap of 10^12 (MAX_GROUP_ORDER)")

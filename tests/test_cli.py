@@ -498,3 +498,16 @@ DECIDE_OBSTRUCTIONS = [
 @pytest.mark.parametrize("graph, code, expected", DECIDE_OBSTRUCTIONS)
 def test_decide_obstructions_are_unchanged(graph, code, expected):
     assert _run(["obstructions", "--graph", graph, "--json"]) == (code, expected, "")
+
+
+def test_groups_over_the_order_cap(monkeypatch):
+    from gdmagic import abelian
+
+    def no_factoring(n):
+        raise AssertionError(f"factored {n}")
+
+    monkeypatch.setattr(abelian, "_factorize", no_factoring)
+    code, out, err = _run(["groups", "1000000000000000003"])
+    assert (code, out) == (2, "")
+    assert err == ("error: order 1000000000000000003 is over the cap of "
+                   "10^12 (MAX_GROUP_ORDER)\n")

@@ -1,6 +1,8 @@
+import hashlib
 import heapq
 import itertools
 import math
+import random
 import re
 
 import pytest
@@ -433,3 +435,178 @@ def test_parser_raises_only_graph_errors(text):
     except GraphError:
         return
     _assert_simple(g)
+
+
+# The edge-list builders that complete, star, complete_bipartite,
+# complete_minus_matching and complete_multipartite used before they all
+# built their adjacency as complete_multipartite parts.
+def _edge_list_complete(n):
+    if n < 1:
+        raise GraphError(f"K(n) needs n >= 1, got {n}")
+    return Graph.from_edges(n, itertools.combinations(range(n), 2))
+
+
+def _edge_list_star(n):
+    if n < 1:
+        raise GraphError(f"S(n) needs n >= 1, got {n}")
+    return Graph.from_edges(n + 1, [(0, i) for i in range(1, n + 1)])
+
+
+def _edge_list_complete_bipartite(m, n):
+    if m < 1 or n < 1:
+        raise GraphError(f"Kb(m,n) needs m,n >= 1, got ({m},{n})")
+    return Graph.from_edges(m + n, [(i, m + j) for i in range(m)
+                                    for j in range(n)])
+
+
+def _edge_list_complete_multipartite(sizes):
+    if not sizes or any(s < 1 for s in sizes):
+        raise GraphError(f"Km needs part sizes >= 1, got {tuple(sizes)}")
+    starts = [0]
+    for s in sizes:
+        starts.append(starts[-1] + s)
+    n = starts[-1]
+    part = [0] * n
+    for p, (a, b) in enumerate(zip(starts, starts[1:])):
+        for v in range(a, b):
+            part[v] = p
+    edges = [(u, v) for u in range(n) for v in range(u + 1, n)
+             if part[u] != part[v]]
+    return Graph.from_edges(n, edges)
+
+
+def _edge_list_complete_minus_matching(n):
+    if n < 2 or n % 2:
+        raise GraphError(f"KmM(n) needs an even n >= 2, got {n}")
+    edges = [(u, v) for u, v in itertools.combinations(range(n), 2)
+             if not (u // 2 == v // 2)]
+    return Graph.from_edges(n, edges)
+
+
+def _outcome(build, *args):
+    """The graph build(*args) returns, or its exception type and message."""
+    try:
+        return build(*args)
+    except (GraphError, OSError) as exc:
+        return type(exc).__name__, str(exc)
+
+
+def test_named_constructions_match_edge_list_builders():
+    pairs = [(complete, _edge_list_complete), (star, _edge_list_star),
+             (complete_minus_matching, _edge_list_complete_minus_matching)]
+    for new, old in pairs:
+        for n in range(-1, 13):
+            assert _outcome(new, n) == _outcome(old, n), (new.__name__, n)
+    for m in range(-1, 8):
+        for n in range(-1, 8):
+            assert (_outcome(complete_bipartite, m, n)
+                    == _outcome(_edge_list_complete_bipartite, m, n))
+    for t in range(5):
+        for sizes in itertools.product(range(-1, 5), repeat=t):
+            assert (_outcome(complete_multipartite, sizes)
+                    == _outcome(_edge_list_complete_multipartite, sizes))
+    assert (_outcome(complete_multipartite, [3, 1, 2])
+            == _outcome(_edge_list_complete_multipartite, [3, 1, 2]))
+
+
+# construct_graph over valid expressions, hand-written malformed ones and
+# seeded random mutations of the valid ones: sha256 of every (expression,
+# vertex count and sorted edges, or exception type and message), recorded
+# before the parser read its atoms from one construction table
+PARSE_VALID = (
+    "K(1)", "K(5)", "C(3)", "C(7)", "P(1)", "P(6)", "S(1)", "S(4)",
+    "Kb(1,1)", "Kb(2,3)", "Km(1)", "Km(3)", "Km(2,2,2)", "Km(1,3,2,1)",
+    "KmM(2)", "KmM(8)", "join(KmM(4),K(1))", "join(P(2),C(4))",
+    "pow(C(6),2)", "pow(P(5),3)", "lex(C(3),C(4))", "lex(K(2),KmM(4))",
+    "dir(C(4),KmM(6))", "dir(Kb(2,2),K(3))", "cart(K(2),C(6))",
+    "cart(P(3),S(2))", " lex( C(4) , Km( 1 , 2 ) ) ",
+    "lex(join(K(1),K(2)),pow(C(5),1))", "dir(lex(K(2),K(2)),C(3))",
+)
+PARSE_MALFORMED = (
+    "", " ", "K", "K(", "K()", "K(0)", "K(-1)", "K(1", "K(1))", "K(1)x",
+    "C(2)", "P(0)", "S(0)", "Kb(1)", "Kb(0,2)", "Kb(1,2,3)", "Km()",
+    "Km(1,0)", "Km(1,)", "KmM(5)", "KmM(0)", "join(K(1))",
+    "join(K(1),2)", "pow(C(4))", "pow(2,C(4))", "pow(C(4),0)",
+    "lex(K(2))", "lex(K(2),)", "dir(,K(2))", "cart(K(2)", "Q(3)",
+    "k(3)", "K 3", "K(²)", "K(٣)", "K(3.0)", "file(\"x",
+    "file()", "file(/nonexistent/gdmagic.edges)", "(K(1))", "K(1),K(2)",
+    "lex(K(1),K(1),K(1))",
+)
+PARSE_DIGEST = (
+    "587089c478dadc695cf1c83252a872535e59895ecc944a3e8c6476b71610a878")
+
+
+def _parse_corpus():
+    rng = random.Random(9)
+    junk = list("(),xKCPSbmM \"") + ["join(", "lex(", "Km(", "0", "1", "2"]
+    corpus = list(PARSE_VALID + PARSE_MALFORMED)
+    while len(corpus) < len(PARSE_VALID + PARSE_MALFORMED) + 300:
+        text = rng.choice(PARSE_VALID)
+        for _ in range(rng.randint(1, 3)):
+            i, op = rng.randrange(len(text) + 1), rng.randrange(3)
+            if op == 0:  # insert a piece
+                text = text[:i] + rng.choice(junk) + text[i:]
+            elif op == 1:  # delete a character
+                text = text[:i] + text[i + 1:]
+            else:  # change a digit
+                i = rng.choice([k for k, ch in enumerate(text) if ch.isdigit()]
+                               or [i])
+                text = text[:i] + rng.choice("123456789") + text[i + 1:]
+        # small graphs only
+        if all(int(run) <= 12 for run in re.findall(r"\d+", text)):
+            corpus.append(text)
+    return corpus
+
+
+def _parse_outcome(text):
+    got = _outcome(construct_graph, text)
+    return (got.n, got.edges()) if isinstance(got, Graph) else got
+
+
+def test_construct_graph_corpus_is_unchanged():
+    sha = hashlib.sha256()
+    for text in _parse_corpus():
+        sha.update(repr((text, _parse_outcome(text))).encode())
+    assert sha.hexdigest() == PARSE_DIGEST
+
+
+def test_parse_error_quotes_a_bounded_window():
+    from gdmagic.graphs import _ERROR_WINDOW
+
+    text = "lex(K(1)," + "K(1)," * 1000 + ")"
+    with pytest.raises(GraphParseError) as info:
+        construct_graph(text)
+    message = str(info.value)
+    assert message == ("expected ')' (at position 13 in "
+                       f"{text[:_ERROR_WINDOW]!r}...)")
+    tail = "join(K(1)," * 30 + "Q(1)" + ")" * 30
+    with pytest.raises(GraphParseError) as info:
+        construct_graph(tail)
+    start = len(tail) - _ERROR_WINDOW
+    assert str(info.value) == (f"unknown construction 'Q' (at position 302 "
+                               f"in ...{tail[start:]!r})")
+    middle = "K(1)" + " " * 200 + "x" + " " * 200
+    with pytest.raises(GraphParseError) as info:
+        construct_graph(middle)
+    start = 204 - _ERROR_WINDOW // 2
+    assert str(info.value) == (
+        "trailing input after expression (at position 204 in "
+        f"...{middle[start:start + _ERROR_WINDOW]!r}...)")
+    fits = "lex(K(1)," + "K(1)," * 14 + ")"
+    assert len(fits) == _ERROR_WINDOW
+    with pytest.raises(GraphParseError, match=re.escape(f"in {fits!r})")):
+        construct_graph(fits)
+
+
+def test_readme_atoms_are_the_construction_table():
+    from pathlib import Path
+
+    from gdmagic.graphs import CONSTRUCTIONS
+
+    readme = Path(__file__).resolve().parent.parent / "README.md"
+    section = readme.read_text().split("### Graph expressions")[1]
+    table = [line for line in section.split("\n\n")[1].splitlines()
+             if line.startswith("| `")]
+    atoms = re.findall(r"`(\w+)\(", "\n".join(row.split(" | ")[0]
+                                              for row in table))
+    assert sorted(atoms) == sorted(CONSTRUCTIONS)

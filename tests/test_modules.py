@@ -66,3 +66,16 @@ def test_stale_export_scan_sees_a_missing_name():
     module.__all__ = ["present", "deleted"]
     module.present = object()
     assert _stale_exports(module) == ["deleted"]
+
+
+def test_package_exports_the_union_of_module_exports():
+    union = set()
+    for path in sorted(PACKAGE.glob("*.py")):
+        if path.stem not in ("__init__", "__main__"):
+            module = importlib.import_module(f"gdmagic.{path.stem}")
+            union.update(getattr(module, "__all__", ()))
+    public = {name for name, value in vars(gdmagic).items()
+              if not name.startswith("_")
+              and not isinstance(value, types.ModuleType)}
+    assert sorted(gdmagic.__all__) == sorted(union)
+    assert public == union
