@@ -12,7 +12,7 @@ import contextlib
 import functools
 import json
 import sys
-from typing import Optional, TextIO
+from typing import Callable, Optional, TextIO
 
 from .abelian import GroupError, enumerate_abelian_groups, parse_group_spec
 from .constructors import (
@@ -54,11 +54,11 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("groups", help="list abelian groups of a given order")
     p.add_argument("order", type=int)
-    p.add_argument("--json", action="store_true")
+    p.set_defaults(handler=_cmd_groups)
 
     p = sub.add_parser("construct", help="build a graph from an expression")
     p.add_argument("expr")
-    p.add_argument("--json", action="store_true")
+    p.set_defaults(handler=_cmd_construct)
 
     p = sub.add_parser("label", help="run a constructive labeler")
     p.add_argument("--graph", required=True, help="graph expression")
@@ -71,7 +71,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--s", type=int, help="cyclic 2-power exponent for the "
                                          "balanced-* methods")
     p.add_argument("--out", help="write the certificate to this file")
-    p.add_argument("--json", action="store_true")
+    p.set_defaults(handler=_cmd_label)
 
     p = sub.add_parser("search", help="exhaustively search for labelings")
     p.add_argument("--graph", required=True)
@@ -83,51 +83,51 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--order", choices=("degree_desc", "input"),
                    default="degree_desc")
     p.add_argument("--jobs", type=int, default=1)
-    p.add_argument("--json", action="store_true")
+    p.set_defaults(handler=_cmd_search)
 
     p = sub.add_parser("verify", help="check a certificate file")
     p.add_argument("--cert", required=True)
-    p.add_argument("--json", action="store_true")
+    p.set_defaults(handler=_cmd_verify)
 
     p = sub.add_parser("classify", help="test all groups of matching order")
     p.add_argument("--graph", required=True)
     p.add_argument("--naive", action="store_true")
     p.add_argument("--jobs", type=int, default=1)
-    p.add_argument("--json", action="store_true")
+    p.set_defaults(handler=_cmd_classify)
 
     p = sub.add_parser("obstructions", help="run the structural checks")
     p.add_argument("--graph", required=True)
-    p.add_argument("--json", action="store_true")
+    p.set_defaults(handler=_cmd_obstructions)
+
+    # last, so that every usage line ends its options with [--json]
+    for p in sub.choices.values():
+        p.add_argument("--json", action="store_true")
     return parser
 
 
-def _emit(out: TextIO, payload: dict, as_json: bool, text: str) -> None:
-    if as_json:
-        print(json.dumps(payload), file=out)
-    else:
-        print(text, file=out)
+def _emit(args, out: TextIO, payload: Callable[[], dict],
+          text: Callable[[], str]) -> None:
+    """Print the verb's answer: ``payload()`` as JSON under --json, else
+    ``text()``. Only the one printed is built."""
+    print(json.dumps(payload()) if args.json else text(), file=out)
 
 
-def _cmd_groups(args, out: TextIO) -> int:
-    specs = enumerate_abelian_groups(args.order)
-    names = [str(s) for s in specs]
-    _emit(out, {"order": args.order, "groups": names}, args.json,
-          "\n".join(names))
+def _cmd_groups(args, out: TextIO, err: TextIO) -> int:
+    names = [str(s) for s in enumerate_abelian_groups(args.order)]
+    _emit(args, out, lambda: {"order": args.order, "groups": names},
+          lambda: "\n".join(names))
     return 0
 
 
-def _cmd_construct(args, out: TextIO) -> int:
+def _cmd_construct(args, out: TextIO, err: TextIO) -> int:
     g = construct_graph(args.expr)
     edges = g.edges()
-    if args.json:
-        print(json.dumps({"vertices": g.n, "degrees": list(g.degrees),
-                          "edges": [list(e) for e in edges]}), file=out)
-    else:
-        print(f"vertices: {g.n}", file=out)
-        print("degrees: " + " ".join(str(d) for d in g.degrees), file=out)
-        print("edges:", file=out)
-        for u, v in edges:
-            print(f"{u} {v}", file=out)
+    _emit(args, out,
+          lambda: {"vertices": g.n, "degrees": list(g.degrees),
+                   "edges": [list(e) for e in edges]},
+          lambda: "\n".join([f"vertices: {g.n}",
+                              "degrees: " + " ".join(map(str, g.degrees)),
+                              "edges:", *(f"{u} {v}" for u, v in edges)]))
     return 0
 
 
@@ -142,7 +142,8 @@ def _cmd_label(args, out: TextIO, err: TextIO) -> int:
     if report is None:
         message = ("no labeling exists: no center label x with 2x equal to "
                    "the sum of all group elements")
-        _emit(out, {"ok": False, "reason": message}, args.json, message)
+        _emit(args, out, lambda: {"ok": False, "reason": message},
+              lambda: message)
         return _NEGATIVE
     cert = Certificate(graph_expr, group, report.predicted_mu,
                        report.labeling.assignment, report.theorem)
@@ -153,108 +154,102 @@ def _cmd_label(args, out: TextIO, err: TextIO) -> int:
         return _USAGE_ERROR
     if args.out:
         save_certificate(cert, args.out)
-    if args.json:
-        print(json.dumps({
-            "ok": True,
-            "theorem": report.theorem,
-            "graph": graph_expr,
-            "group": str(group),
-            "mu": group.format_element(report.predicted_mu),
-            "labels": [group.format_element(x)
-                       for x in report.labeling.assignment],
-            "parameters": report.parameters,
-            "out": args.out,
-        }), file=out)
-    elif args.out:
-        print(f"wrote certificate to {args.out} "
-              f"(theorem {report.theorem}, mu "
-              f"{group.format_element(report.predicted_mu)})", file=out)
-    else:
-        out.write(format_certificate(cert))
+    mu = group.format_element(report.predicted_mu)
+    _emit(args, out,
+          lambda: {"ok": True, "theorem": report.theorem, "graph": graph_expr,
+                   "group": str(group), "mu": mu,
+                   "labels": [group.format_element(x)
+                              for x in report.labeling.assignment],
+                   "parameters": report.parameters, "out": args.out},
+          lambda: (f"wrote certificate to {args.out} (theorem "
+                   f"{report.theorem}, mu {mu})" if args.out
+                   else format_certificate(cert).removesuffix("\n")))
     return 0
 
 
-def _cmd_search(args, out: TextIO) -> int:
+def _cmd_search(args, out: TextIO, err: TextIO) -> int:
     group = parse_group_spec(args.group)
     g = construct_graph(args.graph)
     opts = SearchOptions(mode=args.mode, vertex_order=args.order,
                          use_pruning=not args.naive, jobs=args.jobs)
     result = search_labelings(g, group, opts)
     if args.mode == "count":
-        _emit(out, {"mode": "count", "count": result}, args.json, str(result))
+        _emit(args, out, lambda: {"mode": "count", "count": result},
+              lambda: str(result))
         return 0 if result > 0 else _NEGATIVE
-    labelings = result
-    if args.json:
-        print(json.dumps({
-            "mode": args.mode,
-            "count": len(labelings),
-            "labelings": [{
-                "mu": group.format_element(lab.magic_constant),
-                "labels": [group.format_element(x) for x in lab.assignment],
-            } for lab in labelings],
-        }), file=out)
-    else:
-        for lab in labelings:
-            print(f"mu: {group.format_element(lab.magic_constant)}", file=out)
-            for v, x in enumerate(lab.assignment):
-                print(f"v {v} {group.format_element(x)}", file=out)
-            print("", file=out)
-        print(f"count: {len(labelings)}", file=out)
-    return 0 if labelings else _NEGATIVE
+    fmt = group.format_element
+
+    def text() -> str:
+        lines = []
+        for lab in result:
+            lines.append(f"mu: {fmt(lab.magic_constant)}")
+            lines.extend(f"v {v} {fmt(x)}"
+                         for v, x in enumerate(lab.assignment))
+            lines.append("")
+        return "\n".join(lines + [f"count: {len(result)}"])
+
+    _emit(args, out,
+          lambda: {"mode": args.mode, "count": len(result), "labelings": [
+              {"mu": fmt(lab.magic_constant),
+               "labels": [fmt(x) for x in lab.assignment]}
+              for lab in result]},
+          text)
+    return 0 if result else _NEGATIVE
 
 
-def _cmd_verify(args, out: TextIO) -> int:
+def _cmd_verify(args, out: TextIO, err: TextIO) -> int:
     cert = load_certificate(args.cert)
-    ok, detail, mu = verify_certificate(cert)
-    grp = cert.group
+    ok, detail, _ = verify_certificate(cert)
     if ok:
-        _emit(out, {"ok": True, "mu": grp.format_element(cert.mu),
-                    "theorem": cert.theorem}, args.json,
-              f"ok: mu {grp.format_element(cert.mu)}")
+        mu = cert.group.format_element(cert.mu)
+        _emit(args, out,
+              lambda: {"ok": True, "mu": mu, "theorem": cert.theorem},
+              lambda: f"ok: mu {mu}")
         return 0
-    _emit(out, {"ok": False, "reason": detail}, args.json,
-          f"rejected: {detail}")
+    _emit(args, out, lambda: {"ok": False, "reason": detail},
+          lambda: f"rejected: {detail}")
     return _NEGATIVE
 
 
-def _cmd_classify(args, out: TextIO) -> int:
+def _cmd_classify(args, out: TextIO, err: TextIO) -> int:
     g = construct_graph(args.graph)
     opts = SearchOptions(use_pruning=not args.naive, jobs=args.jobs)
     result = classify_over_all_groups(g, opts)
     verdict = all(result.values())
-    if args.json:
-        print(json.dumps({
-            "groups": {str(spec): value for spec, value in result.items()},
-            "group_distance_magic": verdict,
-        }), file=out)
-    else:
-        for spec, value in result.items():
-            print(f"{spec}: {'yes' if value else 'no'}", file=out)
-        print(f"group-distance-magic: {'yes' if verdict else 'no'}", file=out)
+
+    def yes(value: bool) -> str:
+        return "yes" if value else "no"
+
+    _emit(args, out,
+          lambda: {"groups": {str(spec): v for spec, v in result.items()},
+                   "group_distance_magic": verdict},
+          lambda: "\n".join([
+              *(f"{spec}: {yes(v)}" for spec, v in result.items()),
+              f"group-distance-magic: {yes(verdict)}"]))
     return 0 if verdict else _NEGATIVE
 
 
-def _cmd_obstructions(args, out: TextIO) -> int:
-    g = construct_graph(args.graph)
-    findings = all_obstructions(g)
-    if args.json:
-        print(json.dumps({"obstructions": [{
-            "kind": o.kind, "witness": list(o.witness), "detail": o.detail,
-        } for o in findings]}), file=out)
-    else:
-        if not findings:
-            print("none", file=out)
-        for o in findings:
-            witness = " ".join(str(v) for v in o.witness)
-            suffix = f" [{witness}]" if witness else ""
-            print(f"{o.kind}{suffix}: {o.detail}", file=out)
+def _cmd_obstructions(args, out: TextIO, err: TextIO) -> int:
+    findings = all_obstructions(construct_graph(args.graph))
+
+    def line(o) -> str:
+        witness = " ".join(str(v) for v in o.witness)
+        suffix = f" [{witness}]" if witness else ""
+        return f"{o.kind}{suffix}: {o.detail}"
+
+    _emit(args, out,
+          lambda: {"obstructions": [
+              {"kind": o.kind, "witness": list(o.witness), "detail": o.detail}
+              for o in findings]},
+          lambda: "\n".join(map(line, findings)) if findings else "none")
     negative = any(o.kind != FORCED_IDENTITY for o in findings)
     return _NEGATIVE if negative else 0
 
 
 def run(argv: list[str], out: Optional[TextIO] = None,
         err: Optional[TextIO] = None) -> int:
-    """Parse argv and dispatch; returns the process exit code."""
+    """Parse argv and run the verb's handler; returns the process exit
+    code."""
     out = out if out is not None else sys.stdout
     err = err if err is not None else sys.stderr
     parser = _build_parser()
@@ -264,21 +259,7 @@ def run(argv: list[str], out: Optional[TextIO] = None,
     except SystemExit as exc:
         return _USAGE_ERROR if exc.code not in (0, None) else 0
     try:
-        if args.verb == "groups":
-            return _cmd_groups(args, out)
-        if args.verb == "construct":
-            return _cmd_construct(args, out)
-        if args.verb == "label":
-            return _cmd_label(args, out, err)
-        if args.verb == "search":
-            return _cmd_search(args, out)
-        if args.verb == "verify":
-            return _cmd_verify(args, out)
-        if args.verb == "classify":
-            return _cmd_classify(args, out)
-        if args.verb == "obstructions":
-            return _cmd_obstructions(args, out)
-        raise AssertionError(f"unhandled verb {args.verb}")
+        return args.handler(args, out, err)
     except (GroupError, GraphError, LabelingError, ConstructionError,
             SolverError, OSError) as exc:
         print(f"error: {exc}", file=err)

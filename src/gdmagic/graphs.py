@@ -84,9 +84,6 @@ class Graph:
             nbrs[v].add(u)
         return Graph(n, tuple(frozenset(s) for s in nbrs))
 
-    def neighbors(self, v: int) -> frozenset[int]:
-        return self.adj[v]
-
     def degree(self, v: int) -> int:
         return len(self.adj[v])
 
@@ -507,8 +504,15 @@ def from_edge_list_text(text: str) -> Graph:
 
 
 def from_edge_list_file(filename: str) -> Graph:
-    with open(filename, "r", encoding="utf-8") as fh:
-        return from_edge_list_text(fh.read())
+    with open(filename, "rb") as fh:
+        data = fh.read()
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise GraphError(
+            f"edge list {filename!r} is not UTF-8: byte "
+            f"0x{data[exc.start]:02x} at offset {exc.start}") from None
+    return from_edge_list_text(text)
 
 
 # expression parser --------------------------------------------------------------

@@ -437,8 +437,15 @@ def parse_certificate(text: str) -> Certificate:
 
 
 def load_certificate(filename: str) -> Certificate:
-    with open(filename, "r", encoding="utf-8") as fh:
-        return parse_certificate(fh.read())
+    with open(filename, "rb") as fh:
+        data = fh.read()
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise CertificateError(
+            f"certificate {filename!r} is not UTF-8: byte "
+            f"0x{data[exc.start]:02x} at offset {exc.start}") from None
+    return parse_certificate(text)
 
 
 def save_certificate(cert: Certificate, filename: str) -> None:

@@ -10,11 +10,7 @@ from __future__ import annotations
 
 from .graphs import Graph
 
-__all__ = ["composite_id", "lex_product", "direct_product", "cartesian_product"]
-
-
-def composite_id(i: int, j: int, h_order: int) -> int:
-    return i * h_order + j
+__all__ = ["lex_product", "direct_product", "cartesian_product"]
 
 
 def lex_product(g: Graph, h: Graph) -> Graph:

@@ -17,6 +17,7 @@ import math
 import os
 from contextlib import contextmanager
 from dataclasses import dataclass, replace
+from typing import NamedTuple
 
 from .abelian import GroupSpec, cayley_tables, enumerate_abelian_groups
 from .graphs import Graph
@@ -224,19 +225,32 @@ def _check_request(g: Graph, group: GroupSpec, opts: SearchOptions) -> None:
             f"most {cap} vertices, got {g.n}")
 
 
-def _pinned(g: Graph, opts: SearchOptions) -> bool:
+class _Plan(NamedTuple):
+    """How a pruned search runs: its vertex order, the codes fixed on the
+    first vertices of that order, and its branches, one per label of the
+    first vertex not fixed."""
+
+    order: list[int]
+    prefix: tuple[int, ...]
+    branches: list[tuple[int, ...]]
+
+
+def _plan(g: Graph, opts: SearchOptions) -> _Plan:
     """Translation symmetry: on a regular graph l -> l + c keeps every weight
     equal and moves every labeling when c != 0, so in count mode the first
     vertex may be pinned to code 0 and the count multiplied by n."""
-    return opts.mode == "count" and g.n > 1 and len(set(g.degrees)) == 1
+    pinned = opts.mode == "count" and g.n > 1 and len(set(g.degrees)) == 1
+    prefix = (0,) if pinned else ()
+    return _Plan(_vertex_order(g, opts.vertex_order), prefix,
+                 [prefix + (e,) for e in range(g.n) if e not in prefix])
 
 
 @contextmanager
-def _branch_pool(opts: SearchOptions, branches: int):
+def _branch_pool(jobs: int, branches: int):
     """A process pool of min(jobs, cpu count, branches) workers, or None
-    when that is one worker or the search is naive."""
-    workers = min(opts.jobs, os.cpu_count() or 1, branches)
-    if not opts.use_pruning or workers < 2:
+    when that is one worker."""
+    workers = min(jobs, os.cpu_count() or 1, branches)
+    if workers < 2:
         yield None
         return
     # imported here: only this path needs it, and it pulls in
@@ -246,22 +260,16 @@ def _branch_pool(opts: SearchOptions, branches: int):
         yield pool
 
 
-def _run(g: Graph, group: GroupSpec, opts: SearchOptions, pool):
-    """Answer a request that passed ``_check_request``; a pruned search runs
-    its branches on ``pool`` when one is given."""
-    if not opts.use_pruning:
-        return _naive(g, group, opts.mode)
-    order = _vertex_order(g, opts.vertex_order)
-    pinned = _pinned(g, opts)
-    prefix = (0,) if pinned else ()
-    branches = [prefix + (e,) for e in range(g.n) if e not in prefix]
-    if pool is not None and len(branches) > 1:
-        result = _merge(opts.mode, list(pool.map(
-            _branch_worker,
-            [(g, group, order, opts.mode, b) for b in branches])))
+def _run(g: Graph, group: GroupSpec, mode: str, plan: _Plan, pool):
+    """Answer a pruned request that passed ``_check_request`` by ``plan``,
+    running its branches on ``pool`` when one is given."""
+    order, prefix, branches = plan
+    if pool is not None:
+        result = _merge(mode, list(pool.map(
+            _branch_worker, [(g, group, order, mode, b) for b in branches])))
     else:
-        result = _search(g, group, order, opts.mode, prefix)
-    return result * g.n if pinned else result
+        result = _search(g, group, order, mode, prefix)
+    return result * g.n if prefix else result
 
 
 def search_labelings(g: Graph, group: GroupSpec,
@@ -276,9 +284,11 @@ def search_labelings(g: Graph, group: GroupSpec,
     same as with jobs = 1.
     """
     _check_request(g, group, opts)
-    branches = g.n - 1 if _pinned(g, opts) else g.n
-    with _branch_pool(opts, branches) as pool:
-        return _run(g, group, opts, pool)
+    if not opts.use_pruning:
+        return _naive(g, group, opts.mode)
+    plan = _plan(g, opts)
+    with _branch_pool(opts.jobs, len(plan.branches)) as pool:
+        return _run(g, group, opts.mode, plan, pool)
 
 
 def classify_over_all_groups(g: Graph,
@@ -293,12 +303,12 @@ def classify_over_all_groups(g: Graph,
     specs = enumerate_abelian_groups(g.n)
     for spec in specs:
         _check_request(g, spec, first)
-    out: dict[GroupSpec, bool] = {}
-    # first mode pins no vertex: every search splits into g.n branches
-    with _branch_pool(first, g.n) as pool:
-        for spec in specs:
-            out[spec] = bool(_run(g, spec, first, pool))
-    return out
+    if not first.use_pruning:
+        return {spec: bool(_naive(g, spec, "first")) for spec in specs}
+    plan = _plan(g, first)
+    with _branch_pool(first.jobs, len(plan.branches)) as pool:
+        return {spec: bool(_run(g, spec, "first", plan, pool))
+                for spec in specs}
 
 
 def is_group_distance_magic(g: Graph,

@@ -511,3 +511,228 @@ def test_groups_over_the_order_cap(monkeypatch):
     assert (code, out) == (2, "")
     assert err == ("error: order 1000000000000000003 is over the cap of "
                    "10^12 (MAX_GROUP_ORDER)\n")
+
+
+# Files the CLI corpus reads, written under a fixed name in the working
+# directory so that no message depends on where the test runs.
+CORPUS_FILES = {
+    "c4.edges": "4 4\n0 1\n1 2\n2 3\n3 0\n",
+    "dup.edges": "2 2\n0 1\n1 0\n",
+    "neg.edges": "-1 0\n",
+    "head.edges": "4\n0 1\n",
+    "bad-graph.cert": "graph: C(2)\ngroup: Z2\nmu: (0)\nv 0 (0)\nv 1 (1)\n",
+    "size.cert": ("graph: C(5)\ngroup: Z4\nmu: (0)\n"
+                  "v 0 (0)\nv 1 (1)\nv 2 (2)\nv 3 (3)\n"),
+    "repeat.cert": ("graph: C(4)\ngroup: Z4\nmu: (0)\n"
+                    "v 0 (0)\nv 1 (0)\nv 2 (2)\nv 3 (3)\n"),
+    "weights.cert": ("graph: P(4)\ngroup: Z4\nmu: (0)\n"
+                     "v 0 (0)\nv 1 (1)\nv 2 (2)\nv 3 (3)\n"),
+    "mu.cert": ("graph: C(4)\ngroup: Z4\nmu: (1)\n"
+                "v 0 (1)\nv 1 (0)\nv 2 (2)\nv 3 (3)\n"),
+    "good.cert": ("# theorem: hand\ngraph: C(4)\ngroup: Z4\nmu: (3)\n\n"
+                  "v 0 (1)\nv 1 (0)\nv 2 (2)\nv 3 (3)\n"),
+    "file.cert": ("graph: file(c4.edges)\ngroup: Z4\nmu: (3)\n"
+                  "v 0 (1)\nv 1 (0)\nv 2 (2)\nv 3 (3)\n"),
+    "junk.cert": "hello\n",
+    "vline.cert": "graph: C(4)\ngroup: Z4\nmu: (0)\nv 3\n",
+    "coord.cert": ("graph: C(4)\ngroup: Z4\nmu: (9)\n"
+                   "v 0 (1)\nv 1 (0)\nv 2 (2)\nv 3 (3)\n"),
+}
+
+
+def _cli_corpus():
+    """argv lists over every verb, as text and --json: affirmative,
+    negative, error and usage paths, and every help text. A `label --out`
+    comes before the `verify` of the file it writes."""
+    verbs = ("groups", "construct", "label", "search", "verify", "classify",
+             "obstructions")
+    cases = [[], ["--help"], ["frobnicate"], ["--json"]]
+    cases += [[verb, "--help"] for verb in verbs]
+    cases += [[verb] for verb in verbs]
+    cases += [["groups", order]
+              for order in ("1", "8", "12", "16", "0", "-3", "x",
+                            "1000000000000000003")]
+    cases += [["construct", expr]
+              for expr in ("K(1)", "C(4)", "Kb(2,3)", "KmM(6)", "S(3)",
+                           "Km(1,2,2)", "lex(C(3),K(2))", "dir(K(2),C(4))",
+                           "cart(K(2),C(3))", "pow(C(6),2)",
+                           "join(KmM(4),K(1))", "file(c4.edges)",
+                           "file(missing.edges)", "file(dup.edges)",
+                           "file(neg.edges)", "file(head.edges)", "C(2)",
+                           "lex(", "K(x)", "bad(3)", "")]
+    label = [
+        ["--graph", "C(3)", "--h", "C(4)", "--product", "lex",
+         "--group", "Z4xZ3"],
+        ["--graph", "C(3)", "--h", "C(4)", "--group", "Z4xZ3",
+         "--out", "lex.cert"],
+        ["--graph", "Kb(2,3)", "--h", "C(4)", "--group", "Z4xZ5"],
+        ["--graph", "K(2)", "--h", "KmM(6)", "--product", "dir",
+         "--group", "Z2xZ6"],
+        ["--graph", "C(3)", "--h", "KmM(8)", "--method", "balanced-lex",
+         "--group", "Z24", "--s", "2"],
+        ["--graph", "C(4)", "--h", "C(4)", "--group", "Z2xZ8",
+         "--method", "balanced-lex", "--s", "20000"],
+        ["--graph", "S(3)", "--group", "Z4"],
+        ["--graph", "S(3)", "--group", "Z4", "--out", "star.cert"],
+        ["--graph", "S(4)", "--group", "Z5"],
+        ["--graph", "S(5)", "--group", "Z6"],
+        ["--graph", "join(KmM(6),K(1))", "--group", "Z7"],
+        ["--graph", "C(5)", "--group", "Z5"],
+        ["--graph", "C(4)", "--group", "Z4", "--method", "star"],
+        ["--graph", "C(3)", "--h", "C(4)", "--group", "Z5"],
+        ["--graph", "C(3)", "--h", "C(4)", "--group", "Q4"],
+        ["--graph", "C(3)", "--group", "Z3", "--product", "lex"],
+        ["--graph", "C(3)", "--h", "C(4)", "--group", "Z4xZ3",
+         "--out", "no-such-dir/x.cert"],
+        ["--graph", "C(2)", "--group", "Z2"],
+        ["--graph", "C(3)", "--method", "nope", "--group", "Z3"],
+        ["--group", "Z3"],
+    ]
+    cases += [["label", *argv] for argv in label]
+    search = [
+        ["--graph", "C(4)", "--group", "Z4"],
+        ["--graph", "C(4)", "--group", "Z4", "--mode", "all"],
+        ["--graph", "C(4)", "--group", "Z4", "--mode", "count"],
+        ["--graph", "C(4)", "--group", "Z2xZ2", "--mode", "all"],
+        ["--graph", "C(4)", "--group", "Z4", "--naive", "--mode", "all"],
+        ["--graph", "C(4)", "--group", "Z4", "--naive", "--mode", "count"],
+        ["--graph", "C(4)", "--group", "Z4", "--order", "input"],
+        ["--graph", "KmM(6)", "--group", "Z6", "--mode", "count"],
+        ["--graph", "S(3)", "--group", "Z4", "--mode", "all"],
+        ["--graph", "C(5)", "--group", "Z5"],
+        ["--graph", "C(5)", "--group", "Z5", "--mode", "count"],
+        ["--graph", "P(3)", "--group", "Z3", "--naive"],
+        ["--graph", "C(4)", "--group", "Z5"],
+        ["--graph", "C(4)", "--group", "Z4", "--jobs", "0"],
+        ["--graph", "KmM(14)", "--group", "Z14", "--mode", "count"],
+        ["--graph", "C(9)", "--group", "Z9", "--naive"],
+        ["--graph", "C(4)", "--group", "Z4", "--mode", "some"],
+        ["--graph", "C(4)"],
+    ]
+    cases += [["search", *argv] for argv in search]
+    cases += [["verify", "--cert", name]
+              for name in ("lex.cert", "star.cert", "good.cert", "file.cert",
+                           "mu.cert", "weights.cert", "repeat.cert",
+                           "size.cert", "bad-graph.cert", "junk.cert",
+                           "vline.cert", "coord.cert", "missing.cert")]
+    cases += [["classify", "--graph", graph]
+              for graph in ("K(1)", "K(2)", "C(4)", "P(3)", "S(3)", "S(5)",
+                            "KmM(6)", "Kb(2,3)", "join(KmM(4),K(1))",
+                            "C(13)", "C(2)")]
+    cases += [["classify", "--graph", "C(4)", "--naive"],
+              ["classify", "--graph", "C(9)", "--naive"],
+              ["classify", "--graph", "C(4)", "--jobs", "0"]]
+    cases += [["obstructions", "--graph", graph]
+              for graph in ("K(1)", "C(4)", "P(5)", "S(4)", "S(5)",
+                            "join(K(2),C(4))", "lex(C(4),K(3))", "Kb(2,3)",
+                            "KmM(6)", "C(2)")]
+    for argv in cases:
+        yield argv
+        if argv and argv[0] in verbs and "--help" not in argv:
+            yield [*argv, "--json"]
+
+
+CLI_CORPUS_DIGEST = (
+    "050be38bece6193a3ec140ceeb156b8164ac63db8ad2e1cc001dd02af0138a16")
+
+
+def test_cli_corpus_is_unchanged(monkeypatch, tmp_path):
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setenv("COLUMNS", "80")
+    for name, text in CORPUS_FILES.items():
+        (tmp_path / name).write_text(text)
+    sha = hashlib.sha256()
+    count = 0
+    for argv in _cli_corpus():
+        sha.update(repr((argv, *_run(argv))).encode())
+        count += 1
+    assert count >= 200
+    assert sha.hexdigest() == CLI_CORPUS_DIGEST
+
+
+def test_label_json_formats_no_certificate(monkeypatch, tmp_path):
+    from gdmagic import cli, magic
+
+    calls = []
+    real = magic.format_certificate
+
+    def counting(cert):
+        calls.append(cert.graph_expr)
+        return real(cert)
+
+    monkeypatch.setattr(magic, "format_certificate", counting)
+    monkeypatch.setattr(cli, "format_certificate", counting)
+    code, out, _ = _run(["label", "--graph", "C(3)", "--h", "C(4)",
+                         "--group", "Z4xZ3", "--json"])
+    assert code == 0 and json.loads(out)["ok"]
+    assert calls == []
+
+
+# A file whose first byte, 0xff, starts no UTF-8 sequence.
+NOT_UTF8 = b"\xff4 4\n0 1\n1 2\n2 3\n3 0\n"
+
+
+def test_verify_of_an_undecodable_certificate_is_a_usage_error(tmp_path):
+    cert = tmp_path / "cert.txt"
+    cert.write_bytes(b"graph: C(4)\ngroup: Z4\n\xfe")
+    code, out, err = _run(["verify", "--cert", str(cert)])
+    assert (code, out) == (2, "")
+    assert err == (f"error: certificate {str(cert)!r} is not UTF-8: byte "
+                   "0xfe at offset 22\n")
+
+
+def test_construct_from_an_undecodable_edge_list_is_a_usage_error(tmp_path):
+    edges = tmp_path / "g.edges"
+    edges.write_bytes(NOT_UTF8)
+    code, out, err = _run(["construct", f"file({edges})"])
+    assert (code, out) == (2, "")
+    assert err == (f"error: edge list {str(edges)!r} is not UTF-8: byte "
+                   "0xff at offset 0\n")
+
+
+def test_certificate_over_an_undecodable_edge_list_is_rejected(tmp_path):
+    edges = tmp_path / "g.edges"
+    edges.write_bytes(NOT_UTF8)
+    cert = tmp_path / "cert.txt"
+    cert.write_text(f"graph: file({edges})\ngroup: Z4\nmu: (3)\n"
+                    "v 0 (1)\nv 1 (0)\nv 2 (2)\nv 3 (3)\n")
+    code, out, err = _run(["verify", "--cert", str(cert)])
+    assert (code, err) == (1, "")
+    assert out == (f"rejected: bad graph expression: edge list {str(edges)!r} "
+                   "is not UTF-8: byte 0xff at offset 0\n")
+
+
+@pytest.mark.parametrize("graph, group", [
+    ("C(4)", "Z4"), ("C(4)", "Z2xZ2"), ("S(3)", "Z4"), ("P(3)", "Z3"),
+    ("KmM(6)", "Z6"), ("Kb(2,3)", "Z5"), ("C(5)", "Z5"),
+])
+def test_naive_first_is_the_first_of_all(graph, group):
+    argv = ["search", "--graph", graph, "--group", group, "--json"]
+    code, out, _ = _run(argv + ["--naive", "--mode", "first"])
+    first = json.loads(out)
+    everything = json.loads(_run(argv + ["--naive", "--mode", "all"])[1])
+    assert first["labelings"] == everything["labelings"][:1]
+    assert code == (0 if first["labelings"] else 1)
+    assert _run(argv + ["--order", "input"]) == (code, out, "")
+
+
+def test_label_reports_a_certificate_its_verifier_rejects(monkeypatch):
+    from gdmagic import cli
+
+    monkeypatch.setattr(cli, "verify_certificate",
+                        lambda cert: (False, "planted", None))
+    code, out, err = _run(["label", "--graph", "C(3)", "--h", "C(4)",
+                           "--group", "Z4xZ3"])
+    assert (code, out) == (2, "")
+    assert err == "internal error: emitted certificate failed: planted\n"
+
+
+def test_label_reports_a_construction_its_verifier_rejects(monkeypatch):
+    from gdmagic import constructors
+
+    monkeypatch.setattr(constructors, "verify", lambda g, labeling: None)
+    code, out, err = _run(["label", "--graph", "C(3)", "--h", "C(4)",
+                           "--group", "Z4xZ3", "--method", "even-degrees-lex"])
+    assert (code, out) == (2, "")
+    assert err == ("error: even-degrees-lex: construction produced no "
+                   "constant instead of (3,0); please report this input\n")

@@ -130,6 +130,18 @@ def test_edge_list_rejects(bad):
         from_edge_list_text(bad)
 
 
+@pytest.mark.parametrize("text, message", [
+    ("2 2\n0 1\n1 0\n", "duplicate edge 1 0"),
+    ("-1 0\n", "vertex count must be >= 0, got -1"),
+])
+def test_edge_list_file_messages(tmp_path, text, message):
+    p = tmp_path / "g.edges"
+    p.write_text(text)
+    with pytest.raises(GraphError) as info:
+        construct_graph(f"file({p})")
+    assert str(info.value) == message
+
+
 def test_graph_power():
     # second power of a 6-cycle is K6 minus the antipodal matching
     expected = Graph.from_edges(6, [

@@ -469,6 +469,30 @@ def test_certificate_parse_rejects(bad):
         parse_certificate(bad)
 
 
+def test_certificate_parse_skips_blank_lines():
+    text = "graph: C(4)\ngroup: Z4\nmu: (3)\nv 0 (1)\nv 1 (0)\nv 2 (2)\nv 3 (3)"
+    spaced = "\n  \n" + text.replace("\n", "\n\n\t\n") + "\n\n"
+    assert parse_certificate(spaced) == parse_certificate(text)
+
+
+def test_certificate_parse_names_a_bad_vertex_line():
+    with pytest.raises(CertificateError) as info:
+        parse_certificate("graph: C(4)\ngroup: Z4\nmu: (0)\nv 3\n")
+    assert str(info.value) == "bad vertex line 'v 3'"
+
+
+@pytest.mark.parametrize("cert, detail", [
+    (Certificate("C(2)", parse_group_spec("Z2"), (0,), ((0,), (1,))),
+     "bad graph expression: C(n) needs n >= 3, got 2"),
+    (Certificate("C(5)", Z4, (0,), ((0,), (1,), (2,), (3,))),
+     "graph has 5 vertices but group Z4 has order 4"),
+    (Certificate("C(4)", Z4, (0,), ((0,), (0,), (2,), (3,))),
+     "assignment is not injective"),
+])
+def test_verify_certificate_early_rejections(cert, detail):
+    assert verify_certificate(cert) == (False, detail, None)
+
+
 @settings(max_examples=60, deadline=None, derandomize=True)
 @given(st.sampled_from(["K(2)", "C(3)", "P(3)", "Kb(2,3)", "C(4)", "K(4)"]),
        st.sampled_from(["C(4)", "KmM(6)", "KmM(8)", "Kb(4,4)"]),
