@@ -43,68 +43,6 @@ _USAGE_ERROR = 2
 _NEGATIVE = 1
 
 
-@functools.cache
-def _build_parser() -> argparse.ArgumentParser:
-    """Built on the first run() of a process, then reused."""
-    parser = argparse.ArgumentParser(
-        prog="gdmagic",
-        description="Construct, search for, and verify distance magic "
-                    "labelings of graphs over finite abelian groups.")
-    sub = parser.add_subparsers(dest="verb", required=True)
-
-    p = sub.add_parser("groups", help="list abelian groups of a given order")
-    p.add_argument("order", type=int)
-    p.set_defaults(handler=_cmd_groups)
-
-    p = sub.add_parser("construct", help="build a graph from an expression")
-    p.add_argument("expr")
-    p.set_defaults(handler=_cmd_construct)
-
-    p = sub.add_parser("label", help="run a constructive labeler")
-    p.add_argument("--graph", required=True, help="graph expression")
-    p.add_argument("--h", help="second product factor expression")
-    p.add_argument("--product", choices=("lex", "dir"),
-                   help="product of --graph and --h (default: the method's "
-                        "own product, lex for auto)")
-    p.add_argument("--group", required=True, help="group spec, e.g. Z4xZ3")
-    p.add_argument("--method", default="auto", choices=tuple(METHODS))
-    p.add_argument("--s", type=int, help="cyclic 2-power exponent for the "
-                                         "balanced-* methods")
-    p.add_argument("--out", help="write the certificate to this file")
-    p.set_defaults(handler=_cmd_label)
-
-    p = sub.add_parser("search", help="exhaustively search for labelings")
-    p.add_argument("--graph", required=True)
-    p.add_argument("--group", required=True)
-    p.add_argument("--mode", choices=("first", "all", "count"),
-                   default="first")
-    p.add_argument("--naive", action="store_true",
-                   help="use the permutation-scan oracle instead of pruning")
-    p.add_argument("--order", choices=("degree_desc", "input"),
-                   default="degree_desc")
-    p.add_argument("--jobs", type=int, default=1)
-    p.set_defaults(handler=_cmd_search)
-
-    p = sub.add_parser("verify", help="check a certificate file")
-    p.add_argument("--cert", required=True)
-    p.set_defaults(handler=_cmd_verify)
-
-    p = sub.add_parser("classify", help="test all groups of matching order")
-    p.add_argument("--graph", required=True)
-    p.add_argument("--naive", action="store_true")
-    p.add_argument("--jobs", type=int, default=1)
-    p.set_defaults(handler=_cmd_classify)
-
-    p = sub.add_parser("obstructions", help="run the structural checks")
-    p.add_argument("--graph", required=True)
-    p.set_defaults(handler=_cmd_obstructions)
-
-    # last, so that every usage line ends its options with [--json]
-    for p in sub.choices.values():
-        p.add_argument("--json", action="store_true")
-    return parser
-
-
 def _emit(args, out: TextIO, payload: Callable[[], dict],
           text: Callable[[], str]) -> None:
     """Print the verb's answer: ``payload()`` as JSON under --json, else
@@ -246,13 +184,104 @@ def _cmd_obstructions(args, out: TextIO, err: TextIO) -> int:
     return _NEGATIVE if negative else 0
 
 
+def _groups_args(p: argparse.ArgumentParser) -> None:
+    p.add_argument("order", type=int)
+
+
+def _construct_args(p: argparse.ArgumentParser) -> None:
+    p.add_argument("expr")
+
+
+def _label_args(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--graph", required=True, help="graph expression")
+    p.add_argument("--h", help="second product factor expression")
+    p.add_argument("--product", choices=("lex", "dir"),
+                   help="product of --graph and --h (default: the method's "
+                        "own product, lex for auto)")
+    p.add_argument("--group", required=True, help="group spec, e.g. Z4xZ3")
+    p.add_argument("--method", default="auto", choices=tuple(METHODS))
+    p.add_argument("--s", type=int, help="cyclic 2-power exponent for the "
+                                         "balanced-* methods")
+    p.add_argument("--out", help="write the certificate to this file")
+
+
+def _search_args(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--graph", required=True)
+    p.add_argument("--group", required=True)
+    p.add_argument("--mode", choices=("first", "all", "count"),
+                   default="first")
+    p.add_argument("--naive", action="store_true",
+                   help="use the permutation-scan oracle instead of pruning")
+    p.add_argument("--order", choices=("degree_desc", "input"),
+                   default="degree_desc")
+    p.add_argument("--jobs", type=int, default=1)
+
+
+def _verify_args(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--cert", required=True)
+
+
+def _classify_args(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--graph", required=True)
+    p.add_argument("--naive", action="store_true")
+    p.add_argument("--jobs", type=int, default=1)
+
+
+def _obstructions_args(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--graph", required=True)
+
+
+# verb -> (help line, arguments, handler), in the order the help lists them
+_VERBS = {
+    "groups": ("list abelian groups of a given order", _groups_args,
+               _cmd_groups),
+    "construct": ("build a graph from an expression", _construct_args,
+                  _cmd_construct),
+    "label": ("run a constructive labeler", _label_args, _cmd_label),
+    "search": ("exhaustively search for labelings", _search_args,
+               _cmd_search),
+    "verify": ("check a certificate file", _verify_args, _cmd_verify),
+    "classify": ("test all groups of matching order", _classify_args,
+                 _cmd_classify),
+    "obstructions": ("run the structural checks", _obstructions_args,
+                     _cmd_obstructions),
+}
+
+
+@functools.cache
+def _build_parser(verb: Optional[str] = None) -> argparse.ArgumentParser:
+    """The parser of one verb, or of all verbs when ``verb`` is None; each
+    is built on its first run() of a process, then reused.
+
+    A one-verb parser names every verb in its usage line, so that the
+    messages it prints are those of the full parser.
+    """
+    parser = argparse.ArgumentParser(
+        prog="gdmagic",
+        description="Construct, search for, and verify distance magic "
+                    "labelings of graphs over finite abelian groups.")
+    # the metavar only where one verb is built: the full parser's errors
+    # about the verb itself name it by its dest, "verb"
+    sub = parser.add_subparsers(
+        dest="verb", required=True,
+        metavar=None if verb is None else "{" + ",".join(_VERBS) + "}")
+    for name, (help_, add_args, handler) in _VERBS.items():
+        if verb is None or name == verb:
+            p = sub.add_parser(name, help=help_)
+            add_args(p)
+            # last, so that every usage line ends its options with [--json]
+            p.add_argument("--json", action="store_true")
+            p.set_defaults(handler=handler)
+    return parser
+
+
 def run(argv: list[str], out: Optional[TextIO] = None,
         err: Optional[TextIO] = None) -> int:
     """Parse argv and run the verb's handler; returns the process exit
     code."""
     out = out if out is not None else sys.stdout
     err = err if err is not None else sys.stderr
-    parser = _build_parser()
+    parser = _build_parser(argv[0] if argv and argv[0] in _VERBS else None)
     try:
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
             args = parser.parse_args(argv)

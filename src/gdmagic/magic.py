@@ -12,7 +12,7 @@ import itertools
 import re
 import sys
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Iterable, Iterator, Optional, Sequence
 
 from .abelian import GroupElement, GroupSpec, cyclic_group, parse_group_spec
 from .graphs import Graph, construct_graph, is_tree, matching_join_pairs
@@ -29,6 +29,7 @@ __all__ = [
     "FORCED_IDENTITY",
     "weight",
     "verify",
+    "magic_permutations",
     "weight_mismatch",
     "negate_labeling",
     "to_zn_labeling",
@@ -146,24 +147,58 @@ def weight_mismatch(g: Graph, labeling: Labeling) -> Optional[tuple[int, int]]:
     return _first_mismatch(_weights(g, labeling.group, labeling.assignment))
 
 
-def verify(g: Graph, labeling: Labeling) -> Optional[GroupElement]:
-    """The magic constant when all vertex weights agree, else None.
+def _common_weight(adj: Sequence[Iterable[int]], factors: Sequence[int],
+                   columns: Iterable[Sequence[int]]) -> Optional[GroupElement]:
+    """The weight every vertex shares, or None when two differ.
 
-    Edgeless graphs verify with the identity (all weights are empty sums).
+    ``columns`` gives, per cyclic factor, coordinate k of every vertex's
+    label. Per factor, vertex 0's coordinate of the weight is the target and
+    the scan stops at the first vertex whose coordinate differs, so a later
+    factor's column is never asked for.
     """
-    _check_sizes(g, labeling)
-    labels, adj = labeling.assignment, g.adj
-    # per cyclic factor, vertex 0's coordinate of the weight, then a stop
-    # at the first vertex whose coordinate differs
     mu = []
-    for k, f in enumerate(labeling.group.factors):
-        get = [x[k] for x in labels].__getitem__
+    for f, column in zip(factors, columns):
+        get = column.__getitem__
         target = sum(map(get, adj[0])) % f
         for nbrs in adj:
             if sum(map(get, nbrs)) % f != target:
                 return None
         mu.append(target)
     return tuple(mu)
+
+
+def verify(g: Graph, labeling: Labeling) -> Optional[GroupElement]:
+    """The magic constant when all vertex weights agree, else None.
+
+    Edgeless graphs verify with the identity (all weights are empty sums).
+    """
+    _check_sizes(g, labeling)
+    labels = labeling.assignment
+    return _common_weight(g.adj, labeling.group.factors,
+                          ([x[k] for x in labels]
+                           for k in range(labeling.group.arity)))
+
+
+def magic_permutations(g: Graph, labeling: Labeling) -> Iterator[Labeling]:
+    """Every rearrangement of ``labeling``'s labels that is magic on g, in
+    ``itertools.permutations`` order, each carrying its magic constant.
+
+    A rearrangement of a bijection is one, so no candidate is checked or
+    built as a Labeling: each is scored by ``verify``'s own arithmetic, and
+    only a magic one becomes a Labeling, which ``verify`` then confirms.
+    """
+    _check_sizes(g, labeling)
+    adj, group = g.adj, labeling.group
+    factors = group.factors
+    for labels in itertools.permutations(labeling.assignment):
+        mu = _common_weight(adj, factors, zip(*labels))
+        if mu is None:
+            continue
+        hit = Labeling(group, labels, mu)
+        if verify(g, hit) != mu:  # never expected: one arithmetic scores both
+            raise LabelingError(
+                f"verify disagrees with the scan on {labels!r}")
+        yield hit
 
 
 def negate_labeling(g: Graph, labeling: Labeling) -> Labeling:

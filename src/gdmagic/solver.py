@@ -4,10 +4,11 @@ Two engines share nothing but the definition of a weight:
 
 * a pruned backtracking search over integer element codes (the group's
   Cayley table from ``abelian.cayley_tables``): one sum constraint per
-  vertex, forward checking, and in count mode translation symmetry and a
-  closed-form count of the free tail;
-* a deliberately naive permutation scan, through the verifier, used as the
-  independent oracle.
+  vertex, forward checking, translation symmetry in count and first mode,
+  and in count mode a closed-form count of the free tail;
+* a deliberately naive permutation scan, scored by the verifier's own
+  arithmetic (``magic.magic_permutations``), used as the independent
+  oracle; every labeling it reports is confirmed by ``verify``.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from typing import NamedTuple
 
 from .abelian import GroupSpec, cayley_tables, enumerate_abelian_groups
 from .graphs import Graph
-from .magic import Labeling, verify
+from .magic import Labeling, magic_permutations
 
 __all__ = [
     "SolverError",
@@ -60,27 +61,15 @@ class SearchOptions:
 def _vertex_order(g: Graph, kind: str) -> list[int]:
     if kind == "input":
         return list(range(g.n))
-    if kind == "degree_desc":
-        return sorted(range(g.n), key=lambda v: (-g.degree(v), v))
-    raise SolverError(f"unknown vertex order {kind!r}")
+    return sorted(range(g.n), key=lambda v: (-g.degree(v), v))
 
 
 def _naive(g: Graph, group: GroupSpec, mode: str):
-    elements = list(group.elements())
-    count = 0
-    found = []
-    for perm in itertools.permutations(elements):
-        labeling = Labeling(group, perm)
-        mu = verify(g, labeling)
-        if mu is None:
-            continue
-        count += 1
-        if mode == "count":
-            continue
-        found.append(replace(labeling, magic_constant=mu))
-        if mode == "first":
-            break
-    return count if mode == "count" else found
+    """Scan every permutation of the group's elements as vertex labels."""
+    hits = magic_permutations(g, Labeling(group, tuple(group.elements())))
+    if mode == "count":
+        return sum(1 for _ in hits)
+    return list(itertools.islice(hits, 1 if mode == "first" else None))
 
 
 def _constraints(g: Graph) -> list[tuple[frozenset[int], bool]]:
@@ -212,6 +201,8 @@ def _merge(mode: str, results: list):
 def _check_request(g: Graph, group: GroupSpec, opts: SearchOptions) -> None:
     if opts.mode not in ("first", "all", "count"):
         raise SolverError(f"unknown search mode {opts.mode!r}")
+    if opts.vertex_order not in ("degree_desc", "input"):
+        raise SolverError(f"unknown vertex order {opts.vertex_order!r}")
     if opts.jobs < 1:
         raise SolverError(f"--jobs must be at least 1, got {opts.jobs}")
     if g.n != group.order:
@@ -237,9 +228,13 @@ class _Plan(NamedTuple):
 
 def _plan(g: Graph, opts: SearchOptions) -> _Plan:
     """Translation symmetry: on a regular graph l -> l + c keeps every weight
-    equal and moves every labeling when c != 0, so in count mode the first
-    vertex may be pinned to code 0 and the count multiplied by n."""
-    pinned = opts.mode == "count" and g.n > 1 and len(set(g.degrees)) == 1
+    equal and moves every labeling when c != 0, so in count and first mode
+    the first vertex may be pinned to code 0. Count mode multiplies the
+    count by n. First mode keeps its witness: l - l(order[0]) is magic and
+    labels order[0] with code 0, the least code, so the first labeling in
+    lexicographic order already has it there."""
+    pinned = (opts.mode in ("count", "first") and g.n > 1
+              and len(set(g.degrees)) == 1)
     prefix = (0,) if pinned else ()
     return _Plan(_vertex_order(g, opts.vertex_order), prefix,
                  [prefix + (e,) for e in range(g.n) if e not in prefix])
@@ -269,7 +264,7 @@ def _run(g: Graph, group: GroupSpec, mode: str, plan: _Plan, pool):
             _branch_worker, [(g, group, order, mode, b) for b in branches])))
     else:
         result = _search(g, group, order, mode, prefix)
-    return result * g.n if prefix else result
+    return result * g.n if prefix and mode == "count" else result
 
 
 def search_labelings(g: Graph, group: GroupSpec,

@@ -736,3 +736,64 @@ def test_label_reports_a_construction_its_verifier_rejects(monkeypatch):
     assert (code, out) == (2, "")
     assert err == ("error: even-degrees-lex: construction produced no "
                    "constant instead of (3,0); please report this input\n")
+
+
+# one valid argv per verb, after the verb itself
+VALID_ARGS = {
+    "groups": ["8"],
+    "construct": ["C(4)"],
+    "label": ["--graph", "C(3)", "--h", "C(4)", "--group", "Z4xZ3"],
+    "search": ["--graph", "C(4)", "--group", "Z4"],
+    "verify": ["--cert", "good.cert"],
+    "classify": ["--graph", "C(4)"],
+    "obstructions": ["--graph", "C(4)"],
+}
+
+
+def test_one_verb_parser_builds_only_that_verb():
+    from gdmagic import cli
+
+    for verb in VALID_ARGS:
+        sub = cli._build_parser(verb)._subparsers._group_actions[0]
+        assert list(sub.choices) == [verb]
+    full = cli._build_parser()._subparsers._group_actions[0]
+    assert list(full.choices) == list(VALID_ARGS)
+
+
+@pytest.mark.parametrize("verb", list(VALID_ARGS))
+def test_one_verb_parser_prints_what_the_full_parser_prints(monkeypatch,
+                                                            verb):
+    from gdmagic import cli
+
+    monkeypatch.setenv("COLUMNS", "80")
+    valid = VALID_ARGS[verb]
+    cases = [[verb, *valid, "--bogus"], [verb, "extra", *valid],
+             [verb, *valid, "--json", "extra"]]
+    one = [_run(argv) for argv in cases]
+    real = cli._build_parser
+    monkeypatch.setattr(cli, "_build_parser", lambda verb=None: real(None))
+    assert [_run(argv) for argv in cases] == one
+    code, out, err = one[0]
+    assert (code, out) == (2, "")
+    assert err == ("usage: gdmagic [-h]\n"
+                   "               {groups,construct,label,search,verify,"
+                   "classify,obstructions}\n"
+                   "               ...\n"
+                   "gdmagic: error: unrecognized arguments: --bogus\n")
+
+
+def test_import_builds_no_parser():
+    import os
+    import subprocess
+    import sys
+
+    import gdmagic
+
+    probe = ("import sys, gdmagic.cli as c; "
+             "print(c._build_parser.cache_info().currsize, "
+             "'locale' in sys.modules)")
+    src = os.path.dirname(os.path.dirname(gdmagic.__file__))
+    env = {**os.environ, "PYTHONPATH": src}
+    result = subprocess.run([sys.executable, "-c", probe], env=env,
+                            capture_output=True, text=True, check=True)
+    assert result.stdout == "0 False\n"

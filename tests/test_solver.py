@@ -249,3 +249,81 @@ def test_forced_identity_detection_matches_naive_oracle():
             for lab in found:
                 assert lab.assignment[v] == group.zero()
     assert detected == len(graphs)
+
+
+@pytest.mark.parametrize("use_pruning", [True, False])
+def test_unknown_vertex_order_is_rejected_on_both_paths(use_pruning):
+    opts = SearchOptions(mode="all", vertex_order="bogus",
+                         use_pruning=use_pruning)
+    with pytest.raises(SolverError, match="unknown vertex order 'bogus'"):
+        search_labelings(cycle(4), P("Z4"), opts)
+
+
+def _atlas_regular_graphs():
+    nx = pytest.importorskip("networkx")
+    for h in nx.graph_atlas_g():
+        n = h.number_of_nodes()
+        if 2 <= n <= 7 and len({d for _, d in h.degree()}) == 1:
+            yield Graph.from_edges(n, list(h.edges()))
+
+
+def test_pinned_first_is_the_first_of_all():
+    from gdmagic.solver import _plan
+
+    first = SearchOptions(mode="first")
+    checked, magic = 0, 0
+    for g in _atlas_regular_graphs():
+        assert _plan(g, first).prefix == (0,)
+        for group in enumerate_abelian_groups(g.n):
+            pinned = search_labelings(g, group, first)
+            everything = search_labelings(g, group, ALL)
+            assert len(pinned) <= 1
+            assert [(lab.assignment, lab.magic_constant) for lab in pinned] \
+                == [(lab.assignment, lab.magic_constant)
+                    for lab in everything[:1]]
+            checked += 1
+            magic += bool(pinned)
+    assert (checked, magic) == (29, 10)
+
+
+@pytest.mark.parametrize("expr, spec", [("Kb(3,3)", "Z6"), ("C(6)", "Z6")])
+def test_parallel_pinned_first_matches_sequential(expr, spec):
+    g, group = construct_graph(expr), P(spec)
+    seq = search_labelings(g, group, SearchOptions(mode="first"))
+    par = search_labelings(g, group, SearchOptions(mode="first", jobs=2))
+    assert len(seq) <= 1
+    assert [(lab.assignment, lab.magic_constant) for lab in par] == \
+        [(lab.assignment, lab.magic_constant) for lab in seq]
+
+
+@pytest.mark.parametrize("expr, spec, hits", [("KmM(6)", "Z6", 144),
+                                              ("C(8)", "Z8", 0)])
+def test_naive_count_builds_a_labeling_only_per_hit(monkeypatch, expr, spec,
+                                                    hits):
+    from gdmagic.magic import Labeling
+
+    built = []
+    real = Labeling.__post_init__
+
+    def counting(self):
+        built.append(self.assignment)
+        real(self)
+
+    monkeypatch.setattr(Labeling, "__post_init__", counting)
+    g = construct_graph(expr)
+    assert search_labelings(g, P(spec), COUNT_NAIVE) == hits
+    # one to check the group's elements, then one per hit
+    assert len(built) <= hits + 1
+
+
+@pytest.mark.parametrize("expr, spec", [("KmM(6)", "Z6"), ("C(4)", "Z2xZ2"),
+                                        ("S(3)", "Z4"), ("C(4)", "Z4")])
+def test_naive_labelings_carry_the_verified_constant(expr, spec):
+    g, group = construct_graph(expr), P(spec)
+    for mode in ("first", "all"):
+        found = search_labelings(
+            g, group, SearchOptions(mode=mode, use_pruning=False))
+        assert found
+        for lab in found:
+            assert lab.magic_constant is not None
+            assert verify(g, lab) == lab.magic_constant
