@@ -10,6 +10,7 @@ exponent), which is a complete invariant.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import sys
@@ -348,20 +349,31 @@ class CyclicFactorSplit:
         a = tuple(g[idx] % (p ** e) for idx, p, e in self.rest)
         return z, a
 
+    @functools.cached_property
+    def _images(self) -> tuple[list[int], list[tuple[int, int]]]:
+        """The images from_pair's additive map is fixed by: that of (1, 0)
+        as a coordinate list, and per complement unit e_k its one non-zero
+        coordinate as (index, value). A slot's unit in Z_f is the residue
+        that is 1 mod its prime power q and 0 mod f / q."""
+        factors = self.group.factors
+
+        def unit(idx: int, p: int, e: int) -> int:
+            q = p ** e
+            m = factors[idx] // q
+            return m * pow(m, -1, q) % factors[idx]
+
+        one = [0] * len(factors)
+        for idx, p, e in self.selected:
+            one[idx] = (one[idx] + unit(idx, p, e)) % factors[idx]
+        return one, [(idx, unit(idx, p, e)) for idx, p, e in self.rest]
+
     def from_pair(self, z: int, a: GroupElement) -> GroupElement:
         a = self.complement.element(a)
-        per_factor: dict[int, list[tuple[int, int]]] = {}
-        for idx, p, e in self.selected:
-            q = p ** e
-            per_factor.setdefault(idx, []).append((z % q, q))
-        for (idx, p, e), r in zip(self.rest, a):
-            q = p ** e
-            per_factor.setdefault(idx, []).append((r % q, q))
-        coords = []
-        for idx, f in enumerate(self.group.factors):
-            pairs = per_factor[idx]
-            coords.append(_crt([r for r, _ in pairs], [m for _, m in pairs]) % f)
-        return tuple(coords)
+        one, units = self._images
+        coords = [z * c for c in one]
+        for r, (idx, u) in zip(a, units):
+            coords[idx] += r * u
+        return tuple(c % f for c, f in zip(coords, self.group.factors))
 
 
 def find_cyclic_factor(spec: GroupSpec, d: int) -> Optional[CyclicFactorSplit]:

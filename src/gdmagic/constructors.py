@@ -115,13 +115,12 @@ def _twin_pair_labels(labels: list, hn: int, blocks, pairing: TwinPairing,
     vertex j of H in block i): in block i the first vertex of twin pair t
     gets the split element rule(i, t) = (z, a), and its twin gets
     (pair_z, 0) minus that, so every twin pair sums to (pair_z, 0)."""
-    group = split.group
-    pair_sum = split.from_pair(pair_z, split.complement.zero())
+    neg = split.complement.neg
     for i in blocks:
         for t, (j, jp) in enumerate(pairing.pairs):
-            primary = split.from_pair(*rule(i, t))
-            labels[i * hn + j] = primary
-            labels[i * hn + jp] = group.sub(pair_sum, primary)
+            z, a = rule(i, t)
+            labels[i * hn + j] = split.from_pair(z, a)
+            labels[i * hn + jp] = split.from_pair(pair_z - z, neg(a))
     return labels
 
 

@@ -95,6 +95,14 @@ class Graph:
     def num_edges(self) -> int:
         return sum(self.degrees) // 2
 
+    def twin_classes(self) -> tuple[list[frozenset[int]], list[int]]:
+        """The distinct neighbourhoods, compared by value, in order of first
+        occurrence, and for each vertex the position of its own among them.
+        Twins (vertices with equal neighbourhoods) share one position."""
+        position: dict[frozenset[int], int] = {}
+        index = [position.setdefault(nbrs, len(position)) for nbrs in self.adj]
+        return list(position), index
+
     def has_edge(self, u: int, v: int) -> bool:
         return v in self.adj[u]
 

@@ -30,7 +30,6 @@ __all__ = [
     "weight",
     "verify",
     "magic_permutations",
-    "weight_mismatch",
     "negate_labeling",
     "to_zn_labeling",
     "obstruction_two_universal",
@@ -117,16 +116,21 @@ def weight(g: Graph, labeling: Labeling, v: int) -> GroupElement:
 
 def _weights(g: Graph, group: GroupSpec,
              labels: Sequence[GroupElement]) -> list[GroupElement]:
-    """Every vertex's weight, in one pass over the graph per cyclic factor.
+    """Every vertex's weight, in one pass over the distinct neighbourhoods
+    per cyclic factor.
 
     Coordinate k of a weight is the plain-int sum of coordinate k of the
     neighbors' labels, reduced mod the k-th factor once at the end; no group
-    addition runs. ``weight`` is the per-vertex definition this agrees with.
+    addition runs. Twins share a neighbourhood, so each distinct one is
+    summed once and its sum handed to every vertex that has it. ``weight``
+    is the per-vertex definition this agrees with.
     """
+    neighbourhoods, index = g.twin_classes()
     columns = []
     for k, f in enumerate(group.factors):
         get = [x[k] for x in labels].__getitem__
-        columns.append([sum(map(get, nbrs)) % f for nbrs in g.adj])
+        sums = [sum(map(get, nbrs)) % f for nbrs in neighbourhoods]
+        columns.append(list(map(sums.__getitem__, index)))
     return list(zip(*columns)) if columns else [()] * g.n
 
 
@@ -137,30 +141,24 @@ def _first_mismatch(weights: list[GroupElement]) -> Optional[tuple[int, int]]:
     return None
 
 
-def weight_mismatch(g: Graph, labeling: Labeling) -> Optional[tuple[int, int]]:
-    """First vertex pair with differing weights, or None when all agree.
-
-    Vertex 0's weight is the reference; the offender is the smallest id
-    whose weight differs.
-    """
-    _check_sizes(g, labeling)
-    return _first_mismatch(_weights(g, labeling.group, labeling.assignment))
-
-
-def _common_weight(adj: Sequence[Iterable[int]], factors: Sequence[int],
+def _common_weight(neighbourhoods: Sequence[Iterable[int]],
+                   factors: Sequence[int],
                    columns: Iterable[Sequence[int]]) -> Optional[GroupElement]:
     """The weight every vertex shares, or None when two differ.
 
-    ``columns`` gives, per cyclic factor, coordinate k of every vertex's
-    label. Per factor, vertex 0's coordinate of the weight is the target and
-    the scan stops at the first vertex whose coordinate differs, so a later
-    factor's column is never asked for.
+    ``neighbourhoods`` lists each distinct neighbourhood once, vertex 0's
+    first (``Graph.twin_classes``); ``columns`` gives, per cyclic factor,
+    coordinate k of every vertex's label. Per factor, vertex 0's coordinate
+    of the weight is the target and the scan of the other neighbourhoods
+    stops at the first whose coordinate differs, so a later factor's column
+    is never asked for.
     """
     mu = []
     for f, column in zip(factors, columns):
         get = column.__getitem__
-        target = sum(map(get, adj[0])) % f
-        for nbrs in adj:
+        rest = iter(neighbourhoods)
+        target = sum(map(get, next(rest))) % f
+        for nbrs in rest:
             if sum(map(get, nbrs)) % f != target:
                 return None
         mu.append(target)
@@ -174,7 +172,7 @@ def verify(g: Graph, labeling: Labeling) -> Optional[GroupElement]:
     """
     _check_sizes(g, labeling)
     labels = labeling.assignment
-    return _common_weight(g.adj, labeling.group.factors,
+    return _common_weight(g.twin_classes()[0], labeling.group.factors,
                           ([x[k] for x in labels]
                            for k in range(labeling.group.arity)))
 
@@ -184,14 +182,15 @@ def magic_permutations(g: Graph, labeling: Labeling) -> Iterator[Labeling]:
     ``itertools.permutations`` order, each carrying its magic constant.
 
     A rearrangement of a bijection is one, so no candidate is checked or
-    built as a Labeling: each is scored by ``verify``'s own arithmetic, and
-    only a magic one becomes a Labeling, which ``verify`` then confirms.
+    built as a Labeling: each is scored by ``verify``'s own arithmetic, over
+    the distinct neighbourhoods found once per call, and only a magic one
+    becomes a Labeling, which ``verify`` then confirms.
     """
     _check_sizes(g, labeling)
-    adj, group = g.adj, labeling.group
+    neighbourhoods, group = g.twin_classes()[0], labeling.group
     factors = group.factors
     for labels in itertools.permutations(labeling.assignment):
-        mu = _common_weight(adj, factors, zip(*labels))
+        mu = _common_weight(neighbourhoods, factors, zip(*labels))
         if mu is None:
             continue
         hit = Labeling(group, labels, mu)

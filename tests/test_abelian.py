@@ -243,6 +243,50 @@ def test_split_isomorphism_properties():
         _assert_split_is_isomorphism(spec, split)
 
 
+def _from_pair_by_crt(split, z, a):
+    """from_pair by its definition: per user factor, the CRT of z modulo
+    each selected prime power and of a's coordinates modulo the rest."""
+    a = split.complement.element(a)
+    per_factor = {}
+    for idx, p, e in split.selected:
+        per_factor.setdefault(idx, []).append((z % p ** e, p ** e))
+    for (idx, p, e), r in zip(split.rest, a):
+        per_factor.setdefault(idx, []).append((r % p ** e, p ** e))
+    coords = []
+    for idx, f in enumerate(split.group.factors):
+        x, m = 0, 1
+        for r, q in per_factor[idx]:
+            x += m * ((r - x) * pow(m, -1, q) % q)
+            m *= q
+        coords.append(x % f)
+    return tuple(coords)
+
+
+def test_from_pair_matches_crt_definition():
+    splits = 0
+    for n in range(2, 65):
+        for spec in enumerate_abelian_groups(n):
+            for d in range(2, n + 1):
+                split = find_cyclic_factor(spec, d)
+                if split is None:
+                    continue
+                splits += 1
+                comp = split.complement
+                for a in comp.elements():
+                    for z in range(-d - 1, 2 * d + 1):
+                        assert split.from_pair(z, a) == \
+                            _from_pair_by_crt(split, z, a), (spec, d, z, a)
+                for bad in (comp.zero() + (0,), comp.zero()[1:]):
+                    if len(bad) == comp.arity:
+                        continue
+                    with pytest.raises(GroupError) as got:
+                        split.from_pair(0, bad)
+                    with pytest.raises(GroupError) as want:
+                        comp.element(bad)
+                    assert str(got.value) == str(want.value)
+    assert splits == 283  # every (group, d) pair the loops visit
+
+
 def test_find_cyclic_factor_composite():
     # Z6 x A splits need both a Z2 and a Z3 prime-power factor
     assert find_cyclic_factor(parse_group_spec("Z12"), 6) is None

@@ -218,6 +218,21 @@ def test_is_tree_agrees_with_metrics():
         assert is_tree(g) == metrics(g).is_tree
 
 
+def test_twin_classes():
+    assert cycle(4).twin_classes() == ([frozenset({1, 3}), frozenset({0, 2})],
+                                       [0, 1, 0, 1])
+    neighbourhoods, index = path(3).twin_classes()
+    assert neighbourhoods == [frozenset({1}), frozenset({0, 2})]
+    assert index == [0, 1, 0]
+    assert Graph.from_edges(0, []).twin_classes() == ([], [])
+    for g in (cycle(6), complete_bipartite(2, 3), complete_minus_matching(8),
+              star(4)):
+        neighbourhoods, index = g.twin_classes()
+        assert len(set(neighbourhoods)) == len(neighbourhoods)
+        assert [neighbourhoods[c] for c in index] == list(g.adj)
+        assert index[0] == 0
+
+
 def test_twin_pairing():
     pairing = find_twin_pairing(cycle(4))
     assert pairing.pairs == ((0, 2), (1, 3))

@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -20,6 +21,7 @@ from gdmagic.graphs import (
     path,
     star,
 )
+from gdmagic.products import direct_product, lex_product
 from gdmagic.magic import (
     Certificate,
     CertificateError,
@@ -42,11 +44,11 @@ from gdmagic.magic import (
     verify,
     verify_certificate,
     weight,
-    weight_mismatch,
 )
 
 Z4 = parse_group_spec("Z4")
 Z5 = parse_group_spec("Z5")
+Z8 = parse_group_spec("Z8")
 Z22 = parse_group_spec("Z2xZ2")
 Z24 = parse_group_spec("Z2xZ4")
 Z42 = parse_group_spec("Z4xZ2")
@@ -56,6 +58,15 @@ Z222 = parse_group_spec("Z2xZ2xZ2")
 def _lab(group, *coords):
     return Labeling(group, tuple(group.element((c,)) if isinstance(c, int)
                                  else group.element(c) for c in coords))
+
+
+def weight_mismatch(g, labeling):
+    """First vertex pair with differing weights, or None when all agree:
+    vertex 0's weight is the reference, the offender the smallest id whose
+    weight differs. This is the pair verify_certificate's rejection names."""
+    magic._check_sizes(g, labeling)
+    return magic._first_mismatch(
+        magic._weights(g, labeling.group, labeling.assignment))
 
 
 def test_labeling_validation():
@@ -196,11 +207,54 @@ def labeled_graphs(draw):
     _lab(Z42, (0, 0), (1, 0), (3, 0), (2, 0), (0, 1), (1, 1), (3, 1), (2, 1)),
     _lab(Z222, (0, 0, 0), (0, 1, 0), (1, 0, 0), (1, 1, 0), (0, 0, 1),
          (0, 1, 1), (1, 0, 1), (1, 1, 1))]))
+# K(2,2,2,2) built as a product, whose twins share one set object, and the
+# same graph from an edge list, whose twins hold equal but distinct sets:
+# magic over Z8 and Z2xZ2xZ2, and a Z8 labeling whose first mismatch is the
+# first vertex of the second twin class
+@example((lex_product(path(2), complete_minus_matching(4)), [
+    _lab(Z8, 0, 1, 2, 7, 3, 6, 4, 5), _lab(Z8, 0, 1, 2, 3, 4, 5, 6, 7),
+    _lab(Z222, *itertools.product(range(2), repeat=3))]))
+@example((Graph.from_edges(8, lex_product(path(2),
+                                          complete_minus_matching(4)).edges()),
+          [_lab(Z8, 0, 1, 2, 7, 3, 6, 4, 5), _lab(Z8, 0, 1, 2, 3, 4, 5, 6, 7),
+           _lab(Z222, *itertools.product(range(2), repeat=3))]))
 def test_one_pass_weights_match_per_vertex_weight(case):
     g, labelings = case
     if g.n == 0:
         assert magic._weights(g, trivial_group(), ()) == []
         assert magic._weights(g, Z4, ()) == []
+    for lab in labelings:
+        expected = [weight(g, lab, v) for v in range(g.n)]
+        assert magic._weights(g, lab.group, lab.assignment) == expected
+        differs = [v for v in range(g.n) if expected[v] != expected[0]]
+        assert weight_mismatch(g, lab) == ((0, differs[0]) if differs else None)
+        assert verify(g, lab) == (None if differs else expected[0])
+
+
+@st.composite
+def labeled_products(draw):
+    """lex or direct product of a graph on 1..3 vertices and a K(m,n) or
+    KmM(n) (twin classes share one set), up to 12 vertices, either as built
+    or rebuilt from its edge list (twins hold equal but distinct sets),
+    with a random bijective labeling over each group of its order."""
+    g = draw(st.sampled_from([complete(1), complete(2), path(3), complete(3),
+                              Graph.from_edges(2, [])]))
+    h = draw(st.sampled_from([complete_minus_matching(2),
+                              complete_minus_matching(4),
+                              complete_bipartite(1, 2),
+                              complete_bipartite(2, 2)]))
+    product = draw(st.sampled_from([lex_product, direct_product]))(g, h)
+    if draw(st.booleans()):
+        product = Graph.from_edges(product.n, product.edges())
+    return product, [
+        Labeling(grp, tuple(draw(st.permutations(list(grp.elements())))))
+        for grp in enumerate_abelian_groups(product.n)]
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(labeled_products())
+def test_weights_over_twin_classes_match_per_vertex_weight(case):
+    g, labelings = case
     for lab in labelings:
         expected = [weight(g, lab, v) for v in range(g.n)]
         assert magic._weights(g, lab.group, lab.assignment) == expected

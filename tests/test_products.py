@@ -5,6 +5,8 @@ from hypothesis import example, given, settings, strategies as st
 from gdmagic.graphs import (
     Graph,
     complete,
+    complete_bipartite,
+    complete_minus_matching,
     cycle,
     is_isomorphic,
     path,
@@ -68,6 +70,42 @@ def test_products_match_edge_list_oracle(g, h):
     assert lex_product(g, h) == _lex_oracle(g, h)
     assert direct_product(g, h) == _direct_oracle(g, h)
     assert cartesian_product(g, h) == _cartesian_oracle(g, h)
+
+
+@st.composite
+def graphs_with_twins(draw):
+    """KmM(n), Kb(m,n), or an edge-list graph in which every vertex of a
+    small base graph is blown up into a class of 1..3 non-adjacent twins,
+    numbered in a drawn order."""
+    kind = draw(st.sampled_from(["KmM", "Kb", "edges"]))
+    if kind == "KmM":
+        return complete_minus_matching(2 * draw(st.integers(1, 4)))
+    if kind == "Kb":
+        return complete_bipartite(draw(st.integers(1, 4)), draw(st.integers(1, 4)))
+    base = draw(small_graphs())
+    owner = [b for b in range(base.n) for _ in range(draw(st.integers(1, 3)))]
+    owner = draw(st.permutations(owner))
+    return Graph.from_edges(len(owner), [
+        (u, v) for u in range(len(owner)) for v in range(u + 1, len(owner))
+        if owner[v] in base.adj[owner[u]]])
+
+
+def _set_objects(g):
+    return len({id(nbrs) for nbrs in g.adj})
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(small_graphs(), graphs_with_twins())
+@example(cycle(5), complete_minus_matching(8))
+@example(complete_bipartite(2, 3), complete_bipartite(3, 3))
+def test_products_share_one_set_per_twin_class(g, h):
+    lex, direct = lex_product(g, h), direct_product(g, h)
+    assert lex == _lex_oracle(g, h)
+    assert direct == _direct_oracle(g, h)
+    g_classes = len(set(g.adj))
+    h_classes = len(set(h.adj))
+    assert _set_objects(lex) == g.n * h_classes
+    assert _set_objects(direct) == g_classes * h_classes
 
 
 def test_lex_examples():
