@@ -29,10 +29,7 @@ __all__ = [
     "MAX_GROUP_ORDER",
     "enumerate_abelian_groups",
     "find_cyclic_factor",
-    "find_cyclic_two_factor",
     "two_power_exponents",
-    "trivial_group",
-    "cyclic_group",
 ]
 
 GroupElement = tuple[int, ...]
@@ -105,9 +102,6 @@ class GroupSpec:
         isomorphic exactly when these tuples agree."""
         return tuple(p ** e for _, p, e in _slots(self))
 
-    def is_isomorphic_to(self, other: "GroupSpec") -> bool:
-        return self.canonical_factors() == other.canonical_factors()
-
     def __str__(self) -> str:
         if not self.factors:
             return "trivial"
@@ -143,11 +137,6 @@ class GroupSpec:
     def sub(self, g: GroupElement, h: GroupElement) -> GroupElement:
         return self.add(g, self.neg(h))
 
-    def scalar_mul(self, c: int, g: GroupElement) -> GroupElement:
-        # per-coordinate modular multiplication, not repeated addition
-        self._check_arity(g)
-        return tuple((c * a) % f for a, f in zip(g, self.factors))
-
     def elements(self) -> Iterator[GroupElement]:
         """All elements in mixed-radix lexicographic order (identity first)."""
         return itertools.product(*(range(f) for f in self.factors))
@@ -160,13 +149,6 @@ class GroupSpec:
             coords.append(index % f)
             index //= f
         return tuple(reversed(coords))
-
-    def index_of(self, g: GroupElement) -> int:
-        g = self.element(g)
-        index = 0
-        for c, f in zip(g, self.factors):
-            index = index * f + c
-        return index
 
     # text forms -----------------------------------------------------------
 
@@ -195,17 +177,6 @@ class GroupSpec:
         raise GroupError(
             f"element {text.strip()} has a coordinate out of range for "
             f"{self} (each must satisfy 0 <= r < factor)")
-
-
-def trivial_group() -> GroupSpec:
-    return GroupSpec(())
-
-
-def cyclic_group(n: int) -> GroupSpec:
-    """Z_n, with n = 1 giving the trivial group."""
-    if n < 1:
-        raise GroupError(f"cyclic group order must be >= 1, got {n}")
-    return GroupSpec(()) if n == 1 else GroupSpec((n,))
 
 
 def parse_group_spec(text: str) -> GroupSpec:
@@ -253,9 +224,9 @@ def sum_of_elements(spec: GroupSpec) -> GroupElement:
 
 
 def cayley_tables(spec: GroupSpec) -> tuple[list[list[int]], list[int], int]:
-    """The group coded by element index (the position in ``elements()``, as
-    ``index_of`` gives it): ``add[a][b]`` is the code of a + b, ``neg[a]``
-    the code of -a, and the third value the code of s(spec).
+    """The group coded by element index, its position in ``elements()``:
+    ``add[a][b]`` is the code of a + b, ``neg[a]`` the code of -a, and the
+    third value the code of s(spec).
 
     The table has order**2 entries; build it only for small groups.
     """
@@ -401,14 +372,6 @@ def find_cyclic_factor(spec: GroupSpec, d: int) -> Optional[CyclicFactorSplit]:
     rest = tuple(s for si, s in enumerate(slots) if si not in used)
     complement = GroupSpec(tuple(p ** e for _, p, e in rest))
     return CyclicFactorSplit(spec, d, complement, tuple(chosen), rest)
-
-
-def find_cyclic_two_factor(spec: GroupSpec, s: int) -> Optional[CyclicFactorSplit]:
-    """Split off a cyclic factor of order exactly 2**s (cyclic 2-groups are
-    indecomposable, so this is an isomorphism-invariant test)."""
-    if s < 1:
-        raise GroupError(f"s must be >= 1, got {s}")
-    return find_cyclic_factor(spec, 1 << s)
 
 
 def two_power_exponents(spec: GroupSpec) -> list[int]:

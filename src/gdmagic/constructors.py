@@ -23,13 +23,9 @@ from .abelian import (
 from .graphs import (
     Graph,
     TwinPairing,
-    complete,
     complete_bipartite_parts,
-    complete_minus_matching,
     find_twin_pairing,
-    join,
     matching_join_pairs,
-    star,
 )
 from .magic import Labeling, verify
 from .products import direct_product, lex_product
@@ -37,9 +33,7 @@ from .products import direct_product, lex_product
 __all__ = [
     "ConstructionError",
     "ConstructionReport",
-    "label_matching_join",
     "label_matching_join_graph",
-    "label_star",
     "label_star_graph",
     "label_lex_c4k2",
     "label_dir_c4k2",
@@ -162,14 +156,6 @@ def label_matching_join_graph(g: Graph, group: GroupSpec) -> ConstructionReport:
                      {"n": n})
 
 
-def label_matching_join(n: int, group: GroupSpec) -> ConstructionReport:
-    """Canonical form of the construction above on join(KmM(n-1), K(1))."""
-    if n < 3 or n % 2 == 0:
-        raise ConstructionError(f"n must be an odd integer >= 3, got {n}")
-    g = join(complete_minus_matching(n - 1), complete(1))
-    return label_matching_join_graph(g, group)
-
-
 # ---------------------------------------------------------------------------
 # stars
 
@@ -193,13 +179,6 @@ def label_star_graph(g: Graph, group: GroupSpec) -> Optional[ConstructionReport]
     rest = iter(e for e in group.elements() if e != x)
     assignment = [x if v == center else next(rest) for v in range(n)]
     return _verified(g, assignment, group, x, "star", {"n": n - 1})
-
-
-def label_star(n: int, group: GroupSpec) -> Optional[ConstructionReport]:
-    """Canonical star K_{1,n} with center 0."""
-    if n < 1:
-        raise ConstructionError(f"n must be >= 1, got {n}")
-    return label_star_graph(star(n), group)
 
 
 # ---------------------------------------------------------------------------

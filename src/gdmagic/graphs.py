@@ -1,5 +1,6 @@
-"""Simple-graph kernel: named constructions, an expression parser, metrics,
-graph powers, tree enumeration, and twin-pair (balanced) structure.
+"""Simple-graph kernel: named constructions, an expression parser, graph
+powers, tree recognition and enumeration, and twin-pair (balanced)
+structure.
 
 Vertex numbering conventions are part of the contract, since labelings are
 reported against concrete ids:
@@ -15,7 +16,6 @@ reported against concrete ids:
 
 from __future__ import annotations
 
-import math
 import sys
 from collections import deque
 from dataclasses import dataclass
@@ -25,7 +25,6 @@ __all__ = [
     "Graph",
     "GraphError",
     "GraphParseError",
-    "GraphMetrics",
     "TwinPairing",
     "complete",
     "cycle",
@@ -43,15 +42,11 @@ __all__ = [
     "from_edge_list_text",
     "from_edge_list_file",
     "is_tree",
-    "metrics",
     "find_twin_pairing",
-    "is_balanced_dmg",
     "complete_bipartite_parts",
     "matching_join_pairs",
     "MAX_TREE_VERTICES",
     "enumerate_trees",
-    "find_isomorphism",
-    "is_isomorphic",
 ]
 
 
@@ -103,16 +98,8 @@ class Graph:
         index = [position.setdefault(nbrs, len(position)) for nbrs in self.adj]
         return list(position), index
 
-    def has_edge(self, u: int, v: int) -> bool:
-        return v in self.adj[u]
-
     def edges(self) -> list[tuple[int, int]]:
         return [(u, v) for u in range(self.n) for v in sorted(self.adj[u]) if u < v]
-
-    def complement(self) -> "Graph":
-        edges = [(u, v) for u in range(self.n) for v in range(u + 1, self.n)
-                 if v not in self.adj[u]]
-        return Graph.from_edges(self.n, edges)
 
 
 # named constructions ------------------------------------------------------
@@ -207,39 +194,10 @@ def graph_power(g: Graph, k: int) -> Graph:
     return Graph.from_edges(g.n, edges)
 
 
-# metrics --------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class GraphMetrics:
-    degrees: tuple[int, ...]
-    is_regular: bool
-    is_connected: bool
-    diameter: float  # math.inf when disconnected
-    is_tree: bool
-
-
 def is_tree(g: Graph) -> bool:
     """Connected with n - 1 edges: one BFS, and none when the edge count
     already rules it out."""
     return g.n > 0 and g.num_edges == g.n - 1 and min(_bfs_dist(g, 0)) >= 0
-
-
-def metrics(g: Graph) -> GraphMetrics:
-    degrees = g.degrees
-    regular = len(set(degrees)) <= 1
-    if g.n == 0:
-        return GraphMetrics((), True, True, 0, False)
-    diameter: float = 0
-    connected = True
-    for v in range(g.n):
-        dist = _bfs_dist(g, v)
-        if min(dist) < 0:
-            connected = False
-            diameter = math.inf
-            break
-        diameter = max(diameter, max(dist))
-    is_tree = connected and g.num_edges == g.n - 1
-    return GraphMetrics(degrees, regular, connected, diameter, is_tree)
 
 
 # twin pairs -------------------------------------------------------------------
@@ -269,15 +227,6 @@ def find_twin_pairing(g: Graph) -> Optional[TwinPairing]:
             pairs.append((members[t], members[t + 1]))
     pairs.sort()
     return TwinPairing(tuple(pairs))
-
-
-def is_balanced_dmg(g: Graph) -> bool:
-    """Regular, even order, and the vertex set splits into twin pairs."""
-    if g.n < 2 or g.n % 2:
-        return False
-    if len(set(g.degrees)) != 1:
-        return False
-    return find_twin_pairing(g) is not None
 
 
 def complete_bipartite_parts(g: Graph) -> Optional[tuple[list[int], list[int]]]:
@@ -320,51 +269,6 @@ def matching_join_pairs(g: Graph, hub: int) -> Optional[list[tuple[int, int]]]:
     if any(partner[partner[u]] != u for u in others):
         return None
     return [(u, w) for u, w in partner.items() if u < w]
-
-
-# isomorphism (desk scale only) ----------------------------------------------
-
-def find_isomorphism(g: Graph, h: Graph) -> Optional[list[int]]:
-    """Backtracking isomorphism search; returns a g->h vertex map or None.
-
-    Intended for small instances; the only pruning is by degree and
-    adjacency consistency.
-    """
-    if g.n != h.n or g.num_edges != h.num_edges:
-        return None
-    if sorted(g.degrees) != sorted(h.degrees):
-        return None
-    order = sorted(range(g.n), key=lambda v: (-g.degree(v), v))
-    mapping = [-1] * g.n
-    used = [False] * h.n
-
-    def extend(pos: int) -> bool:
-        if pos == g.n:
-            return True
-        v = order[pos]
-        for w in range(h.n):
-            if used[w] or h.degree(w) != g.degree(v):
-                continue
-            ok = True
-            for u in order[:pos]:
-                if (u in g.adj[v]) != (mapping[u] in h.adj[w]):
-                    ok = False
-                    break
-            if not ok:
-                continue
-            mapping[v] = w
-            used[w] = True
-            if extend(pos + 1):
-                return True
-            mapping[v] = -1
-            used[w] = False
-        return False
-
-    return mapping if extend(0) else None
-
-
-def is_isomorphic(g: Graph, h: Graph) -> bool:
-    return find_isomorphism(g, h) is not None
 
 
 # tree enumeration -------------------------------------------------------------

@@ -1,5 +1,6 @@
-"""Group labelings of graphs: weights, verification, the integer bridge,
-structural obstructions, and certificate serialization.
+"""Group labelings of graphs: weights, verification, structural
+obstructions, the paper's closed forms for trees and K(m,n), and
+certificate serialization.
 
 A labeling assigns every vertex a distinct group element; it is magic when
 every vertex's neighbor-label sum lands on one common element, the magic
@@ -14,7 +15,7 @@ import sys
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Optional, Sequence
 
-from .abelian import GroupElement, GroupSpec, cyclic_group, parse_group_spec
+from .abelian import GroupElement, GroupSpec, parse_group_spec
 from .graphs import Graph, construct_graph, is_tree, matching_join_pairs
 
 __all__ = [
@@ -30,8 +31,6 @@ __all__ = [
     "weight",
     "verify",
     "magic_permutations",
-    "negate_labeling",
-    "to_zn_labeling",
     "obstruction_two_universal",
     "obstruction_shared_neighborhood",
     "tree_group_magic",
@@ -200,44 +199,6 @@ def magic_permutations(g: Graph, labeling: Labeling) -> Iterator[Labeling]:
         yield hit
 
 
-def negate_labeling(g: Graph, labeling: Labeling) -> Labeling:
-    """Negate every label; the magic constant is negated too.
-
-    Requires a group with at least one non-involution non-identity element,
-    otherwise negation is the identity map and produces nothing new.
-    """
-    mu = verify(g, labeling)
-    if mu is None:
-        raise LabelingError("labeling is not magic; nothing to negate")
-    grp = labeling.group
-    if all(f == 2 for f in grp.canonical_factors()):
-        raise LabelingError(
-            f"every non-identity element of {grp} is an involution; "
-            "negation is the identity map")
-    negated = tuple(grp.neg(x) for x in labeling.assignment)
-    return Labeling(grp, negated, grp.neg(mu))
-
-
-def to_zn_labeling(g: Graph, int_labels: Sequence[int], mu: int) -> Labeling:
-    """Convert an integer distance magic labeling (labels 1..n, constant mu)
-    into a Z_n labeling by sending n to 0; the constant becomes mu mod n."""
-    n = g.n
-    labels = [int(x) for x in int_labels]
-    if sorted(labels) != list(range(1, n + 1)):
-        raise LabelingError("integer labels must be a bijection onto 1..n")
-    for v in range(n):
-        wv = sum(labels[u] for u in g.adj[v])
-        if wv != mu:
-            raise LabelingError(
-                f"not distance magic: vertex {v} has weight {wv}, expected {mu}")
-    grp = cyclic_group(n)
-    if n == 1:
-        assignment: tuple[GroupElement, ...] = ((),)
-        return Labeling(grp, assignment, ())
-    assignment = tuple((x % n,) for x in labels)
-    return Labeling(grp, assignment, (mu % n,))
-
-
 # obstructions ----------------------------------------------------------------
 
 TWO_UNIVERSAL = "two-universal"
@@ -330,12 +291,7 @@ def tree_group_magic(t: Graph) -> bool:
         raise LabelingError("graph is not a tree")
     if t.n < 2:
         raise LabelingError("tree must have at least two vertices")
-    return _magic_star(t)
-
-
-def _magic_star(t: Graph) -> bool:
-    """For a tree on n >= 2 vertices: a star (a vertex of degree n - 1 takes
-    every edge) K_{1,m} with m mod 4 != 1."""
+    # a star: one vertex of degree n - 1 takes every edge
     return max(t.degrees) == t.n - 1 and (t.n - 1) % 4 != 1
 
 
@@ -380,7 +336,11 @@ def all_obstructions(g: Graph) -> list[Obstruction]:
         found = check(g)
         if found:
             out.append(found)
-    if g.n >= 2 and is_tree(g) and not _magic_star(g):
+    try:
+        tree_shape = not tree_group_magic(g)
+    except LabelingError:  # not a tree on two or more vertices
+        tree_shape = False
+    if tree_shape:
         out.append(Obstruction(
             TREE_SHAPE, (),
             "tree is not a star K(1,m) with m mod 4 != 1"))
@@ -409,6 +369,13 @@ class Certificate:
 
 
 def format_certificate(cert: Certificate) -> str:
+    """The certificate's text, one field per line. A graph expression that
+    spans lines (as ``str.splitlines``, which ``parse_certificate`` reads
+    by, counts them) cannot be written as one field and raises."""
+    if len(cert.graph_expr.splitlines()) > 1:
+        raise CertificateError(
+            "graph expression spans more than one line; a certificate "
+            "holds it on its one 'graph:' line")
     grp = cert.group
     lines = []
     if cert.theorem:
@@ -483,8 +450,9 @@ def load_certificate(filename: str) -> Certificate:
 
 
 def save_certificate(cert: Certificate, filename: str) -> None:
+    text = format_certificate(cert)  # first, so a refused one leaves no file
     with open(filename, "w", encoding="utf-8") as fh:
-        fh.write(format_certificate(cert))
+        fh.write(text)
 
 
 def verify_certificate(cert: Certificate) -> tuple[bool, str, Optional[GroupElement]]:

@@ -32,7 +32,6 @@ __all__ = [
     "PRUNED_VERTEX_CAP",
     "search_labelings",
     "classify_over_all_groups",
-    "is_group_distance_magic",
 ]
 
 NAIVE_VERTEX_CAP = 8
@@ -305,7 +304,3 @@ def classify_over_all_groups(g: Graph,
         return {spec: bool(_run(g, spec, "first", plan, pool))
                 for spec in specs}
 
-
-def is_group_distance_magic(g: Graph,
-                            opts: SearchOptions = SearchOptions()) -> bool:
-    return all(classify_over_all_groups(g, opts).values())

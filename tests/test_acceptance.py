@@ -2,9 +2,11 @@
 
 All checks are exact (discrete algebra, zero tolerance). Run with
 ``pytest tests/test_acceptance.py -v -s`` to see one line per criterion.
+Criterion 8 negates labelings with ``negate_labeling``, defined and tested
+here.
 """
 
-import itertools
+import pytest
 
 from gdmagic.abelian import (
     enumerate_abelian_groups,
@@ -22,7 +24,7 @@ from gdmagic.constructors import (
     label_lex_c4k2,
     label_lex_even_degrees,
     label_lex_kmn_mixed,
-    label_matching_join,
+    label_matching_join_graph,
 )
 from gdmagic.graphs import (
     complete,
@@ -37,7 +39,8 @@ from gdmagic.graphs import (
     star,
 )
 from gdmagic.magic import (
-    negate_labeling,
+    Labeling,
+    LabelingError,
     obstruction_shared_neighborhood,
     obstruction_two_universal,
     tree_group_magic,
@@ -71,8 +74,9 @@ def test_criterion_1_sum_of_elements_sweep():
 def test_criterion_2_matching_join():
     constructions = 0
     for n in (5, 7, 9, 15):
+        g = join(complete_minus_matching(n - 1), complete(1))
         for group in enumerate_abelian_groups(n):
-            rep = label_matching_join(n, group)
+            rep = label_matching_join_graph(g, group)
             assert rep.predicted_mu == group.zero()
             assert verify(rep.graph, rep.labeling) == group.zero()
             constructions += 1
@@ -272,10 +276,11 @@ def _criteria_2_to_6_reports():
     kmm8 = complete_minus_matching(8)
     kmm6 = graph_power(cycle(6), 2)
     reports = [
-        label_matching_join(5, P("Z5")),
-        label_matching_join(9, P("Z9")),
-        label_matching_join(9, P("Z3xZ3")),
-        label_matching_join(15, P("Z3xZ5")),
+        label_matching_join_graph(
+            join(complete_minus_matching(n - 1), complete(1)), P(spec))
+        for n, spec in ((5, "Z5"), (9, "Z9"), (9, "Z3xZ3"), (15, "Z3xZ5"))
+    ]
+    reports += [
         label_lex_c4k2(complete(2), kmm6, P("Z6xZ2")),
         label_lex_c4k2(cycle(3), kmm6, P("Z6xZ3")),
         label_dir_c4k2(complete(4), kmm6, P("Z6xZ4")),
@@ -289,6 +294,48 @@ def _criteria_2_to_6_reports():
         auto_label(complete_bipartite(2, 3), cycle(4), "lex", P("Z2xZ2xZ5")),
     ]
     return reports
+
+
+def negate_labeling(g, labeling):
+    """Negate every label; the magic constant is negated too.
+
+    Requires a group with at least one non-involution non-identity element,
+    otherwise negation is the identity map and produces nothing new.
+    """
+    mu = verify(g, labeling)
+    if mu is None:
+        raise LabelingError("labeling is not magic; nothing to negate")
+    grp = labeling.group
+    if all(f == 2 for f in grp.canonical_factors()):
+        raise LabelingError(
+            f"every non-identity element of {grp} is an involution; "
+            "negation is the identity map")
+    negated = tuple(grp.neg(x) for x in labeling.assignment)
+    return Labeling(grp, negated, grp.neg(mu))
+
+
+def test_negate_labeling():
+    z4, z5, z22 = P("Z4"), P("Z5"), P("Z2xZ2")
+    c4 = cycle(4)
+    lab = Labeling(z4, ((1,), (0,), (2,), (3,)))
+    negated = negate_labeling(c4, lab)
+    assert negated.assignment == ((3,), (0,), (2,), (1,))
+    assert verify(c4, negated) == (1,)
+    assert negated.magic_constant == (1,)
+    assert negated.assignment != lab.assignment
+
+    # odd order: negation fixes only the identity
+    wheel = join(complete_minus_matching(4), complete(1))
+    lab5 = Labeling(z5, ((1,), (4,), (2,), (3,), (0,)))
+    negated5 = negate_labeling(wheel, lab5)
+    fixed = [v for v in range(5)
+             if negated5.assignment[v] == lab5.assignment[v]]
+    assert fixed == [4]  # the vertex labeled 0
+
+    with pytest.raises(LabelingError):
+        negate_labeling(cycle(4), Labeling(z22, tuple(z22.elements())))
+    with pytest.raises(LabelingError):
+        negate_labeling(c4, Labeling(z4, ((0,), (1,), (2,), (3,))))  # not magic
 
 
 def test_criterion_8_negation():

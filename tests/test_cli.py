@@ -218,6 +218,43 @@ def test_label_certificates_are_unchanged(graph, h, product, group, digest):
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
+@pytest.mark.parametrize("graph, h, product, group, digest", CERTIFY_DIGESTS)
+def test_certificates_survive_a_text_round_trip(graph, h, product, group,
+                                                digest):
+    from gdmagic.abelian import parse_group_spec
+    from gdmagic.constructors import auto_label
+    from gdmagic.graphs import construct_graph
+    from gdmagic.magic import Certificate, format_certificate, parse_certificate
+
+    spec = parse_group_spec(group)
+    report = auto_label(construct_graph(graph), construct_graph(h), product,
+                        spec)
+    cert = Certificate(f"{product}({graph},{h})", spec, report.predicted_mu,
+                       report.labeling.assignment, report.theorem)
+    text = format_certificate(cert)
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
+    assert parse_certificate(text) == cert
+
+
+@pytest.mark.parametrize("argv", [
+    ["--graph", "C(\n3)", "--h", "C(4)", "--group", "Z4xZ3"],
+    ["--graph", "C(\x0b3)", "--h", "C(4)", "--group", "Z4xZ3"],
+    ["--graph", "C(3)", "--h", "C(\n4)", "--group", "Z4xZ3"],
+    ["--graph", "C(3)", "--h", "C(4\x0b)", "--group", "Z4xZ3"],
+    ["--graph", "S(\n4)", "--group", "Z5"],
+])
+def test_label_refuses_a_graph_expression_of_several_lines(tmp_path, argv):
+    # the parser reads line breaks as blanks, but a certificate holds one
+    # field per line, so the text written would not parse back
+    cert_path = tmp_path / "cert.txt"
+    for extra in (["--out", str(cert_path)], []):
+        code, out, err = _run(["label", *argv, *extra])
+        assert (code, out) == (2, "")
+        assert err == ("error: graph expression spans more than one line; a "
+                       "certificate holds it on its one 'graph:' line\n")
+    assert not cert_path.exists()
+
+
 def test_expression_nesting_cap():
     from gdmagic.graphs import MAX_EXPR_DEPTH
 

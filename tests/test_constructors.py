@@ -17,9 +17,7 @@ from gdmagic.constructors import (
     label_lex_c4k2,
     label_lex_even_degrees,
     label_lex_kmn_mixed,
-    label_matching_join,
     label_matching_join_graph,
-    label_star,
     label_star_graph,
     label_with_method,
 )
@@ -68,15 +66,21 @@ def _pair_sums(report, pairing, h_order):
 
 # matching-join ----------------------------------------------------------------
 
+def _matching_join(n, group):
+    """The matching-join labeler on its canonical graph join(KmM(n-1), K(1))."""
+    return label_matching_join_graph(
+        join(complete_minus_matching(n - 1), complete(1)), group)
+
+
 def test_matching_join_small():
-    rep = label_matching_join(5, P("Z5"))
+    rep = _matching_join(5, P("Z5"))
     assert rep.predicted_mu == (0,)
     assert rep.labeling.assignment == ((1,), (4,), (2,), (3,), (0,))
     assert verify(rep.graph, rep.labeling) == (0,)
 
 
 def test_matching_join_z3z3():
-    rep = label_matching_join(9, P("Z3xZ3"))
+    rep = _matching_join(9, P("Z3xZ3"))
     assert rep.predicted_mu == (0, 0)
     assert rep.labeling.assignment[8] == (0, 0)  # hub
     assert verify(rep.graph, rep.labeling) == (0, 0)
@@ -84,9 +88,9 @@ def test_matching_join_z3z3():
 
 def test_matching_join_rejects():
     with pytest.raises(ConstructionError):
-        label_matching_join(4, P("Z4"))
+        label_matching_join_graph(complete(4), P("Z4"))  # even order
     with pytest.raises(ConstructionError):
-        label_matching_join(5, P("Z4"))
+        _matching_join(5, P("Z4"))
     with pytest.raises(ConstructionError):
         label_matching_join_graph(cycle(5), P("Z5"))
 
@@ -102,25 +106,25 @@ def test_matching_join_graph_structural():
 # stars --------------------------------------------------------------------------
 
 def test_star_z4():
-    rep = label_star(3, P("Z4"))
+    rep = label_star_graph(star(3), P("Z4"))
     assert rep.predicted_mu == (1,)
     assert rep.labeling.assignment == ((1,), (0,), (2,), (3,))
 
 
 def test_star_z2z2():
-    rep = label_star(3, P("Z2xZ2"))
+    rep = label_star_graph(star(3), P("Z2xZ2"))
     assert rep.predicted_mu == (0, 0)
     assert rep.labeling.assignment[0] == (0, 0)
 
 
 def test_star_unreachable():
-    assert label_star(5, P("Z6")) is None
-    assert label_star(1, P("Z2")) is None  # K2: 2x = 1 has no solution
+    assert label_star_graph(star(5), P("Z6")) is None
+    assert label_star_graph(star(1), P("Z2")) is None  # K2: 2x = 1 has no solution
 
 
 def test_star_rejects():
     with pytest.raises(ConstructionError):
-        label_star(3, P("Z5"))
+        label_star_graph(star(3), P("Z5"))
     with pytest.raises(ConstructionError):
         label_star_graph(path(4), P("Z4"))
 
@@ -128,7 +132,7 @@ def test_star_rejects():
 def test_star_emptiness_matches_mod4_rule():
     for leaves in range(1, 8):
         for group in enumerate_abelian_groups(leaves + 1):
-            rep = label_star(leaves, group)
+            rep = label_star_graph(star(leaves), group)
             assert (rep is None) == (leaves % 4 == 1)
             if rep is not None:
                 assert verify(rep.graph, rep.labeling) == rep.predicted_mu
@@ -412,7 +416,7 @@ def _sample_reports():
     kmm8 = complete_minus_matching(8)
     kmm6 = graph_power(cycle(6), 2)
     return [
-        (label_matching_join(7, P("Z7")), None),
+        (_matching_join(7, P("Z7")), None),
         (label_lex_c4k2(complete(2), kmm6, P("Z6xZ2")), 6),
         (label_dir_c4k2(cycle(6), kmm6, P("Z6xZ6")), 6),
         (label_lex_balanced_pow2(path(3), cycle(4), P("Z2xZ6"), 1), 4),

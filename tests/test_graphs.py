@@ -1,7 +1,6 @@
 import hashlib
 import heapq
 import itertools
-import math
 import random
 import re
 
@@ -21,15 +20,11 @@ from gdmagic.graphs import (
     construct_graph,
     cycle,
     enumerate_trees,
-    find_isomorphism,
     find_twin_pairing,
     from_edge_list_text,
     graph_power,
-    is_balanced_dmg,
-    is_isomorphic,
     is_tree,
     join,
-    metrics,
     path,
     star,
 )
@@ -45,7 +40,7 @@ def _assert_simple(g):
 def test_named_constructions():
     c4 = cycle(4)
     assert c4.edges() == [(0, 1), (0, 3), (1, 2), (2, 3)]
-    assert metrics(c4).is_regular
+    assert set(c4.degrees) == {2}
 
     s3 = star(3)
     assert s3.degree(0) == 3 and all(s3.degree(v) == 1 for v in (1, 2, 3))
@@ -189,8 +184,8 @@ def test_graph_power_matches_all_pairs_bfs(case):
 
 
 def test_graph_power_monotone_and_complete_at_diameter():
-    for g in (path(5), cycle(6), complete_bipartite(2, 3), star(4)):
-        diam = int(metrics(g).diameter)
+    for g, diam in ((path(5), 4), (cycle(6), 3), (complete_bipartite(2, 3), 2),
+                    (star(4), 2)):
         prev_edges = set()
         for k in range(1, diam + 1):
             edges = set(graph_power(g, k).edges())
@@ -199,23 +194,17 @@ def test_graph_power_monotone_and_complete_at_diameter():
         assert graph_power(g, diam) == complete(g.n)
 
 
-def test_metrics():
-    m = metrics(path(4))
-    assert m.diameter == 3 and m.is_tree and m.is_connected
-    m = metrics(cycle(5))
-    assert m.is_regular and m.diameter == 2 and not m.is_tree
-    m = metrics(complete_bipartite(2, 3))
-    assert not m.is_regular and m.diameter == 2
-    disconnected = Graph.from_edges(4, [(0, 1)])
-    m = metrics(disconnected)
-    assert not m.is_connected and m.diameter == math.inf and not m.is_tree
-
-
 def test_is_tree_agrees_with_metrics():
     triangle_and_point = Graph.from_edges(4, [(0, 1), (1, 2), (0, 2)])
-    for g in (path(4), star(5), cycle(5), complete(1), Graph.from_edges(0, []),
-              Graph.from_edges(4, [(0, 1)]), triangle_and_point):
-        assert is_tree(g) == metrics(g).is_tree
+    graphs = (path(4), star(5), cycle(5), complete(1), Graph.from_edges(0, []),
+              Graph.from_edges(4, [(0, 1)]), triangle_and_point)
+    assert [is_tree(g) for g in graphs] == [True, True, False, True, False,
+                                            False, False]
+    for g in graphs:
+        # a tree is connected (every pair within distance n) with n - 1 edges
+        connected = _all_pairs_power(g, g.n).num_edges == g.n * (g.n - 1) // 2
+        assert is_tree(g) == (g.n > 0 and connected
+                              and g.num_edges == g.n - 1)
 
 
 def test_twin_classes():
@@ -247,19 +236,10 @@ def test_twin_pairing():
         assert g.adj[a] == g.adj[b]
 
 
-def test_is_balanced_dmg():
-    assert is_balanced_dmg(cycle(4))
-    assert is_balanced_dmg(complete_bipartite(4, 4))
-    assert is_balanced_dmg(complete_minus_matching(8))
-    assert not is_balanced_dmg(cycle(6))
-    assert not is_balanced_dmg(complete(4))
-    assert not is_balanced_dmg(complete_bipartite(2, 3))  # not regular
-
-
 def test_balanced_implies_even_degree_and_order():
     for g in (cycle(4), complete_bipartite(4, 4), complete_minus_matching(8),
               complete_minus_matching(6)):
-        if is_balanced_dmg(g):
+        if find_twin_pairing(g) is not None:
             assert g.n % 2 == 0
             assert all(d % 2 == 0 for d in g.degrees)
 
@@ -272,6 +252,44 @@ def test_complete_bipartite_parts():
     assert complete_bipartite_parts(cycle(4)) == ([0, 2], [1, 3])
 
 
+# isomorphism: a plain backtracking search, the tree-dedup oracle below
+
+def find_isomorphism(g, h):
+    """A g->h vertex map that preserves adjacency, or None. Desk scale
+    only: the one pruning is by degree and adjacency consistency."""
+    if g.n != h.n or g.num_edges != h.num_edges:
+        return None
+    if sorted(g.degrees) != sorted(h.degrees):
+        return None
+    order = sorted(range(g.n), key=lambda v: (-g.degree(v), v))
+    mapping = [-1] * g.n
+    used = [False] * h.n
+
+    def extend(pos):
+        if pos == g.n:
+            return True
+        v = order[pos]
+        for w in range(h.n):
+            if used[w] or h.degree(w) != g.degree(v):
+                continue
+            if any((u in g.adj[v]) != (mapping[u] in h.adj[w])
+                   for u in order[:pos]):
+                continue
+            mapping[v] = w
+            used[w] = True
+            if extend(pos + 1):
+                return True
+            mapping[v] = -1
+            used[w] = False
+        return False
+
+    return mapping if extend(0) else None
+
+
+def is_isomorphic(g, h):
+    return find_isomorphism(g, h) is not None
+
+
 def test_find_isomorphism():
     from gdmagic.products import cartesian_product
     c4 = cycle(4)
@@ -279,7 +297,7 @@ def test_find_isomorphism():
     mapping = find_isomorphism(c4, other)
     assert mapping is not None
     for u, v in c4.edges():
-        assert other.has_edge(mapping[u], mapping[v])
+        assert mapping[v] in other.adj[mapping[u]]
     assert find_isomorphism(c4, path(4)) is None
     assert is_isomorphic(complete_minus_matching(4), c4)
 
@@ -290,8 +308,7 @@ def test_enumerate_trees_counts():
         trees = enumerate_trees(n)
         assert len(trees) == count
         for t in trees:
-            m = metrics(t)
-            assert m.is_tree and t.n == n
+            assert is_tree(t) and t.n == n
 
 
 def _tree_from_pruefer(seq, n):

@@ -5,11 +5,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from gdmagic import magic
-from gdmagic.abelian import (
-    enumerate_abelian_groups,
-    parse_group_spec,
-    trivial_group,
-)
+from gdmagic.abelian import GroupSpec, enumerate_abelian_groups, parse_group_spec
 from gdmagic.graphs import (
     Graph,
     complete,
@@ -35,11 +31,9 @@ from gdmagic.magic import (
     detect_biregular_universal,
     format_certificate,
     kmn_group_magic,
-    negate_labeling,
     obstruction_shared_neighborhood,
     obstruction_two_universal,
     parse_certificate,
-    to_zn_labeling,
     tree_group_magic,
     verify,
     verify_certificate,
@@ -196,7 +190,7 @@ def labeled_graphs(draw):
 @settings(max_examples=300, deadline=None, derandomize=True)
 @given(labeled_graphs())
 @example((Graph.from_edges(0, []), []))
-@example((Graph.from_edges(1, []), [Labeling(trivial_group(), ((),))]))
+@example((Graph.from_edges(1, []), [Labeling(GroupSpec(()), ((),))]))
 @example((Graph.from_edges(4, [(1, 2)]), [_lab(Z4, 3, 1, 0, 2),
                                           _lab(Z22, (1, 1), (0, 1), (0, 0),
                                                (1, 0))]))
@@ -221,7 +215,7 @@ def labeled_graphs(draw):
 def test_one_pass_weights_match_per_vertex_weight(case):
     g, labelings = case
     if g.n == 0:
-        assert magic._weights(g, trivial_group(), ()) == []
+        assert magic._weights(g, GroupSpec(()), ()) == []
         assert magic._weights(g, Z4, ()) == []
     for lab in labelings:
         expected = [weight(g, lab, v) for v in range(g.n)]
@@ -266,47 +260,6 @@ def test_weights_over_twin_classes_match_per_vertex_weight(case):
 def test_verify_size_mismatch():
     with pytest.raises(LabelingError):
         verify(cycle(5), _lab(Z4, 0, 1, 2, 3))
-
-
-def test_negate_labeling():
-    c4 = cycle(4)
-    lab = _lab(Z4, 1, 0, 2, 3)
-    negated = negate_labeling(c4, lab)
-    assert negated.assignment == ((3,), (0,), (2,), (1,))
-    assert verify(c4, negated) == (1,)
-    assert negated.magic_constant == (1,)
-    assert negated.assignment != lab.assignment
-
-    # odd order: negation fixes only the identity
-    wheel = join(complete_minus_matching(4), complete(1))
-    lab5 = _lab(Z5, 1, 4, 2, 3, 0)
-    negated5 = negate_labeling(wheel, lab5)
-    fixed = [v for v in range(5)
-             if negated5.assignment[v] == lab5.assignment[v]]
-    assert fixed == [4]  # the vertex labeled 0
-
-    with pytest.raises(LabelingError):
-        negate_labeling(cycle(4), _lab(Z22, (0, 0), (0, 1), (1, 0), (1, 1)))
-    with pytest.raises(LabelingError):
-        negate_labeling(c4, _lab(Z4, 0, 1, 2, 3))  # not magic
-
-
-def test_to_zn_labeling():
-    c4 = cycle(4)
-    lab = to_zn_labeling(c4, [1, 2, 4, 3], 5)
-    assert lab.assignment == ((1,), (2,), (0,), (3,))
-    assert verify(c4, lab) == (1,)
-    assert lab.magic_constant == (1,)
-
-    k1 = complete(1)
-    lab1 = to_zn_labeling(k1, [1], 0)
-    assert lab1.group == trivial_group()
-    assert verify(k1, lab1) == ()
-
-    with pytest.raises(LabelingError):
-        to_zn_labeling(path(4), [1, 2, 3, 4], 3)
-    with pytest.raises(LabelingError):
-        to_zn_labeling(c4, [1, 2, 4, 4], 5)
 
 
 def test_obstruction_two_universal():

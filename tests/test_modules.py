@@ -1,11 +1,13 @@
 import ast
 import importlib
 import pathlib
+import re
 import types
 
 import gdmagic
 
 PACKAGE = pathlib.Path(gdmagic.__file__).parent
+README = pathlib.Path(__file__).resolve().parents[1] / "README.md"
 
 
 def _private_imports(path):
@@ -79,3 +81,60 @@ def test_package_exports_the_union_of_module_exports():
               and not isinstance(value, types.ModuleType)}
     assert sorted(gdmagic.__all__) == sorted(union)
     assert public == union
+
+
+def _references(statement):
+    """Names a top-level statement reads, as a name or an attribute, less
+    the names it defines itself (a recursive call is not a caller)."""
+    read = {node.id if isinstance(node, ast.Name) else node.attr
+            for node in ast.walk(statement)
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
+            or isinstance(node, ast.Attribute)}
+    if isinstance(statement, (ast.FunctionDef, ast.ClassDef)):
+        read.discard(statement.name)
+    elif isinstance(statement, (ast.Assign, ast.AnnAssign)):
+        targets = (statement.targets if isinstance(statement, ast.Assign)
+                   else [statement.target])
+        read -= {t.id for t in targets if isinstance(t, ast.Name)}
+    return read
+
+
+def _uncalled_exports(package, readme_text):
+    """Per module, the names of its __all__ that no module of the package
+    reads outside the name's own definition (``__init__``, which only
+    re-exports, left out) and that the README does not name in backticks."""
+    trees = {path.name: ast.parse(path.read_text(), str(path))
+             for path in sorted(package.glob("*.py"))
+             if path.name != "__init__.py"}
+    read = set().union(*(_references(statement)
+                         for tree in trees.values() for statement in tree.body))
+    documented = set(re.findall(r"`(\w+)`", readme_text))
+    uncalled = {}
+    for name, tree in trees.items():
+        for statement in tree.body:
+            if (isinstance(statement, ast.Assign)
+                    and [getattr(t, "id", None) for t in statement.targets]
+                    == ["__all__"]):
+                exports = ast.literal_eval(statement.value)
+                missing = sorted(set(exports) - read - documented)
+                if missing:
+                    uncalled[name] = missing
+    return uncalled
+
+
+def test_every_exported_name_has_a_caller_or_is_documented():
+    assert _uncalled_exports(PACKAGE, README.read_text()) == {}
+
+
+def test_caller_scan_sees_an_uncalled_name(tmp_path):
+    (tmp_path / "a.py").write_text(
+        '__all__ = ["used", "unused", "documented", "recursive"]\n'
+        "def used(): pass\n"
+        "def unused(): return unused\n"
+        "def documented(): pass\n"
+        "def recursive(n): return recursive(n - 1)\n")
+    (tmp_path / "b.py").write_text("from .a import used, unused\n"
+                                   "def f(): return used()\n")
+    (tmp_path / "__init__.py").write_text("from .a import *\nunused\n")
+    assert _uncalled_exports(tmp_path, "see `documented`") == {
+        "a.py": ["recursive", "unused"]}

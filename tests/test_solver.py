@@ -20,7 +20,6 @@ from gdmagic.solver import (
     SearchSizeError,
     SolverError,
     classify_over_all_groups,
-    is_group_distance_magic,
     search_labelings,
 )
 
@@ -122,8 +121,6 @@ def test_classify_examples():
         P("Z4"): True, P("Z2xZ2"): True}
     assert classify_over_all_groups(star(5)) == {P("Z2xZ3"): False}
     assert classify_over_all_groups(star(4)) == {P("Z5"): True}
-    assert is_group_distance_magic(cycle(4))
-    assert not is_group_distance_magic(star(5))
 
 
 def test_parallel_matches_sequential():
