@@ -13,6 +13,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import re
 import sys
 from dataclasses import dataclass
 from typing import Iterator, Optional
@@ -141,42 +142,80 @@ class GroupSpec:
         """All elements in mixed-radix lexicographic order (identity first)."""
         return itertools.product(*(range(f) for f in self.factors))
 
-    def element_at(self, index: int) -> GroupElement:
-        if not 0 <= index < self.order:
-            raise GroupError(f"element index {index} out of range for {self}")
-        coords = []
-        for f in reversed(self.factors):
-            coords.append(index % f)
-            index //= f
-        return tuple(reversed(coords))
-
     # text forms -----------------------------------------------------------
 
     def format_element(self, g: GroupElement) -> str:
-        self._check_arity(g)
-        return "(" + ",".join(str(c) for c in g) + ")"
+        return self.format_elements((g,))[0]
+
+    def format_elements(self, elems, head: str = "") -> list[str]:
+        """Each element as "(r1,...,rk)", filled into one %-template of the
+        group's arity. A ``head`` such as a certificate's "v %d " goes
+        before each, its %d filled with the element's position."""
+        arity = len(self.factors)
+        if not {arity}.issuperset(map(len, elems)):
+            for g in elems:
+                self._check_arity(g)
+        template = head + "(" + ",".join(["%s"] * arity) + ")"
+        if not head:
+            return list(map(template.__mod__, map(tuple, elems)))
+        columns = [[g[k] for g in elems] for k in range(arity)]
+        return list(map(template.__mod__, zip(range(len(elems)), *columns)))
 
     def parse_element(self, text: str) -> GroupElement:
         """Read "(r1,...,rk)"; each coordinate must already be reduced,
         0 <= ri < fi, so a text form names exactly one element."""
+        return self.parse_elements((text,))[0]
+
+    def parse_elements(self, texts) -> list[GroupElement]:
+        """parse_element over a sequence of texts: the coordinates of all
+        of them go through one int() map and one min/max per factor. A
+        coordinate is what int() reads, so inner blanks, a leading "+",
+        "_" separators and non-ASCII decimal digits pass. On a text it
+        refuses, raises parse_element's message for the first such text."""
+        arity = len(self.factors)
+        stripped = list(map(str.strip, texts))
+        joined = ";".join(stripped)
+        # each text one "(...)" with arity - 1 commas inside and no other
+        # parenthesis or ";": then the coordinates are the pieces between
+        # the commas and ";"s once the parentheses are dropped
+        one = r"\([^(),;]*" + r",[^(),;]*" * (arity - 1) + r"\)"
+        if re.fullmatch(f"{one}(?:;{one})*", joined):
+            flat = joined.translate(
+                {ord("("): None, ord(")"): None, ord(";"): ","}).split(",")
+            if not arity:
+                if not "".join(flat).strip():
+                    return [()] * len(stripped)
+            else:
+                try:
+                    values = list(map(int, flat))
+                except ValueError:
+                    pass
+                else:
+                    columns = [values[k::arity] for k in range(arity)]
+                    if all(min(c) >= 0 and max(c) < f
+                           for c, f in zip(columns, self.factors)):
+                        return list(zip(*columns))
+        # refused, or empty: one text at a time, which raises at the first
+        # text refused
+        return [self._parse_one(text) for text in texts]
+
+    def _parse_one(self, text: str) -> GroupElement:
+        """parse_element's reading of one text, which parse_elements falls
+        back on only to name the text it refuses."""
         t = text.strip()
         if not (t.startswith("(") and t.endswith(")")):
             raise GroupError(f"element must look like (r1,...,rk), got {text!r}")
         inner = t[1:-1].strip()
-        if not inner:
-            coords = ()
-        else:
-            try:
-                coords = tuple(int(p) for p in inner.split(","))
-            except ValueError:
-                raise GroupError(f"bad element coordinates in {text!r}") from None
-        if len(coords) == len(self.factors) and all(
-                0 <= c < f for c, f in zip(coords, self.factors)):
-            return coords
+        try:
+            coords = tuple(int(p) for p in inner.split(",")) if inner else ()
+        except ValueError:
+            raise GroupError(f"bad element coordinates in {text!r}") from None
         self.element(coords)  # raises on a wrong arity
-        raise GroupError(
-            f"element {text.strip()} has a coordinate out of range for "
-            f"{self} (each must satisfy 0 <= r < factor)")
+        if not all(0 <= c < f for c, f in zip(coords, self.factors)):
+            raise GroupError(
+                f"element {t} has a coordinate out of range for "
+                f"{self} (each must satisfy 0 <= r < factor)")
+        return coords
 
 
 def parse_group_spec(text: str) -> GroupSpec:
@@ -339,12 +378,29 @@ class CyclicFactorSplit:
         return one, [(idx, unit(idx, p, e)) for idx, p, e in self.rest]
 
     def from_pair(self, z: int, a: GroupElement) -> GroupElement:
-        a = self.complement.element(a)
+        return self.from_pairs((z,), (self.complement.element(a),))[0]
+
+    def from_pairs(self, zs, as_) -> list[GroupElement]:
+        """from_pair over columns: the image of (zs[i], as_[i]) for every i.
+        Coordinate k of every image is one list, z * one[k] plus r * u for
+        each complement coordinate r whose unit u lands on factor k, reduced
+        mod the factor once; the lists are zipped into elements at the end.
+        A complement coordinate need not be reduced: u is 0 mod f / q, so
+        r * u mod f depends only on r mod q."""
+        arity = self.complement.arity
+        if not {arity}.issuperset(map(len, as_)):
+            for a in as_:
+                self.complement.element(a)  # raises on a wrong arity
         one, units = self._images
-        coords = [z * c for c in one]
-        for r, (idx, u) in zip(a, units):
-            coords[idx] += r * u
-        return tuple(c % f for c, f in zip(coords, self.group.factors))
+        a_columns = [[a[j] for a in as_] for j in range(arity)]
+        columns = []
+        for k, (c, f) in enumerate(zip(one, self.group.factors)):
+            column = [z * c for z in zs]
+            for r_column, (idx, u) in zip(a_columns, units):
+                if idx == k:
+                    column = [x + r * u for x, r in zip(column, r_column)]
+            columns.append([x % f for x in column])
+        return list(zip(*columns))
 
 
 def find_cyclic_factor(spec: GroupSpec, d: int) -> Optional[CyclicFactorSplit]:

@@ -26,6 +26,7 @@ from .magic import (
     Certificate,
     LabelingError,
     all_obstructions,
+    check_graph_line,
     format_certificate,
     load_certificate,
     save_certificate,
@@ -74,9 +75,10 @@ def _cmd_label(args, out: TextIO, err: TextIO) -> int:
     g = construct_graph(args.graph)
     product = method_product(args.method, args.h is not None, args.product)
     h = None if product is None else construct_graph(args.h)
-    report = label_with_method(args.method, g, h, product, group, args.s)
     graph_expr = (args.graph.strip() if h is None
                   else f"{product}({args.graph.strip()},{args.h.strip()})")
+    check_graph_line(graph_expr)  # before labeling, under --json too
+    report = label_with_method(args.method, g, h, product, group, args.s)
     if report is None:
         message = ("no labeling exists: no center label x with 2x equal to "
                    "the sum of all group elements")
@@ -96,8 +98,8 @@ def _cmd_label(args, out: TextIO, err: TextIO) -> int:
     _emit(args, out,
           lambda: {"ok": True, "theorem": report.theorem, "graph": graph_expr,
                    "group": str(group), "mu": mu,
-                   "labels": [group.format_element(x)
-                              for x in report.labeling.assignment],
+                   "labels": group.format_elements(
+                       report.labeling.assignment),
                    "parameters": report.parameters, "out": args.out},
           lambda: (f"wrote certificate to {args.out} (theorem "
                    f"{report.theorem}, mu {mu})" if args.out
@@ -121,15 +123,14 @@ def _cmd_search(args, out: TextIO, err: TextIO) -> int:
         lines = []
         for lab in result:
             lines.append(f"mu: {fmt(lab.magic_constant)}")
-            lines.extend(f"v {v} {fmt(x)}"
-                         for v, x in enumerate(lab.assignment))
+            lines += group.format_elements(lab.assignment, "v %d ")
             lines.append("")
         return "\n".join(lines + [f"count: {len(result)}"])
 
     _emit(args, out,
           lambda: {"mode": args.mode, "count": len(result), "labelings": [
               {"mu": fmt(lab.magic_constant),
-               "labels": [fmt(x) for x in lab.assignment]}
+               "labels": group.format_elements(lab.assignment)}
               for lab in result]},
           text)
     return 0 if result else _NEGATIVE

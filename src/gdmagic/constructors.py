@@ -10,7 +10,7 @@ verification mismatch raises instead of being patched over.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, NamedTuple, Optional
+from typing import Callable, Iterable, NamedTuple, Optional
 
 from .abelian import (
     CyclicFactorSplit,
@@ -101,20 +101,35 @@ def _split_or_error(group: GroupSpec, d: int) -> CyclicFactorSplit:
     return split
 
 
-def _twin_pair_labels(labels: list, hn: int, blocks, pairing: TwinPairing,
+def _twin_pair_labels(labels: list, hn: int, pairing: TwinPairing,
                       split: CyclicFactorSplit, pair_z: int,
-                      rule: Callable[[int, int], tuple[int, GroupElement]]
+                      blocks: Iterable[tuple[int, list[int], list[GroupElement]]]
                       ) -> list:
     """Fill blocks of a product with a twin-paired H (vertex i*hn + j is
-    vertex j of H in block i): in block i the first vertex of twin pair t
-    gets the split element rule(i, t) = (z, a), and its twin gets
-    (pair_z, 0) minus that, so every twin pair sums to (pair_z, 0)."""
-    neg = split.complement.neg
-    for i in blocks:
-        for t, (j, jp) in enumerate(pairing.pairs):
-            z, a = rule(i, t)
-            labels[i * hn + j] = split.from_pair(z, a)
-            labels[i * hn + jp] = split.from_pair(pair_z - z, neg(a))
+    vertex j of H in block i). Each block is (i, zs, as_): the first vertex
+    of twin pair t gets the split element (zs[t], as_[t]) and its twin gets
+    (pair_z, 0) minus that, so every twin pair sums to (pair_z, 0).
+
+    All blocks' first vertices are mapped by one ``from_pairs``; the map
+    is additive, so the twins are one column subtraction from the image of
+    (pair_z, 0)."""
+    ids, zs, as_ = [], [], []
+    for i, block_zs, block_as in blocks:
+        ids.append(i)
+        zs += block_zs
+        as_ += block_as
+    primary = split.from_pairs(zs, as_)
+    total = split.from_pair(pair_z, split.complement.zero())
+    twins = list(zip(*([(c - x[k]) % f for x in primary] for k, (c, f)
+                       in enumerate(zip(total, split.group.factors)))))
+    size = len(pairing.pairs)
+    # where vertex j of H sits in a block's first vertices, then its twins
+    order = [0] * hn
+    for t, (j, jp) in enumerate(pairing.pairs):
+        order[j], order[jp] = t, size + t
+    for b, i in enumerate(ids):
+        row = primary[b * size:(b + 1) * size] + twins[b * size:(b + 1) * size]
+        labels[i * hn:(i + 1) * hn] = map(row.__getitem__, order)
     return labels
 
 
@@ -199,10 +214,11 @@ def _c4k2_host(method: str, h: Graph) -> tuple[int, TwinPairing]:
 def _c4k2_assignment(g: Graph, h: Graph, pairing: TwinPairing,
                      split: CyclicFactorSplit, k: int) -> list[GroupElement]:
     # block i, pair t: primary label (t, a_i)
-    comp = split.complement
-    return _twin_pair_labels([split.group.zero()] * (g.n * h.n), h.n,
-                             range(g.n), pairing, split, 4 * k + 1,
-                             lambda i, t: (t, comp.element_at(i)))
+    zs = list(range(2 * k + 1))
+    return _twin_pair_labels(
+        [split.group.zero()] * (g.n * h.n), h.n, pairing, split, 4 * k + 1,
+        ((i, zs, [a] * len(zs))
+         for i, a in enumerate(split.complement.elements())))
 
 
 def label_lex_c4k2(g: Graph, h: Graph, group: GroupSpec) -> ConstructionReport:
@@ -294,23 +310,22 @@ def _pow2_assignment(g: Graph, h: Graph, pairing: TwinPairing,
     # block i, pair t: primary label, for s <= k-1,
     #   (t // 2^{k-s}, a_{(t mod 2^{k-s}) + 2^{k-s} i}),
     # and otherwise ((2^{k-1} i + t) mod 2^{s-1}, a_{i // 2^{s-k}})
-    comp = split.complement
+    comp = list(split.complement.elements())
+    pairs = 1 << (k - 1)
     if s <= k - 1:
         chunk = 1 << (k - s)
-
-        def rule(i, t):
-            return t // chunk, comp.element_at((t % chunk) + chunk * i)
+        zs = [t // chunk for t in range(pairs)]
+        blocks = ((i, zs, comp[chunk * i:chunk * (i + 1)] * (pairs // chunk))
+                  for i in range(g.n))
     else:
         if g.n % (1 << (s - k)):
             raise ConstructionError(
                 f"vertex count {g.n} is not divisible by 2^{s - k}")
         halfmod, shift = 1 << (s - 1), 1 << (s - k)
-
-        def rule(i, t):
-            return (((1 << (k - 1)) * i + t) % halfmod,
-                    comp.element_at(i // shift))
+        blocks = ((i, [(pairs * i + t) % halfmod for t in range(pairs)],
+                   [comp[i // shift]] * pairs) for i in range(g.n))
     return _twin_pair_labels([split.group.zero()] * (g.n * h.n), h.n,
-                             range(g.n), pairing, split, (1 << s) - 1, rule)
+                             pairing, split, (1 << s) - 1, blocks)
 
 
 def label_lex_balanced_pow2(g: Graph, h: Graph, group: GroupSpec,
@@ -367,9 +382,10 @@ def label_lex_even_degrees(g: Graph, h: Graph,
             f"group {group} has no Z{1 << k} direct factor; route to the "
             f"small-s labeler with s <= {k - 1}")
     comp = split.complement
+    zs = list(range(0, 1 << k, 2))
     assignment = _twin_pair_labels(
-        [group.zero()] * (g.n * h.n), h.n, range(g.n), pairing, split,
-        (1 << k) - 1, lambda i, t: ((2 * t) % (1 << k), comp.element_at(i)))
+        [group.zero()] * (g.n * h.n), h.n, pairing, split, (1 << k) - 1,
+        ((i, zs, [a] * len(zs)) for i, a in enumerate(comp.elements())))
     predicted = split.from_pair((-r) % (1 << k), comp.zero())
     return _verified(lex_product(g, h), assignment, group, predicted,
                      "even-degrees-lex", {"k": k, "r": r})
@@ -407,13 +423,14 @@ def label_lex_kmn_mixed(g: Graph, h: Graph,
     need = len(xs) // 2
     x_vals = [v for pr in value_pairs[:need] for v in pr]
     y_vals = [comp.zero()] + [v for pr in value_pairs[need:] for v in pr]
-    x_a, y_a = dict(zip(xs, x_vals)), dict(zip(ys, y_vals))
+    pairs = 1 << (k - 1)
+    x_zs = [(pairs + 1) * t % (1 << k) for t in range(pairs)]
+    y_zs = list(range(0, 1 << k, 2))
     assignment = [group.zero()] * (g.n * h.n)
-    _twin_pair_labels(
-        assignment, h.n, x_a, pairing, split, (1 << (k - 1)) - 1,
-        lambda i, t: (((1 << (k - 1)) + 1) * t % (1 << k), x_a[i]))
-    _twin_pair_labels(assignment, h.n, y_a, pairing, split, (1 << k) - 1,
-                      lambda i, t: ((2 * t) % (1 << k), y_a[i]))
+    _twin_pair_labels(assignment, h.n, pairing, split, pairs - 1,
+                      ((i, x_zs, [a] * pairs) for i, a in zip(xs, x_vals)))
+    _twin_pair_labels(assignment, h.n, pairing, split, (1 << k) - 1,
+                      ((i, y_zs, [a] * pairs) for i, a in zip(ys, y_vals)))
     predicted = split.from_pair((-r) % (1 << k), comp.zero())
     return _verified(lex_product(g, h), assignment, group, predicted,
                      "kmn-mixed-lex",

@@ -37,6 +37,7 @@ __all__ = [
     "kmn_group_magic",
     "detect_biregular_universal",
     "all_obstructions",
+    "check_graph_line",
     "format_certificate",
     "parse_certificate",
     "load_certificate",
@@ -368,14 +369,20 @@ class Certificate:
     theorem: Optional[str] = None
 
 
-def format_certificate(cert: Certificate) -> str:
-    """The certificate's text, one field per line. A graph expression that
-    spans lines (as ``str.splitlines``, which ``parse_certificate`` reads
-    by, counts them) cannot be written as one field and raises."""
-    if len(cert.graph_expr.splitlines()) > 1:
+def check_graph_line(graph_expr: str) -> None:
+    """Raise unless ``graph_expr`` fits on a certificate's one "graph:"
+    line: one line as ``str.splitlines``, which ``parse_certificate`` reads
+    by, counts them."""
+    if len(graph_expr.splitlines()) > 1:
         raise CertificateError(
             "graph expression spans more than one line; a certificate "
             "holds it on its one 'graph:' line")
+
+
+def format_certificate(cert: Certificate) -> str:
+    """The certificate's text, one field per line; a graph expression that
+    spans lines cannot be written as one field and raises."""
+    check_graph_line(cert.graph_expr)
     grp = cert.group
     lines = []
     if cert.theorem:
@@ -383,19 +390,17 @@ def format_certificate(cert: Certificate) -> str:
     lines.append(f"graph: {cert.graph_expr}")
     lines.append(f"group: {grp}")
     lines.append(f"mu: {grp.format_element(cert.mu)}")
-    for v, g in enumerate(cert.labels):
-        lines.append(f"v {v} {grp.format_element(g)}")
+    lines += grp.format_elements(cert.labels, "v %d ")
     return "\n".join(lines) + "\n"
 
 
-def parse_certificate(text: str) -> Certificate:
+def _read_lines(lines: Iterable[str], fields: dict[str, str],
+                raw_labels: dict[int, str]) -> Optional[str]:
+    """Read certificate lines one at a time into ``fields`` and
+    ``raw_labels``, raising at the first bad one; returns the last
+    theorem tag."""
     theorem = None
-    fields: dict[str, str] = {}
-    raw_labels: dict[int, str] = {}
-    for raw in text.splitlines():
-        line = raw.strip()
-        if not line:
-            continue
+    for line in lines:
         if line.startswith("#"):
             m = re.match(r"#\s*theorem:\s*(\S+)", line)
             if m:
@@ -419,6 +424,42 @@ def parse_certificate(text: str) -> Certificate:
         if not sep:
             raise CertificateError(f"bad certificate line {line!r}")
         fields[key.strip()] = value.strip()
+    return theorem
+
+
+def _label_lines(lines: Iterable[str]) -> Optional[dict[int, str]]:
+    """_read_lines' reading of "v <index> <element>" lines, done on all of
+    them at once: each element text by its index, or None when a line is
+    one that _read_lines refuses."""
+    rows = list(map(str.split, lines, itertools.repeat(None),
+                    itertools.repeat(2)))
+    if not {3}.issuperset(map(len, rows)):
+        return None
+    indices, texts = [r[1] for r in rows], [r[2] for r in rows]
+    del rows
+    if not all(map(str.isdecimal, indices)):
+        return None
+    try:
+        raw_labels = dict(zip(map(int, indices), texts))
+    except ValueError:  # more digits than int() converts
+        return None
+    return raw_labels if len(raw_labels) == len(texts) else None
+
+
+def parse_certificate(text: str) -> Certificate:
+    """Read a certificate's text. The label lines are split, and their
+    elements parsed, all at once; when one is bad, the lines are read one
+    at a time, so the message names the first bad line."""
+    lines = list(filter(None, map(str.strip, text.splitlines())))
+    is_label = list(map(str.startswith, lines, itertools.repeat("v ")))
+    raw_labels = _label_lines(itertools.compress(lines, is_label))
+    if raw_labels is None:  # every line, one at a time, to name the fault
+        raw_labels = {}
+    else:  # only the other lines are left to read
+        lines = list(itertools.compress(lines, [not v for v in is_label]))
+    fields: dict[str, str] = {}
+    theorem = _read_lines(lines, fields, raw_labels)
+    del lines, is_label  # not held while the elements are parsed
     for required in ("graph", "group", "mu"):
         if required not in fields:
             raise CertificateError(f"certificate missing {required!r} line")
@@ -433,7 +474,7 @@ def parse_certificate(text: str) -> Certificate:
             detail = (f"certificate labels {len(raw_labels)} vertices but "
                       f"group {group} has order {group.order_text()}")
         raise CertificateError(detail)
-    labels = tuple(group.parse_element(raw_labels[v]) for v in range(n))
+    labels = tuple(group.parse_elements(list(map(raw_labels.pop, range(n)))))
     return Certificate(fields["graph"], group, mu, labels, theorem)
 
 

@@ -1,4 +1,5 @@
 import functools
+import math
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -57,8 +58,6 @@ def test_element_order_and_indexing():
     elems = list(g.elements())
     assert elems[0] == g.zero()
     assert elems == [(0, 0), (0, 1), (0, 2), (1, 0), (1, 1), (1, 2)]
-    for i, elem in enumerate(elems):
-        assert g.element_at(i) == elem
 
 
 def test_element_text_round_trip():
@@ -273,6 +272,112 @@ def test_from_pair_matches_crt_definition():
                         comp.element(bad)
                     assert str(got.value) == str(want.value)
     assert splits == 283  # every (group, d) pair the loops visit
+
+
+@settings(max_examples=120, deadline=None, derandomize=True)
+@given(st.lists(st.integers(2, 30), min_size=1, max_size=3)
+       .filter(lambda fs: math.prod(fs) <= 1500), st.data())
+def test_from_pairs_is_from_pair_by_the_column(factors, data):
+    spec = GroupSpec(tuple(factors))
+    splits = [split for d in range(2, spec.order + 1)
+              if (split := find_cyclic_factor(spec, d)) is not None]
+    assert splits  # every prime-power factor splits off
+    for split in splits:
+        comp = split.complement
+        rows = data.draw(st.lists(st.tuples(
+            st.integers(-3 * split.d, 3 * split.d),
+            st.tuples(*(st.integers(-2 * f, 3 * f) for f in comp.factors))),
+            max_size=10))
+        zs, as_ = [z for z, _ in rows], [a for _, a in rows]
+        images = split.from_pairs(zs, as_)
+        assert images == [split.from_pair(z, a) for z, a in rows]
+        assert all(type(g) is tuple and {int}.issuperset(map(type, g))
+                   for g in images)
+        for (z, a), g in zip(rows, images):
+            assert split.to_pair(g) == (z % split.d, comp.element(a))
+
+
+def test_from_pairs_refuses_a_complement_element_of_the_wrong_arity():
+    split = find_cyclic_factor(parse_group_spec("Z4xZ6"), 4)
+    assert split.complement.factors == (2, 3)
+    with pytest.raises(GroupError) as got:
+        split.from_pairs([0, 1, 2], [(0, 0), (1, 2, 0), (1,)])
+    with pytest.raises(GroupError) as want:
+        split.complement.element((1, 2, 0))
+    assert str(got.value) == str(want.value)
+    assert split.from_pairs([], []) == []
+
+
+# Coordinates are read by int(), so they may carry blanks around them, a
+# sign, "_" between digits and decimal digits of any script; the bulk parser
+# must accept exactly these, no more and no fewer.
+@pytest.mark.parametrize("text, element", [
+    ("( 1 , 2 )", (1, 2)),
+    ("(+1,0)", (1, 0)),
+    ("(1_0,0)", (10, 0)),
+    ("(-0,+0)", (0, 0)),
+    ("(\u0661,\u0662)", (1, 2)),  # Arabic-Indic digits
+    ("(\uff11\uff11,2)", (11, 2)),  # fullwidth digits
+    (" \t(3,\n1)\u3000", (3, 1)),
+    ("(\u00a05\u2003,0)", (5, 0)),  # no-break and em spaces
+])
+def test_coordinate_forms_int_accepts_parse(text, element):
+    group = parse_group_spec("Z12xZ3")
+    assert group.parse_element(text) == element
+    assert group.parse_elements(["(0,0)", text, "(11,2)"]) == [
+        (0, 0), element, (11, 2)]
+
+
+@pytest.mark.parametrize("text, message", [
+    ("(1 0,0)", "bad element coordinates in '(1 0,0)'"),
+    ("(1.0,0)", "bad element coordinates in '(1.0,0)'"),
+    ("(0x1,0)", "bad element coordinates in '(0x1,0)'"),
+    ("(1__0,0)", "bad element coordinates in '(1__0,0)'"),
+    ("(_1,0)", "bad element coordinates in '(_1,0)'"),
+    ("(++1,0)", "bad element coordinates in '(++1,0)'"),
+    ("(,0)", "bad element coordinates in '(,0)'"),
+    ("((1),0)", "bad element coordinates in '((1),0)'"),
+    ("(1;0)", "bad element coordinates in '(1;0)'"),
+    ("(\u00b2,0)", "bad element coordinates in '(\u00b2,0)'"),  # not decimal
+    ("(1,0,)", "bad element coordinates in '(1,0,)'"),
+    ("(1,0,2)", "element arity 3 does not match group Z12xZ3 (arity 2)"),
+    ("()", "element arity 0 does not match group Z12xZ3 (arity 2)"),
+    ("( 5 )", "element arity 1 does not match group Z12xZ3 (arity 2)"),
+    ("(1_2,0)", "element (1_2,0) has a coordinate out of range for Z12xZ3 "
+                "(each must satisfy 0 <= r < factor)"),
+    ("1,0", "element must look like (r1,...,rk), got '1,0'"),
+    ("(1,0", "element must look like (r1,...,rk), got '(1,0'"),
+    ("", "element must look like (r1,...,rk), got ''"),
+])
+def test_coordinate_forms_int_refuses_are_refused(text, message):
+    group = parse_group_spec("Z12xZ3")
+    for parse in (group.parse_element,
+                  lambda t: group.parse_elements(["(0,0)", t, "(9,x)"])):
+        with pytest.raises(GroupError) as info:
+            parse(text)
+        assert str(info.value) == message
+
+
+def test_element_text_of_the_trivial_group():
+    t = GroupSpec(())
+    assert t.parse_elements(["()", " ( \t) "]) == [(), ()]
+    assert t.format_elements([(), ()], "v %d ") == ["v 0 ()", "v 1 ()"]
+    for bad, message in (("(0)", "element arity 1 does not match group "
+                                 "trivial (arity 0)"),
+                         ("(,)", "bad element coordinates in '(,)'")):
+        with pytest.raises(GroupError) as info:
+            t.parse_elements(["()", bad])
+        assert str(info.value) == message
+
+
+def test_format_elements_fills_one_template():
+    group = parse_group_spec("Z4xZ3")
+    assert group.format_elements([(3, 0), [1, 2]]) == ["(3,0)", "(1,2)"]
+    assert group.format_elements([(3, 0), (1, 2)], "v %d ") == [
+        "v 0 (3,0)", "v 1 (1,2)"]
+    assert group.format_elements([]) == []
+    with pytest.raises(GroupError, match="element arity 1 does not match"):
+        group.format_elements([(3, 0), (1,)])
 
 
 def test_find_cyclic_factor_composite():

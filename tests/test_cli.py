@@ -255,6 +255,26 @@ def test_label_refuses_a_graph_expression_of_several_lines(tmp_path, argv):
     assert not cert_path.exists()
 
 
+@pytest.mark.parametrize("argv", [
+    ["--graph", "C(\n3)", "--h", "C(4)", "--group", "Z4xZ3"],
+    ["--graph", "C(3)", "--h", "C(4\x0b)", "--group", "Z4xZ3"],
+    ["--graph", "S(\n4)", "--group", "Z5"],
+    ["--graph", "S(\n5)", "--group", "Z6"],  # a star with no labeling
+    ["--graph", "C(\n3)", "--h", "C(5)", "--group", "Z15"],  # nor a route
+])
+def test_label_refuses_several_lines_before_labeling_in_both_modes(tmp_path,
+                                                                   argv):
+    # the line count is checked before any labeler runs, so text and --json
+    # output refuse alike, with or without --out
+    cert_path = tmp_path / "cert.txt"
+    for extra in ([], ["--json"], ["--json", "--out", str(cert_path)]):
+        code, out, err = _run(["label", *argv, *extra])
+        assert (code, out) == (2, "")
+        assert err == ("error: graph expression spans more than one line; a "
+                       "certificate holds it on its one 'graph:' line\n")
+    assert not cert_path.exists()
+
+
 def test_expression_nesting_cap():
     from gdmagic.graphs import MAX_EXPR_DEPTH
 

@@ -1,11 +1,18 @@
 import itertools
 import random
+import re
+import sys
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from gdmagic import magic
-from gdmagic.abelian import GroupSpec, enumerate_abelian_groups, parse_group_spec
+from gdmagic.abelian import (
+    GroupError,
+    GroupSpec,
+    enumerate_abelian_groups,
+    parse_group_spec,
+)
 from gdmagic.graphs import (
     Graph,
     complete,
@@ -440,6 +447,55 @@ def test_verify_certificate_makes_one_weight_pass(monkeypatch):
     assert len(calls) == 3
 
 
+def _count_calls(monkeypatch, cls, *names):
+    """Record the arguments of every call of the named methods of cls."""
+    calls = {}
+    for name in names:
+        real = getattr(cls, name)
+        calls[name] = []
+
+        def wrapper(self, *args, _real=real, _calls=calls[name]):
+            _calls.append(args)
+            return _real(self, *args)
+        monkeypatch.setattr(cls, name, wrapper)
+    return calls
+
+
+def test_labels_and_certificates_go_by_the_column(monkeypatch):
+    from gdmagic.abelian import CyclicFactorSplit
+    from gdmagic.constructors import auto_label, label_lex_kmn_mixed
+    from gdmagic.graphs import construct_graph
+
+    split_calls = _count_calls(monkeypatch, CyclicFactorSplit,
+                               "from_pair", "from_pairs")
+    group = parse_group_spec("Z8xZ500")
+    report = auto_label(construct_graph("C(500)"), construct_graph("KmM(8)"),
+                        "lex", group)
+    assert report.theorem == "even-degrees-lex"
+    # from_pair only for constants, (pair sum, 0) and the magic constant
+    assert [a for _, a in split_calls["from_pair"]] == [(0, 0), (0, 0)]
+    # one column map for the one twin-pair fill; the others are from_pair's
+    bulk = [len(zs) for zs, _ in split_calls["from_pairs"] if len(zs) > 1]
+    assert bulk == [500 * 4]
+    split_calls["from_pairs"].clear()
+    label_lex_kmn_mixed(complete_bipartite(2, 3), complete_minus_matching(4),
+                        parse_group_spec("Z4xZ5"))
+    assert [len(zs) for zs, _ in split_calls["from_pairs"]
+            if len(zs) > 1] == [2 * 2, 3 * 2]  # two fills: even side, odd
+
+    text = format_certificate(Certificate(
+        "lex(C(500),KmM(8))", group, report.predicted_mu,
+        report.labeling.assignment))
+    parse_calls = _count_calls(monkeypatch, GroupSpec,
+                               "parse_element", "parse_elements")
+    monkeypatch.setattr(GroupSpec, "_parse_one", None)  # no row is refused
+    cert = parse_certificate(text)
+    assert cert.labels == report.labeling.assignment
+    assert parse_calls["parse_element"] == [("(5,0)",)]  # mu only
+    assert sorted(len(texts) for texts, in parse_calls["parse_elements"]) \
+        == [1, 4000]
+
+
 # (product, G, H, group, two swapped vertices, the rejection detail the
 # verifier gave before weights were summed per coordinate)
 SWAPPED = [
@@ -520,3 +576,177 @@ def test_auto_label_certificates_survive_format_and_parse(g, h, product,
                            rep.theorem if tagged else None)
         assert parse_certificate(format_certificate(cert)) == cert
         assert verify_certificate(cert)[0]
+
+
+# The one-row readings that parse_elements and parse_certificate replace by
+# bulk ones, kept as the oracles the bulk readings must agree with: same
+# result on every text, same error for the first bad row.
+
+def _parse_element_per_row(group, text):
+    t = text.strip()
+    if not (t.startswith("(") and t.endswith(")")):
+        raise GroupError(f"element must look like (r1,...,rk), got {text!r}")
+    inner = t[1:-1].strip()
+    if not inner:
+        coords = ()
+    else:
+        try:
+            coords = tuple(int(p) for p in inner.split(","))
+        except ValueError:
+            raise GroupError(f"bad element coordinates in {text!r}") from None
+    if len(coords) == len(group.factors) and all(
+            0 <= c < f for c, f in zip(coords, group.factors)):
+        return coords
+    group.element(coords)  # raises on a wrong arity
+    raise GroupError(
+        f"element {text.strip()} has a coordinate out of range for "
+        f"{group} (each must satisfy 0 <= r < factor)")
+
+
+def _parse_certificate_per_line(text):
+    theorem = None
+    fields = {}
+    raw_labels = {}
+    for raw in text.splitlines():
+        line = raw.strip()
+        if not line:
+            continue
+        if line.startswith("#"):
+            m = re.match(r"#\s*theorem:\s*(\S+)", line)
+            if m:
+                theorem = m.group(1)
+            continue
+        if line.startswith("v "):
+            parts = line.split(None, 2)
+            if len(parts) != 3 or not parts[1].isdecimal():
+                raise CertificateError(f"bad vertex line {line!r}")
+            try:
+                idx = int(parts[1])
+            except ValueError:
+                raise CertificateError(
+                    f"vertex index of {len(parts[1])} digits is over the "
+                    f"{sys.get_int_max_str_digits()}-digit limit") from None
+            if idx in raw_labels:
+                raise CertificateError(f"duplicate vertex {idx}")
+            raw_labels[idx] = parts[2]
+            continue
+        key, sep, value = line.partition(":")
+        if not sep:
+            raise CertificateError(f"bad certificate line {line!r}")
+        fields[key.strip()] = value.strip()
+    for required in ("graph", "group", "mu"):
+        if required not in fields:
+            raise CertificateError(f"certificate missing {required!r} line")
+    group = parse_group_spec(fields["group"])
+    mu = _parse_element_per_row(group, fields["mu"])
+    n = group.order
+    if len(raw_labels) != n or sorted(raw_labels) != list(range(n)):
+        raise CertificateError(
+            f"certificate must label vertices 0..{n - 1} exactly once")
+    labels = tuple(_parse_element_per_row(group, raw_labels[v])
+                   for v in range(n))
+    return Certificate(fields["graph"], group, mu, labels, theorem)
+
+
+def _parse_outcome(parse, *args):
+    """What a parser returns, or the type and message of what it raises."""
+    try:
+        return parse(*args)
+    except (GroupError, CertificateError) as exc:
+        return type(exc), str(exc)
+
+
+_BLANKS = st.sampled_from(["", " ", "\t", "  ", "\u3000", "\u00a0"])
+
+
+@st.composite
+def _element_text(draw, group):
+    """A text of an element of ``group``, in one of the forms int() reads."""
+    coords = [draw(st.integers(0, f - 1)) for f in group.factors]
+    forms = st.sampled_from(["{}", "+{}", "0_{}", "0{}"])
+    parts = [draw(_BLANKS) + draw(forms).format(c) + draw(_BLANKS)
+             for c in coords]
+    return draw(_BLANKS) + "(" + ",".join(parts) + ")" + draw(_BLANKS)
+
+
+def _plant(draw, group, text):
+    """``text`` with one fault of the kinds a label line can hold."""
+    kind = draw(st.sampled_from(["arity", "range", "paren", "integer"]))
+    t = text.strip()
+    if kind == "arity":
+        return draw(st.sampled_from([t[:-1] + ",0)", "()",
+                                     "(" + t[1:].partition(",")[2]]))
+    if kind == "range":
+        if not group.factors:
+            return "(0)"
+        k = draw(st.integers(0, group.arity - 1))
+        coords = [0] * group.arity
+        coords[k] = draw(st.sampled_from([group.factors[k], -1,
+                                          10 * group.factors[k]]))
+        return "(" + ",".join(map(str, coords)) + ")"
+    if kind == "paren":
+        return draw(st.sampled_from([t[1:], t[:-1], t[1:-1], "(" + t,
+                                     t + ")", t.replace(")", "", 1) + ")"]))
+    return draw(st.sampled_from([t.replace(",", ",x", 1), t[:-1] + ".5)",
+                                 t.replace("(", "(1 ", 1),
+                                 t.replace("(", "(;", 1)]))
+
+
+_GROUPS = [spec for n in range(1, 41) for spec in enumerate_abelian_groups(n)]
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(st.sampled_from(_GROUPS), st.data())
+def test_bulk_element_parse_agrees_with_the_per_row_reading(group, data):
+    texts = data.draw(st.lists(_element_text(group), max_size=12))
+    for _ in range(data.draw(st.integers(0, 2))):
+        if texts:
+            k = data.draw(st.integers(0, len(texts) - 1))
+            texts[k] = _plant(data.draw, group, texts[k])
+
+    def per_row(texts):
+        return [_parse_element_per_row(group, t) for t in texts]
+
+    assert _parse_outcome(group.parse_elements, texts) == \
+        _parse_outcome(per_row, texts)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(st.sampled_from([spec for spec in _GROUPS if spec.order <= 12]),
+       st.data())
+def test_bulk_certificate_parse_agrees_with_the_per_line_reading(group, data):
+    draw = data.draw
+    labels = draw(st.permutations(list(group.elements())))
+    lines = [f"v {v} {group.format_element(g)}" for v, g in enumerate(labels)]
+    lines += [f"graph: C({max(group.order, 3)})", f"group: {group}",
+              f"mu: {group.format_element(labels[0])}",
+              draw(st.sampled_from(["# theorem: demo", "#theorem:x y", "#"]))]
+    lines = draw(st.permutations(lines))
+    faults = draw(st.lists(st.sampled_from([
+        "element", "element", "short", "index", "duplicate", "digits",
+        "field", "missing", "blank", "none"]), max_size=2))
+    for fault in faults:
+        k = draw(st.integers(0, len(lines) - 1))
+        head, _, rest = lines[k].partition(" ")
+        if fault == "element" and lines[k].startswith("v "):
+            index, _, element = rest.partition(" ")
+            lines[k] = f"v {index} {_plant(draw, group, element)}"
+        elif fault == "short":
+            lines[k] = "v " + rest.partition(" ")[0]
+        elif fault == "index":
+            lines[k] = "v " + draw(st.sampled_from(
+                ["x", "1_0", "-1", "\u0661", "\u00b2", "01"])) + " (0)"
+        elif fault == "duplicate":
+            lines.insert(k, lines[draw(st.integers(0, len(lines) - 1))])
+        elif fault == "digits":
+            lines[k] = "v " + "1" * 5000 + " " + rest
+        elif fault == "field":
+            lines[k] = draw(st.sampled_from(["graph C(4)", "vx", "v"]))
+        elif fault == "missing":
+            del lines[k]
+        elif fault == "blank":
+            lines.insert(k, draw(_BLANKS))
+    sep = draw(st.sampled_from(["\n", "\r\n", "\n\n", "\x0b", "\n \t"]))
+    text = sep.join(draw(_BLANKS) + line for line in lines)
+    assert _parse_outcome(parse_certificate, text) == \
+        _parse_outcome(_parse_certificate_per_line, text)
