@@ -150,7 +150,9 @@ class GroupSpec:
     def format_elements(self, elems, head: str = "") -> list[str]:
         """Each element as "(r1,...,rk)", filled into one %-template of the
         group's arity. A ``head`` such as a certificate's "v %d " goes
-        before each, its %d filled with the element's position."""
+        before each, its %d filled with the element's position. ``elems``
+        may be any iterable: it is read once."""
+        elems = list(elems)
         arity = len(self.factors)
         if not {arity}.issuperset(map(len, elems)):
             for g in elems:
@@ -167,11 +169,13 @@ class GroupSpec:
         return self.parse_elements((text,))[0]
 
     def parse_elements(self, texts) -> list[GroupElement]:
-        """parse_element over a sequence of texts: the coordinates of all
-        of them go through one int() map and one min/max per factor. A
-        coordinate is what int() reads, so inner blanks, a leading "+",
-        "_" separators and non-ASCII decimal digits pass. On a text it
-        refuses, raises parse_element's message for the first such text."""
+        """parse_element over an iterable of texts, read once: the
+        coordinates of all of them go through one int() map and one min/max
+        per factor. A coordinate is what int() reads, so inner blanks, a
+        leading "+", "_" separators and non-ASCII decimal digits pass. On a
+        text it refuses, raises parse_element's message for the first such
+        text."""
+        texts = list(texts)
         arity = len(self.factors)
         stripped = list(map(str.strip, texts))
         joined = ";".join(stripped)
@@ -386,7 +390,9 @@ class CyclicFactorSplit:
         each complement coordinate r whose unit u lands on factor k, reduced
         mod the factor once; the lists are zipped into elements at the end.
         A complement coordinate need not be reduced: u is 0 mod f / q, so
-        r * u mod f depends only on r mod q."""
+        r * u mod f depends only on r mod q. Each argument may be any
+        iterable: it is read once."""
+        zs, as_ = list(zs), list(as_)
         arity = self.complement.arity
         if not {arity}.issuperset(map(len, as_)):
             for a in as_:

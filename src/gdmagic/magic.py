@@ -114,44 +114,23 @@ def weight(g: Graph, labeling: Labeling, v: int) -> GroupElement:
     return total
 
 
-def _weights(g: Graph, group: GroupSpec,
-             labels: Sequence[GroupElement]) -> list[GroupElement]:
-    """Every vertex's weight, in one pass over the distinct neighbourhoods
-    per cyclic factor.
-
-    Coordinate k of a weight is the plain-int sum of coordinate k of the
-    neighbors' labels, reduced mod the k-th factor once at the end; no group
-    addition runs. Twins share a neighbourhood, so each distinct one is
-    summed once and its sum handed to every vertex that has it. ``weight``
-    is the per-vertex definition this agrees with.
-    """
-    neighbourhoods, index = g.twin_classes()
-    columns = []
-    for k, f in enumerate(group.factors):
-        get = [x[k] for x in labels].__getitem__
-        sums = [sum(map(get, nbrs)) % f for nbrs in neighbourhoods]
-        columns.append(list(map(sums.__getitem__, index)))
-    return list(zip(*columns)) if columns else [()] * g.n
-
-
-def _first_mismatch(weights: list[GroupElement]) -> Optional[tuple[int, int]]:
-    for v, w in enumerate(weights):
-        if w != weights[0]:
-            return (0, v)
-    return None
-
-
 def _common_weight(neighbourhoods: Sequence[Iterable[int]],
                    factors: Sequence[int],
-                   columns: Iterable[Sequence[int]]) -> Optional[GroupElement]:
-    """The weight every vertex shares, or None when two differ.
+                   columns: Iterable[Sequence[int]]
+                   ) -> tuple[Optional[GroupElement], Optional[Iterable[int]]]:
+    """The weight all of ``neighbourhoods`` share and None, or None and the
+    neighbourhood the scan stopped at, whose weight differs from the first
+    one's.
 
-    ``neighbourhoods`` lists each distinct neighbourhood once, vertex 0's
-    first (``Graph.twin_classes``); ``columns`` gives, per cyclic factor,
-    coordinate k of every vertex's label. Per factor, vertex 0's coordinate
-    of the weight is the target and the scan of the other neighbourhoods
-    stops at the first whose coordinate differs, so a later factor's column
-    is never asked for.
+    This is the one weight kernel. ``neighbourhoods`` lists each distinct
+    neighbourhood once, vertex 0's first (``Graph.twin_classes``);
+    ``columns`` gives, per cyclic factor, coordinate k of every vertex's
+    label. Coordinate k of a weight is the plain-int sum of coordinate k of
+    the neighbours' labels, reduced mod the k-th factor; no group addition
+    runs. Per factor, the first neighbourhood's coordinate is the target
+    and the scan stops at the first neighbourhood whose coordinate differs,
+    so a later factor's column is never asked for. ``weight`` is the
+    per-vertex definition this agrees with.
     """
     mu = []
     for f, column in zip(factors, columns):
@@ -160,13 +139,15 @@ def _common_weight(neighbourhoods: Sequence[Iterable[int]],
         target = sum(map(get, next(rest))) % f
         for nbrs in rest:
             if sum(map(get, nbrs)) % f != target:
-                return None
+                return None, nbrs
         mu.append(target)
-    return tuple(mu)
+    return tuple(mu), None
 
 
 def verify(g: Graph, labeling: Labeling) -> Optional[GroupElement]:
-    """The magic constant when all vertex weights agree, else None.
+    """The magic constant when all vertex weights agree, else None: one call
+    of the weight kernel that ``verify_certificate`` and
+    ``magic_permutations`` share.
 
     Edgeless graphs verify with the identity (all weights are empty sums).
     """
@@ -174,7 +155,7 @@ def verify(g: Graph, labeling: Labeling) -> Optional[GroupElement]:
     labels = labeling.assignment
     return _common_weight(g.twin_classes()[0], labeling.group.factors,
                           ([x[k] for x in labels]
-                           for k in range(labeling.group.arity)))
+                           for k in range(labeling.group.arity)))[0]
 
 
 def magic_permutations(g: Graph, labeling: Labeling) -> Iterator[Labeling]:
@@ -182,15 +163,16 @@ def magic_permutations(g: Graph, labeling: Labeling) -> Iterator[Labeling]:
     ``itertools.permutations`` order, each carrying its magic constant.
 
     A rearrangement of a bijection is one, so no candidate is checked or
-    built as a Labeling: each is scored by ``verify``'s own arithmetic, over
-    the distinct neighbourhoods found once per call, and only a magic one
-    becomes a Labeling, which ``verify`` then confirms.
+    built as a Labeling: each is scored by the weight kernel that ``verify``
+    and ``verify_certificate`` share, over the distinct neighbourhoods found
+    once per call, and only a magic one becomes a Labeling, which ``verify``
+    then confirms.
     """
     _check_sizes(g, labeling)
     neighbourhoods, group = g.twin_classes()[0], labeling.group
     factors = group.factors
     for labels in itertools.permutations(labeling.assignment):
-        mu = _common_weight(neighbourhoods, factors, zip(*labels))
+        mu = _common_weight(neighbourhoods, factors, zip(*labels))[0]
         if mu is None:
             continue
         hit = Labeling(group, labels, mu)
@@ -397,8 +379,8 @@ def format_certificate(cert: Certificate) -> str:
 def _read_lines(lines: Iterable[str], fields: dict[str, str],
                 raw_labels: dict[int, str]) -> Optional[str]:
     """Read certificate lines one at a time into ``fields`` and
-    ``raw_labels``, raising at the first bad one; returns the last
-    theorem tag."""
+    ``raw_labels``, raising at the first bad one (a field given twice must
+    repeat its value); returns the last theorem tag."""
     theorem = None
     for line in lines:
         if line.startswith("#"):
@@ -423,7 +405,10 @@ def _read_lines(lines: Iterable[str], fields: dict[str, str],
         key, sep, value = line.partition(":")
         if not sep:
             raise CertificateError(f"bad certificate line {line!r}")
-        fields[key.strip()] = value.strip()
+        key, value = key.strip(), value.strip()
+        if fields.setdefault(key, value) != value:
+            raise CertificateError(
+                f"certificate has two {key!r} lines that differ")
     return theorem
 
 
@@ -506,24 +491,35 @@ def verify_certificate(cert: Certificate) -> tuple[bool, str, Optional[GroupElem
         g = construct_graph(cert.graph_expr)
     except ValueError as exc:
         return False, f"bad graph expression: {exc}", None
-    if g.n != cert.group.order:
-        return False, (f"graph has {g.n} vertices but group {cert.group} "
-                       f"has order {cert.group.order_text()}"), None
+    group = cert.group
+    if g.n != group.order:
+        return False, (f"graph has {g.n} vertices but group {group} "
+                       f"has order {group.order_text()}"), None
     try:
-        labeling = Labeling(cert.group, cert.labels)
+        labeling = Labeling(group, cert.labels)
     except LabelingError as exc:
         return False, str(exc), None
-    weights = _weights(g, cert.group, labeling.assignment)
-    mismatch = _first_mismatch(weights)
-    if mismatch is not None:
-        a, b = mismatch
-        wa = cert.group.format_element(weights[a])
-        wb = cert.group.format_element(weights[b])
-        return False, (f"weights differ: vertex {a} has {wa}, "
-                       f"vertex {b} has {wb}"), None
-    mu = weights[0]
+    neighbourhoods = g.twin_classes()[0]
+    labels, factors = labeling.assignment, group.factors
+    columns = [[x[k] for x in labels] for k in range(group.arity)]
+    mu, stop = _common_weight(neighbourhoods, factors, columns)
+    if stop is not None:
+        # a neighbourhood before the one found may differ on a later factor
+        # only: scan the prefix before it again until the prefix agrees
+        while stop is not None:
+            differs = stop
+            mu, stop = _common_weight(
+                neighbourhoods[:neighbourhoods.index(differs)], factors,
+                columns)
+        # neighbourhoods come in order of first occurrence, so the first
+        # vertex with this one is the first whose weight differs
+        wb = _common_weight((differs,), factors, columns)[0]
+        return False, (f"weights differ: vertex 0 has "
+                       f"{group.format_element(mu)}, vertex "
+                       f"{g.adj.index(differs)} has "
+                       f"{group.format_element(wb)}"), None
     if mu != cert.mu:
-        return False, (f"magic constant is {cert.group.format_element(mu)} but "
-                       f"certificate claims {cert.group.format_element(cert.mu)}"),\
+        return False, (f"magic constant is {group.format_element(mu)} but "
+                       f"certificate claims {group.format_element(cert.mu)}"),\
                mu
     return True, "ok", mu

@@ -380,6 +380,24 @@ def test_format_elements_fills_one_template():
         group.format_elements([(3, 0), (1,)])
 
 
+def test_bulk_helpers_read_an_iterator_once():
+    group = parse_group_spec("Z2xZ3")
+    texts = ["(0,1)", "(1,2)"]
+    assert group.parse_elements(iter(texts)) == group.parse_elements(texts)
+    with pytest.raises(GroupError, match=r"element \(5,2\) has a coordinate "
+                                         "out of range"):
+        group.parse_elements(iter(["(0,1)", "(5,2)"]))
+    elements = list(group.elements())
+    assert group.format_elements(group.elements()) == group.format_elements(
+        elements)
+    assert group.format_elements(group.elements(), "v %d ") == (
+        group.format_elements(elements, "v %d "))
+    split = find_cyclic_factor(parse_group_spec("Z4xZ6"), 4)
+    pairs = [(1, 2), (0, 1)]
+    assert split.from_pairs(iter([1, 2]), iter(pairs)) == [
+        split.from_pair(1, (1, 2)), split.from_pair(2, (0, 1))]
+
+
 def test_find_cyclic_factor_composite():
     # Z6 x A splits need both a Z2 and a Z3 prime-power factor
     assert find_cyclic_factor(parse_group_spec("Z12"), 6) is None

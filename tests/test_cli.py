@@ -75,6 +75,30 @@ def test_verify_rejects_unreduced_coordinates(tmp_path):
     assert code == 2 and "(7)" in err
 
 
+@pytest.mark.parametrize("field, first, second", [
+    ("graph", "P(4)", "C(4)"),
+    ("group", "Z2xZ2", "Z4"),
+    ("mu", "(1)", "(3)"),
+])
+def test_verify_refuses_a_field_repeated_with_another_value(tmp_path, field,
+                                                             first, second):
+    # the labels are magic on C(4) over Z4 with mu (3); the field's first
+    # line gives another value, its last line the one they fit
+    lines = {"graph": "C(4)", "group": "Z4", "mu": "(3)"}
+    lines[field] = first
+    text = "".join(f"{key}: {value}\n" for key, value in lines.items())
+    text += "v 0 (1)\nv 1 (0)\nv 2 (2)\nv 3 (3)\n" + f"{field}: {second}\n"
+    cert_path = tmp_path / "cert.txt"
+    cert_path.write_text(text)
+    code, out, err = _run(["verify", "--cert", str(cert_path)])
+    assert (code, out) == (2, "")
+    assert f"certificate has two '{field}' lines that differ" in err
+    # a line repeated as it is still reads as one
+    cert_path.write_text(text.replace(f"{field}: {first}",
+                                      f"{field}: {second}"))
+    assert _run(["verify", "--cert", str(cert_path)])[0] == 0
+
+
 def test_label_json():
     code, out, _ = _run(["label", "--graph", "Kb(2,3)", "--h", "C(4)",
                          "--group", "Z4xZ5", "--json"])

@@ -2,6 +2,7 @@ import itertools
 import random
 import re
 import sys
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -64,10 +65,41 @@ def _lab(group, *coords):
 def weight_mismatch(g, labeling):
     """First vertex pair with differing weights, or None when all agree:
     vertex 0's weight is the reference, the offender the smallest id whose
-    weight differs. This is the pair verify_certificate's rejection names."""
-    magic._check_sizes(g, labeling)
-    return magic._first_mismatch(
-        magic._weights(g, labeling.group, labeling.assignment))
+    weight differs. This is the pair verify_certificate's rejection names,
+    found here from the per-vertex reference ``weight``."""
+    weights = [weight(g, labeling, v) for v in range(g.n)]
+    return next(((0, v) for v, w in enumerate(weights) if w != weights[0]),
+                None)
+
+
+def _columns(labeling):
+    return [[x[k] for x in labeling.assignment]
+            for k in range(labeling.group.arity)]
+
+
+def kernel_weights(g, labeling):
+    """Every vertex's weight from the weight kernel, one neighbourhood per
+    call."""
+    columns = _columns(labeling)
+    return [magic._common_weight((nbrs,), labeling.group.factors, columns)[0]
+            for nbrs in g.adj]
+
+
+def check_kernel_against_weight(g, labeling):
+    """The kernel's weights and its verdict over the distinct
+    neighbourhoods agree with per-vertex ``weight``, and so does verify."""
+    expected = [weight(g, labeling, v) for v in range(g.n)]
+    assert kernel_weights(g, labeling) == expected
+    neighbourhoods = g.twin_classes()[0]
+    mu, stop = magic._common_weight(neighbourhoods, labeling.group.factors,
+                                    _columns(labeling))
+    mismatch = weight_mismatch(g, labeling)
+    if mismatch is None:
+        assert (mu, stop) == (expected[0], None)
+    else:
+        assert mu is None and stop in neighbourhoods
+        assert expected[g.adj.index(stop)] != expected[0]
+    assert verify(g, labeling) == mu
 
 
 def test_labeling_validation():
@@ -221,15 +253,8 @@ def labeled_graphs(draw):
            _lab(Z222, *itertools.product(range(2), repeat=3))]))
 def test_one_pass_weights_match_per_vertex_weight(case):
     g, labelings = case
-    if g.n == 0:
-        assert magic._weights(g, GroupSpec(()), ()) == []
-        assert magic._weights(g, Z4, ()) == []
     for lab in labelings:
-        expected = [weight(g, lab, v) for v in range(g.n)]
-        assert magic._weights(g, lab.group, lab.assignment) == expected
-        differs = [v for v in range(g.n) if expected[v] != expected[0]]
-        assert weight_mismatch(g, lab) == ((0, differs[0]) if differs else None)
-        assert verify(g, lab) == (None if differs else expected[0])
+        check_kernel_against_weight(g, lab)
 
 
 @st.composite
@@ -257,11 +282,149 @@ def labeled_products(draw):
 def test_weights_over_twin_classes_match_per_vertex_weight(case):
     g, labelings = case
     for lab in labelings:
-        expected = [weight(g, lab, v) for v in range(g.n)]
-        assert magic._weights(g, lab.group, lab.assignment) == expected
-        differs = [v for v in range(g.n) if expected[v] != expected[0]]
-        assert weight_mismatch(g, lab) == ((0, differs[0]) if differs else None)
-        assert verify(g, lab) == (None if differs else expected[0])
+        check_kernel_against_weight(g, lab)
+
+
+def reference_verdict(g, labeling, claimed):
+    """verify_certificate's (ok, detail, mu), built from per-vertex
+    ``weight``: vertex 0 against the first vertex whose weight differs."""
+    fmt = labeling.group.format_element
+    mismatch = weight_mismatch(g, labeling)
+    if mismatch is not None:
+        a, b = mismatch
+        return False, (f"weights differ: vertex {a} has "
+                       f"{fmt(weight(g, labeling, a))}, vertex {b} has "
+                       f"{fmt(weight(g, labeling, b))}"), None
+    mu = weight(g, labeling, 0)
+    if mu != claimed:
+        return False, (f"magic constant is {fmt(mu)} but certificate claims "
+                       f"{fmt(claimed)}"), mu
+    return True, "ok", mu
+
+
+@st.composite
+def twin_graphs(draw):
+    """A graph of at most 9 vertices whose vertices come in classes of 1-3
+    false twins (equal neighbourhoods): a random base graph on 1-6
+    vertices, each blown up into a class. Built either with one set per
+    class, shared by its twins, or from its edge list (twins hold equal but
+    distinct sets)."""
+    sizes = draw(st.lists(st.integers(1, 3), min_size=1, max_size=6)
+                 .filter(lambda sizes: sum(sizes) <= 9))
+    classes, start = [], 0
+    for size in sizes:
+        classes.append(range(start, start + size))
+        start += size
+    base = {pair for pair in itertools.combinations(range(len(sizes)), 2)
+            if draw(st.booleans())}
+    shared = [frozenset(v for j, cls in enumerate(classes)
+                        if (min(i, j), max(i, j)) in base for v in cls)
+              for i in range(len(classes))]
+    g = Graph(start, tuple(shared[i] for i, cls in enumerate(classes)
+                           for _ in cls))
+    if draw(st.booleans()):
+        g = Graph.from_edges(g.n, g.edges())
+    return g
+
+
+@st.composite
+def certified_twin_graphs(draw):
+    """A twin graph and, for every group of its order, a random bijective
+    labeling with a claimed mu: vertex 0's weight or a random element."""
+    g = draw(twin_graphs())
+    claims = []
+    for grp in enumerate_abelian_groups(g.n):
+        lab = Labeling(grp, tuple(draw(st.permutations(list(grp.elements())))))
+        claimed = (weight(g, lab, 0) if draw(st.booleans())
+                   else draw(st.sampled_from(list(grp.elements()))))
+        claims.append((lab, claimed))
+    return g, claims
+
+
+# magic over Z2xZ2xZ2 and over Z8, each with its right claim, and the Z8
+# one with a wrong claim
+K2222_CLAIMS = [(_lab(Z222, *itertools.product(range(2), repeat=3)),
+                 (0, 0, 1)),
+                (_lab(Z8, 0, 1, 2, 7, 3, 6, 4, 5), (3,)),
+                (_lab(Z8, 0, 1, 2, 7, 3, 6, 4, 5), (4,))]
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(certified_twin_graphs())
+@example((lex_product(path(2), complete_minus_matching(4)), K2222_CLAIMS))
+@example((Graph.from_edges(8, lex_product(path(2),
+                                          complete_minus_matching(4)).edges()),
+          K2222_CLAIMS))
+# the first vertex whose weight differs on Z2 (vertex 4) is after one whose
+# weight differs on Z4 only (vertex 1)
+@example((cycle(8), [(_lab(Z24, (1, 0), (0, 2), (1, 1), (0, 3), (1, 3), (1, 2),
+                           (0, 1), (0, 0)), (0, 2))]))
+def test_verify_certificate_matches_per_vertex_weight(case):
+    g, claims = case
+    real, calls = magic._common_weight, []
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+    for lab, claimed in claims:
+        cert = Certificate("G", lab.group, claimed, lab.assignment)
+        calls.clear()
+        with mock.patch.object(magic, "construct_graph", lambda expr: g), \
+                mock.patch.object(magic, "_common_weight", counted):
+            verdict = verify_certificate(cert)
+        assert verdict == reference_verdict(g, lab, claimed)
+        # one kernel call to accept, at most arity + 2 to name a mismatch
+        if verdict[1].startswith("weights differ"):
+            assert 3 <= len(calls) <= lab.group.arity + 2
+        else:
+            assert len(calls) == 1
+
+
+def test_verify_certificate_names_an_earlier_vertex_than_the_first_factor():
+    labels = ((1, 0), (0, 2), (1, 1), (0, 3), (1, 3), (1, 2), (0, 1), (0, 0))
+    assert verify_certificate(Certificate("C(8)", Z24, (0, 2), labels)) == (
+        False, "weights differ: vertex 0 has (0,2), vertex 1 has (0,1)", None)
+
+
+def _recording(columns, asked):
+    """Hand out ``columns`` one at a time, appending (k, column) to
+    ``asked`` as column k is asked for."""
+    for k, column in enumerate(columns):
+        asked.append((k, column))
+        yield column
+
+
+def test_kernel_asks_for_no_column_after_the_factor_that_differs():
+    g = cycle(8)
+    lab = _lab(Z222, *Z222.elements())
+    assert len({weight(g, lab, v)[0] for v in range(g.n)}) > 1
+    asked = []
+    mu, stop = magic._common_weight(g.twin_classes()[0], Z222.factors,
+                                    _recording(_columns(lab), asked))
+    assert mu is None and stop is not None
+    assert [k for k, _ in asked] == [0]
+
+
+def test_naive_scan_asks_for_no_column_after_the_factor_that_differs(
+        monkeypatch):
+    g, real, calls = cycle(8), magic._common_weight, []
+
+    def spy(neighbourhoods, factors, columns):
+        calls.append([])
+        return real(neighbourhoods, factors, _recording(columns, calls[-1]))
+    monkeypatch.setattr(magic, "_common_weight", spy)
+    hits = list(magic.magic_permutations(g, _lab(Z222, *Z222.elements())))
+    assert len(calls) == 40320 + len(hits)  # each hit is confirmed by verify
+    differ_on_first = 0
+    for asked in calls:
+        (k0, column), *later = asked
+        sums = {sum(column[u] for u in nbrs) % 2 for nbrs in g.adj}
+        if len(sums) > 1:
+            differ_on_first += 1
+            assert later == []
+        else:
+            assert [k for k, _ in later][:1] == [1]
+    assert 0 < differ_on_first < len(calls)
 
 
 def test_verify_size_mismatch():
@@ -433,8 +596,8 @@ def test_certificate_verification():
 
 def test_verify_certificate_makes_one_weight_pass(monkeypatch):
     calls = []
-    real = magic._weights
-    monkeypatch.setattr(magic, "_weights",
+    real = magic._common_weight
+    monkeypatch.setattr(magic, "_common_weight",
                         lambda *args: calls.append(args) or real(*args))
     monkeypatch.setattr(magic, "weight", None)  # the reference is not used
     good = Certificate("C(4)", Z4, (3,), ((1,), (0,), (2,), (3,)))
@@ -442,9 +605,12 @@ def test_verify_certificate_makes_one_weight_pass(monkeypatch):
     assert len(calls) == 1
     wrong_mu = Certificate("C(4)", Z4, (1,), ((1,), (0,), (2,), (3,)))
     assert not verify_certificate(wrong_mu)[0]
+    assert len(calls) == 2
+    # a rejection scans again the prefix that agrees, then sums the one
+    # neighbourhood found: arity + 2 calls at most
     not_magic = Certificate("C(4)", Z4, (0,), ((0,), (1,), (2,), (3,)))
     assert not verify_certificate(not_magic)[0]
-    assert len(calls) == 3
+    assert len(calls) == 5
 
 
 def _count_calls(monkeypatch, cls, *names):

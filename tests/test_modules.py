@@ -45,6 +45,52 @@ def test_private_import_scan_sees_nested_imports(tmp_path):
                                          "_pow2_host")]
 
 
+def _unused_imports(path):
+    """(line, name) for every name the module imports but never reads,
+    neither as a name nor through ``__all__``; ``__future__`` imports are
+    left out."""
+    tree = ast.parse(path.read_text(), str(path))
+    imported = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                if alias.name != "*":
+                    bound = alias.asname or alias.name.split(".")[0]
+                    imported.append((node.lineno, bound))
+    read = {node.id for node in ast.walk(tree)
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+    for statement in tree.body:
+        if (isinstance(statement, ast.Assign)
+                and [getattr(t, "id", None) for t in statement.targets]
+                == ["__all__"]):
+            read.update(node.value for node in ast.walk(statement.value)
+                        if isinstance(node, ast.Constant))
+    return sorted((line, name) for line, name in imported if name not in read)
+
+
+def test_modules_import_no_name_they_do_not_read():
+    unused = {path.name: _unused_imports(path)
+              for path in sorted(PACKAGE.glob("*.py"))}
+    assert {name: hits for name, hits in unused.items() if hits} == {}
+
+
+def test_unused_import_scan_sees_an_unread_name(tmp_path):
+    module = tmp_path / "m.py"
+    module.write_text("from __future__ import annotations\n"
+                      "import os.path\n"
+                      "import re as regex\n"
+                      "from typing import Optional, Sequence\n"
+                      "from .graphs import Graph, cycle\n"
+                      "__all__ = ['cycle']\n"
+                      "def f(x: Sequence) -> Graph:\n"
+                      "    import json\n"
+                      "    return os.path.join(x)\n")
+    assert _unused_imports(module) == [(3, "regex"), (4, "Optional"),
+                                       (8, "json")]
+
+
 def _stale_exports(module):
     """Names the module's __all__ lists but the module does not define."""
     return [name for name in getattr(module, "__all__", ())
