@@ -7,12 +7,12 @@ certificate rejected, obstruction found), 2 usage or precondition error.
 
 from __future__ import annotations
 
-import argparse
 import contextlib
 import functools
 import json
 import sys
-from typing import Callable, Optional, TextIO
+from types import SimpleNamespace
+from typing import TYPE_CHECKING, Callable, Optional, TextIO
 
 from .abelian import GroupError, enumerate_abelian_groups, parse_group_spec
 from .constructors import (
@@ -39,6 +39,9 @@ from .solver import (
     classify_over_all_groups,
     search_labelings,
 )
+
+if TYPE_CHECKING:
+    import argparse
 
 _USAGE_ERROR = 2
 _NEGATIVE = 1
@@ -185,66 +188,48 @@ def _cmd_obstructions(args, out: TextIO, err: TextIO) -> int:
     return _NEGATIVE if negative else 0
 
 
-def _groups_args(p: argparse.ArgumentParser) -> None:
-    p.add_argument("order", type=int)
+# The options of each verb as (flag, add_argument keywords) rows, in the
+# order its usage line lists them; a name without a leading "-" is a
+# positional. _build_parser hands every row to argparse and _read_argv
+# reads the same rows, so each option is declared once.
+_JSON = ("--json", {"action": "store_true"})  # last in every usage line
+_GRAPH = ("--graph", {"required": True})
+_JOBS = ("--jobs", {"type": int, "default": 1})
 
-
-def _construct_args(p: argparse.ArgumentParser) -> None:
-    p.add_argument("expr")
-
-
-def _label_args(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--graph", required=True, help="graph expression")
-    p.add_argument("--h", help="second product factor expression")
-    p.add_argument("--product", choices=("lex", "dir"),
-                   help="product of --graph and --h (default: the method's "
-                        "own product, lex for auto)")
-    p.add_argument("--group", required=True, help="group spec, e.g. Z4xZ3")
-    p.add_argument("--method", default="auto", choices=tuple(METHODS))
-    p.add_argument("--s", type=int, help="cyclic 2-power exponent for the "
-                                         "balanced-* methods")
-    p.add_argument("--out", help="write the certificate to this file")
-
-
-def _search_args(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--graph", required=True)
-    p.add_argument("--group", required=True)
-    p.add_argument("--mode", choices=("first", "all", "count"),
-                   default="first")
-    p.add_argument("--naive", action="store_true",
-                   help="use the permutation-scan oracle instead of pruning")
-    p.add_argument("--order", choices=("degree_desc", "input"),
-                   default="degree_desc")
-    p.add_argument("--jobs", type=int, default=1)
-
-
-def _verify_args(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--cert", required=True)
-
-
-def _classify_args(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--graph", required=True)
-    p.add_argument("--naive", action="store_true")
-    p.add_argument("--jobs", type=int, default=1)
-
-
-def _obstructions_args(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--graph", required=True)
-
-
-# verb -> (help line, arguments, handler), in the order the help lists them
+# verb -> (help line, option rows, handler), in the order the help lists them
 _VERBS = {
-    "groups": ("list abelian groups of a given order", _groups_args,
-               _cmd_groups),
-    "construct": ("build a graph from an expression", _construct_args,
-                  _cmd_construct),
-    "label": ("run a constructive labeler", _label_args, _cmd_label),
-    "search": ("exhaustively search for labelings", _search_args,
-               _cmd_search),
-    "verify": ("check a certificate file", _verify_args, _cmd_verify),
-    "classify": ("test all groups of matching order", _classify_args,
-                 _cmd_classify),
-    "obstructions": ("run the structural checks", _obstructions_args,
+    "groups": ("list abelian groups of a given order",
+               (("order", {"type": int}), _JSON), _cmd_groups),
+    "construct": ("build a graph from an expression",
+                  (("expr", {}), _JSON), _cmd_construct),
+    "label": ("run a constructive labeler", (
+        ("--graph", {"required": True, "help": "graph expression"}),
+        ("--h", {"help": "second product factor expression"}),
+        ("--product", {"choices": ("lex", "dir"),
+                       "help": "product of --graph and --h (default: the "
+                               "method's own product, lex for auto)"}),
+        ("--group", {"required": True, "help": "group spec, e.g. Z4xZ3"}),
+        ("--method", {"default": "auto", "choices": tuple(METHODS)}),
+        ("--s", {"type": int, "help": "cyclic 2-power exponent for the "
+                                      "balanced-* methods"}),
+        ("--out", {"help": "write the certificate to this file"}),
+        _JSON), _cmd_label),
+    "search": ("exhaustively search for labelings", (
+        _GRAPH,
+        ("--group", {"required": True}),
+        ("--mode", {"choices": ("first", "all", "count"),
+                    "default": "first"}),
+        ("--naive", {"action": "store_true", "help": "use the "
+                     "permutation-scan oracle instead of pruning"}),
+        ("--order", {"choices": ("degree_desc", "input"),
+                     "default": "degree_desc"}),
+        _JOBS, _JSON), _cmd_search),
+    "verify": ("check a certificate file",
+               (("--cert", {"required": True}), _JSON), _cmd_verify),
+    "classify": ("test all groups of matching order",
+                 (_GRAPH, ("--naive", {"action": "store_true"}), _JOBS,
+                  _JSON), _cmd_classify),
+    "obstructions": ("run the structural checks", (_GRAPH, _JSON),
                      _cmd_obstructions),
 }
 
@@ -252,11 +237,15 @@ _VERBS = {
 @functools.cache
 def _build_parser(verb: Optional[str] = None) -> argparse.ArgumentParser:
     """The parser of one verb, or of all verbs when ``verb`` is None; each
-    is built on its first run() of a process, then reused.
+    is built on its first use in a process, then reused. Only help, usage
+    errors and the argv forms that _read_argv leaves alone need one, so
+    argparse is imported here.
 
     A one-verb parser names every verb in its usage line, so that the
     messages it prints are those of the full parser.
     """
+    import argparse
+
     parser = argparse.ArgumentParser(
         prog="gdmagic",
         description="Construct, search for, and verify distance magic "
@@ -266,28 +255,84 @@ def _build_parser(verb: Optional[str] = None) -> argparse.ArgumentParser:
     sub = parser.add_subparsers(
         dest="verb", required=True,
         metavar=None if verb is None else "{" + ",".join(_VERBS) + "}")
-    for name, (help_, add_args, handler) in _VERBS.items():
+    for name, (help_, rows, handler) in _VERBS.items():
         if verb is None or name == verb:
             p = sub.add_parser(name, help=help_)
-            add_args(p)
-            # last, so that every usage line ends its options with [--json]
-            p.add_argument("--json", action="store_true")
+            for flag, kwargs in rows:
+                p.add_argument(flag, **kwargs)
             p.set_defaults(handler=handler)
     return parser
 
 
+def _read_argv(argv: list[str]) -> Optional[SimpleNamespace]:
+    """The namespace parse_args would give for a well-formed argv, read
+    from the verb's rows without argparse; None for anything else.
+
+    Well-formed: the verb, then its exact flags, each at most once; a
+    store-true flag bare, every other flag followed by one value that does
+    not start with "-"; positionals that do not start with "-". Values are
+    converted with the row's type and checked against its choices. Help,
+    usage errors, abbreviations, "--flag=value", repeats and values that
+    start with "-" are all left to argparse, the one source of messages.
+    """
+    if not argv or argv[0] not in _VERBS:
+        return None
+    _, rows, handler = _VERBS[argv[0]]
+    flags = {flag: kwargs for flag, kwargs in rows if flag[0] == "-"}
+    positionals = iter([flag for flag, _ in rows if flag[0] != "-"])
+    given: dict[str, object] = {}
+    words = iter(argv[1:])
+    for word in words:
+        if not word.startswith("-"):
+            name = next(positionals, None)
+            if name is None:
+                return None
+            given[name] = word
+        elif word in given or word not in flags:
+            return None
+        elif flags[word].get("action") == "store_true":
+            given[word] = True
+        else:
+            value = next(words, "-")  # none left: argparse's error
+            if value.startswith("-"):
+                return None
+            given[word] = value
+    args = SimpleNamespace(verb=argv[0], handler=handler)
+    for flag, kwargs in rows:
+        bare = kwargs.get("action") == "store_true"
+        if flag not in given:
+            if kwargs.get("required") or flag[0] != "-":
+                return None
+            value = kwargs.get("default", False if bare else None)
+        elif bare:
+            value = True
+        else:
+            try:
+                value = kwargs.get("type", str)(given[flag])
+            except ValueError:
+                return None
+            if "choices" in kwargs and value not in kwargs["choices"]:
+                return None
+        setattr(args, flag.lstrip("-"), value)
+    return args
+
+
 def run(argv: list[str], out: Optional[TextIO] = None,
         err: Optional[TextIO] = None) -> int:
-    """Parse argv and run the verb's handler; returns the process exit
-    code."""
+    """Read argv, with argparse only where _read_argv returns None, and
+    run the verb's handler; returns the process exit code."""
     out = out if out is not None else sys.stdout
     err = err if err is not None else sys.stderr
-    parser = _build_parser(argv[0] if argv and argv[0] in _VERBS else None)
-    try:
-        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return _USAGE_ERROR if exc.code not in (0, None) else 0
+    args = _read_argv(argv)
+    if args is None:
+        parser = _build_parser(argv[0] if argv and argv[0] in _VERBS
+                               else None)
+        try:
+            with (contextlib.redirect_stdout(out),
+                  contextlib.redirect_stderr(err)):
+                args = parser.parse_args(argv)
+        except SystemExit as exc:
+            return _USAGE_ERROR if exc.code not in (0, None) else 0
     try:
         return args.handler(args, out, err)
     except (GroupError, GraphError, LabelingError, ConstructionError,

@@ -595,9 +595,12 @@ def label_with_method(method: str, g: Graph, h: Optional[Graph],
                       s: Optional[int]) -> Optional[ConstructionReport]:
     """Run `method` on the product of G and H that method_product names,
     or on G alone when h is None. Returns None only for a star whose
-    center equation has no solution."""
+    center equation has no solution. Raises when s is given to a method
+    that takes none, or missing for one that needs it."""
     entry = METHODS[method]
     product = method_product(method, h is not None, product)
+    if s is not None and not entry.needs_s:
+        raise ConstructionError(f"method {method} takes no --s")
     if h is None:
         return entry.label_bare(g, group)
     if entry.needs_s and s is None:

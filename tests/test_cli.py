@@ -1,10 +1,13 @@
+import contextlib
 import hashlib
 import io
 import json
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
-from gdmagic.cli import run
+from gdmagic.cli import _VERBS, run
+from gdmagic.constructors import METHODS
 
 
 def _run(argv):
@@ -131,6 +134,22 @@ def test_label_method_forcing():
     code, _, err = _run(["label", "--graph", "C(4)", "--h", "C(4)",
                          "--group", "Z2xZ8", "--method", "balanced-dir"])
     assert code == 2 and "--s" in err
+
+
+@pytest.mark.parametrize("method", [method for method, entry in
+                                    METHODS.items() if not entry.needs_s])
+@pytest.mark.parametrize("s", ["1", "3", "-5"])
+def test_label_s_is_refused_by_a_method_that_takes_none(method, s):
+    entry = METHODS[method]
+    argvs = []
+    if entry.label_product is not None:
+        argvs.append(["--graph", "C(3)", "--h", "C(4)", "--group", "Z4xZ3"])
+    if entry.label_bare is not None:
+        argvs.append(["--graph", "S(3)", "--group", "Z4"])
+    assert argvs
+    for argv in argvs:
+        assert _run(["label", *argv, "--method", method, "--s", s]) == (
+            2, "", f"error: method {method} takes no --s\n")
 
 
 @pytest.mark.parametrize("product, method", [("dir", "balanced-lex"),
@@ -488,18 +507,8 @@ def _label_sweep(method):
                 yield argv
 
 
-@pytest.fixture
-def one_parser(monkeypatch):
-    """Build the argument parser once: it is most of the time of a run()."""
-    import functools
-
-    from gdmagic import cli
-    monkeypatch.setattr(cli, "_build_parser",
-                        functools.lru_cache(cli._build_parser))
-
-
 @pytest.mark.parametrize("method, digest", LABEL_SWEEP_DIGESTS)
-def test_label_sweep_is_unchanged(one_parser, method, digest):
+def test_label_sweep_is_unchanged(method, digest):
     sha = hashlib.sha256()
     for argv in _label_sweep(method):
         sha.update(repr((argv, *_run(argv))).encode())
@@ -863,18 +872,150 @@ def test_one_verb_parser_prints_what_the_full_parser_prints(monkeypatch,
                    "gdmagic: error: unrecognized arguments: --bogus\n")
 
 
-def test_import_builds_no_parser():
+SEARCH_USAGE_ERROR = (
+    "usage: gdmagic search [-h] --graph GRAPH --group GROUP\n"
+    "                      [--mode {first,all,count}] [--naive]\n"
+    "                      [--order {degree_desc,input}] [--jobs JOBS] "
+    "[--json]\n"
+    "gdmagic search: error: the following arguments are required: --group\n")
+GROUPS_HELP = ("usage: gdmagic groups [-h] [--json] order\n\n"
+               "positional arguments:\n  order\n\n"
+               "options:\n  -h, --help  show this help message and exit\n"
+               "  --json\n")
+
+# In a fresh process: what import leaves behind, then what one well-formed
+# run of each verb leaves behind, then the usage error and help texts.
+PROBE = """
+import io, json, sys
+import gdmagic.cli as c
+
+def state():
+    return [c._build_parser.cache_info().currsize,
+            sorted({"argparse", "gettext", "locale"} & sys.modules.keys())]
+
+def run(argv):
+    out, err = io.StringIO(), io.StringIO()
+    return [c.run(argv, out, err), out.getvalue(), err.getvalue()]
+
+report = [state()]
+report.append([run(argv)[2] for argv in json.loads(sys.argv[1])])
+report += [state(), run(["search", "--graph", "C(4)"]),
+           run(["groups", "--help"]), state()]
+print(json.dumps(report))
+"""
+
+
+def test_import_builds_no_parser(tmp_path):
     import os
     import subprocess
     import sys
 
     import gdmagic
 
-    probe = ("import sys, gdmagic.cli as c; "
-             "print(c._build_parser.cache_info().currsize, "
-             "'locale' in sys.modules)")
+    well_formed = [
+        ["groups", "8"], ["construct", "C(4)"],
+        ["label", "--graph", "C(3)", "--h", "C(4)", "--group", "Z4xZ3",
+         "--out", "lex.cert"],
+        ["search", "--graph", "C(4)", "--group", "Z4", "--json"],
+        ["verify", "--cert", "lex.cert"], ["classify", "--graph", "C(4)"],
+        ["obstructions", "--graph", "C(4)"]]
+    assert [argv[0] for argv in well_formed] == list(VALID_ARGS)
     src = os.path.dirname(os.path.dirname(gdmagic.__file__))
-    env = {**os.environ, "PYTHONPATH": src}
-    result = subprocess.run([sys.executable, "-c", probe], env=env,
-                            capture_output=True, text=True, check=True)
-    assert result.stdout == "0 False\n"
+    env = {**os.environ, "PYTHONPATH": src, "COLUMNS": "80"}
+    result = subprocess.run(
+        [sys.executable, "-c", PROBE, json.dumps(well_formed)], env=env,
+        cwd=tmp_path, capture_output=True, text=True, check=True)
+    (imported, errors, after_runs, usage, help_, after_messages) = (
+        json.loads(result.stdout))
+    assert imported == [0, []]
+    assert errors == [""] * len(well_formed)
+    assert after_runs == [0, []]
+    assert usage == [2, "", SEARCH_USAGE_ERROR]
+    assert help_ == [0, GROUPS_HELP, ""]
+    assert after_messages == [2, ["argparse", "gettext", "locale"]]
+
+
+# Words for argv: every table flag, abbreviations of it, --flag=value forms,
+# help and end-of-options markers, and values argparse might read otherwise.
+TABLE_FLAGS = sorted({flag for _, rows, _ in _VERBS.values()
+                      for flag, _ in rows if flag.startswith("-")})
+CHOICES = sorted({choice for _, rows, _ in _VERBS.values()
+                  for _, kwargs in rows
+                  for choice in kwargs.get("choices", ())})
+VALUES = st.sampled_from(["", "8", " 8 ", "+5", "\u0665", "-1", "-x", "C(8)",
+                          "some", "LEX", "nope", *CHOICES])
+NOISE = (st.sampled_from([*TABLE_FLAGS, "-h", "--help", "--", "--gr", "--gro",
+                          "--m", "--me", "--na", "--js", "--j", "--o", "--ou",
+                          "--c", "--ce", "--pr", "--mo", "--or"])
+         | st.builds("{}={}".format, st.sampled_from(TABLE_FLAGS), VALUES)
+         | VALUES)
+
+
+@st.composite
+def _argvs(draw):
+    """A verb and most of its rows in any order, each flag with a value
+    unless it is bare (often one that fits the row, else any value), then
+    at times a few noise words anywhere."""
+    verb = draw(st.sampled_from(list(_VERBS)))
+    words = []
+    for flag, kwargs in draw(st.permutations(_VERBS[verb][1])):
+        if draw(st.integers(0, 9)) == 0:
+            continue
+        if flag.startswith("-"):
+            words.append(flag)
+            if kwargs.get("action") == "store_true":
+                continue
+        fitting = kwargs.get("choices") or (
+            ("8", " 8 ", "+5", "\u0665") if kwargs.get("type") is int
+            else ("C(8)", " 8 "))
+        words.append(draw(st.sampled_from(fitting) if draw(st.integers(0, 3))
+                          else VALUES))
+    for _ in range(draw(st.sampled_from((0, 0, 0, 1, 2)))):
+        words.insert(draw(st.integers(0, len(words))), draw(NOISE))
+    return [verb, *words]
+
+
+def _parse(argv):
+    """The full parser's namespace for argv as a dict, or None where it
+    exits."""
+    from gdmagic import cli
+
+    sink = io.StringIO()
+    try:
+        with (contextlib.redirect_stdout(sink),
+              contextlib.redirect_stderr(sink)):
+            return vars(cli._build_parser().parse_args(argv))
+    except SystemExit:
+        return None
+
+
+@settings(max_examples=1000, deadline=None, derandomize=True)
+@given(_argvs() | st.lists(NOISE, max_size=6).map(lambda words: ["label",
+                                                                   *words]))
+@example(["groups", "\u0665", "--json"])
+@example(["construct", ""])
+@example(["obstructions", "--graph", "-x"])
+@example(["search", "--graph", "C(8)", "--group", "Z8", "--mode", "all",
+          "--mode", "count"])
+@example(["label", "--graph", "C(3)", "--h", "C(4)", "--group", "Z4xZ3"])
+def test_the_fast_reader_agrees_with_argparse(argv):
+    from gdmagic import cli
+
+    args = cli._read_argv(argv)
+    if args is not None:
+        assert vars(args) == _parse(argv)
+
+
+def test_accepted_corpus_argv_with_exact_flags_takes_the_fast_path():
+    from gdmagic import cli
+
+    taken = 0
+    for argv in _cli_corpus():
+        parsed = _parse(argv)
+        if parsed is None:
+            continue
+        flags = dict(_VERBS[argv[0]][1])
+        if all(word in flags for word in argv[1:] if word.startswith("-")):
+            assert vars(cli._read_argv(argv)) == parsed, argv
+            taken += 1
+    assert taken >= 150
