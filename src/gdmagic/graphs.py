@@ -158,10 +158,10 @@ def complete_minus_matching(n: int) -> Graph:
 
 def join(g: Graph, h: Graph) -> Graph:
     """Disjoint union plus all edges between the two sides; g comes first."""
-    edges = list(g.edges())
-    edges += [(g.n + u, g.n + v) for u, v in h.edges()]
-    edges += [(u, g.n + w) for u in range(g.n) for w in range(h.n)]
-    return Graph.from_edges(g.n + h.n, edges)
+    left, right = frozenset(range(g.n)), frozenset(range(g.n, g.n + h.n))
+    return Graph(g.n + h.n, tuple(
+        [right.union(nbrs) for nbrs in g.adj]
+        + [left.union([g.n + w for w in nbrs]) for nbrs in h.adj]))
 
 
 def _bfs_dist(g: Graph, src: int) -> list[int]:
@@ -181,7 +181,7 @@ def graph_power(g: Graph, k: int) -> Graph:
     """Same vertices; u ~ v when 1 <= d(u,v) <= k."""
     if k < 1:
         raise GraphError(f"graph power needs k >= 1, got {k}")
-    edges = []
+    adj = []
     for u in range(g.n):
         # breadth-first from u, cut off after k levels
         seen, frontier = {u}, {u}
@@ -190,8 +190,9 @@ def graph_power(g: Graph, k: int) -> Graph:
             if not frontier:
                 break
             seen |= frontier
-        edges += [(u, v) for v in sorted(seen) if v > u]
-    return Graph.from_edges(g.n, edges)
+        seen.discard(u)
+        adj.append(frozenset(seen))
+    return Graph(g.n, tuple(adj))
 
 
 def is_tree(g: Graph) -> bool:

@@ -225,7 +225,11 @@ def obstruction_shared_neighborhood(g: Graph) -> Optional[Obstruction]:
     more, so their least element is one of the two smallest of N(u) and
     their greatest one of the two largest: both vertices of a witness sit
     in one bucket (d, least, greatest), and only pairs within a bucket are
-    tested.
+    tested, each pair once. Twins share all d neighbours, so they are never
+    a witness, and a witness (u, v) gives one made of the first vertex of
+    u's neighbourhood and the first of v's, which is no later in pair
+    order: only the first vertex of each distinct neighbourhood is
+    bucketed.
     """
     adj, degrees = g.adj, g.degrees
     best = None
@@ -234,28 +238,35 @@ def obstruction_shared_neighborhood(g: Graph) -> Optional[Obstruction]:
         if adj[v] != adj[ones[0]]:
             best = (ones[0], v)
             break
+    distinct, index = g.twin_classes()
+    firsts = [0] * len(distinct)
+    for v in reversed(range(g.n)):
+        firsts[index[v]] = v
     buckets: dict[tuple[int, int, int], list[int]] = {}
-    slots = []  # slots[u]: (bucket, position of u in it) per key of u
-    for u, d in enumerate(degrees):
-        mine = []
+    slots = []  # slots[k]: (bucket, position of firsts[k] in it) per key
+    for u, nbrs in zip(firsts, distinct):
+        d, mine = len(nbrs), []
         if d >= 2:
-            s = sorted(adj[u])
+            s = sorted(nbrs)
             for key in {(d, s[0], s[-1]), (d, s[0], s[-2]), (d, s[1], s[-1])}:
                 bucket = buckets.setdefault(key, [])
                 mine.append((bucket, len(bucket)))
                 bucket.append(u)
         slots.append(mine)
-    for u, mine in enumerate(slots):
+    for u, mine in zip(firsts, slots):
         if best is not None and best[0] <= u:
             break
         nbrs, shared = adj[u], degrees[u] - 1
-        for bucket, pos in mine:
-            for v in itertools.islice(bucket, pos + 1, None):
-                if best is not None and (u, v) >= best:
-                    break
-                if len(nbrs & adj[v]) == shared:
-                    best = (u, v)
-                    break
+        later = [bucket[pos + 1:] for bucket, pos in mine
+                 if len(bucket) > pos + 1]
+        if len(later) > 1:
+            later = [sorted(set().union(*later))]
+        for v in itertools.chain(*later):
+            if best is not None and (u, v) >= best:
+                break
+            if len(nbrs & adj[v]) == shared:
+                best = (u, v)
+                break
     if best is None:
         return None
     u, v = best

@@ -4,8 +4,8 @@ Two engines share nothing but the definition of a weight:
 
 * a pruned backtracking search over integer element codes (the group's
   Cayley table from ``abelian.cayley_tables``): one sum constraint per
-  vertex, forward checking, translation symmetry in count and first mode,
-  and in count mode a closed-form count of the free tail;
+  vertex, forward checking, translation and twin symmetry in count and
+  first mode, and in count mode a closed-form count of the free tail;
 * a deliberately naive permutation scan, scored by the verifier's own
   arithmetic (``magic.magic_permutations``), used as the independent
   oracle; every labeling it reports is confirmed by ``verify``.
@@ -87,8 +87,21 @@ def _constraints(g: Graph) -> list[tuple[frozenset[int], bool]]:
         for nbrs in g.adj))
 
 
+def _twin_classes(g: Graph, vertices: list[int]) -> list[list[int]]:
+    """The twin classes of two or more among ``vertices``, each in the
+    given order: open twins have N(u) = N(v), closed twins N(u) + u =
+    N(v) + v. Swapping two twins is an automorphism of g. A vertex is in at
+    most one class: an open twin of u is not adjacent to u, a closed one
+    is, and the two cannot both occur."""
+    classes: dict[tuple[frozenset[int], bool], list[int]] = {}
+    for v in vertices:
+        classes.setdefault((g.adj[v], False), []).append(v)
+        classes.setdefault((g.adj[v] | {v}, True), []).append(v)
+    return [members for members in classes.values() if len(members) > 1]
+
+
 def _search(g: Graph, group: GroupSpec, order: list[int], mode: str,
-            prefix: tuple[int, ...] = ()):
+            prefix: tuple[int, ...] = (), pinned: bool = False):
     """Backtracking over integer element codes with forward checking.
 
     Vertices are labeled in ``order``, each trying the unused codes in
@@ -97,8 +110,18 @@ def _search(g: Graph, group: GroupSpec, order: list[int], mode: str,
     one that disagrees cuts the branch. Once mu is known, a constraint with
     one unlabeled member left forces that member's label, and the branch is
     cut when the forced label is taken. ``prefix`` fixes the codes of the
-    first vertices of ``order``. In count mode, once every constraint is
-    closed the remaining vertices take the remaining labels in any order.
+    first vertices of ``order``; ``pinned`` says that the first of them is
+    pinned by translation symmetry rather than chosen by a branch.
+
+    In first and count mode the members of each twin class (``order[0]``
+    left out when pinned) take increasing codes along ``order``: swapping
+    twins maps a magic labeling to one with the same mu, so this keeps one
+    labeling per orbit, and the least of each orbit, which holds the first
+    witness. A vertex stops trying codes once too few unused codes above
+    the candidate are left for its class members after it. In count mode,
+    once every constraint is closed the vertices left take the labels left
+    in every twin-ordered way, counted in closed form, and the count is
+    multiplied by k! per class of k members.
     Returns the count of labelings that extend ``prefix``, or their list.
     """
     n = g.n
@@ -116,10 +139,19 @@ def _search(g: Graph, group: GroupSpec, order: list[int], mode: str,
     cons_of = [[c for c, (members, _) in enumerate(cons) if v in members]
                for v in range(n)]
     used = [False] * n
-    label = [0] * n
+    # label[n] = -1 stands for the code before v's when v is first in its
+    # class, so that v's least code is always label[prev[v]] + 1
+    label = [0] * n + [-1]
+    prev = [n] * n
+    later = [0] * n
+    classes = (_twin_classes(g, order[1:] if pinned else order)
+               if mode != "all" else [])
+    for members in classes:
+        for k, v in enumerate(members):
+            prev[v] = members[k - 1] if k else n
+            later[v] = len(members) - 1 - k
     counting = mode == "count"
     fixed = len(prefix)
-    tail = [math.factorial(k) for k in range(n + 1)]
     found: list[Labeling] = []
     tally = 0
     # a constraint with no members (an isolated vertex) is closed at 0
@@ -128,7 +160,14 @@ def _search(g: Graph, group: GroupSpec, order: list[int], mode: str,
     def dfs(depth: int, mu: int, open_: int) -> bool:
         nonlocal tally
         if counting and open_ == 0 and depth >= fixed:
-            tally += tail[n - depth]
+            # The vertices left are in no constraint, so they are the
+            # vertices of degree at most n/2 adjacent to exactly those of
+            # degree above n/2 (see _constraints): open twins, the last
+            # members of one class, which take any n - depth of the unused
+            # codes above the label of the member before them.
+            low = label[prev[order[depth]]] if depth < n else -1
+            tally += 1 if low < 0 else math.comb(
+                n - 1 - low - sum(used[low + 1:]), n - depth)
             return True
         if depth == n:
             assignment = tuple(elements[label[v]] for v in range(n))
@@ -136,14 +175,21 @@ def _search(g: Graph, group: GroupSpec, order: list[int], mode: str,
             return mode != "first"
         v = order[depth]
         mine = cons_of[v]
+        lo, hi = label[prev[v]] + 1, n
+        room = later[v]
+        while room:  # v's code is below the room-th largest unused one
+            hi -= 1
+            room -= not used[hi]
         if depth < fixed:
-            candidates = prefix[depth:depth + 1]
+            # the first in its class, or pinned and in none: lo is 0
+            candidates = prefix[depth:depth + 1] if prefix[depth] < hi else ()
         else:
-            candidates = range(n)
+            candidates = range(lo, hi)
             if mu >= 0:
                 for c in mine:
                     if left[c] == 1:
-                        candidates = (force[c][mu][value[c]],)
+                        e = force[c][mu][value[c]]
+                        candidates = (e,) if lo <= e < hi else ()
                         break
         for e in candidates:
             if used[e]:
@@ -179,7 +225,11 @@ def _search(g: Graph, group: GroupSpec, order: list[int], mode: str,
         return True
 
     dfs(0, mu0, sum(1 for k in left if k))
-    return tally if counting else found
+    if not counting:
+        return found
+    for members in classes:
+        tally *= math.factorial(len(members))
+    return tally
 
 
 def _branch_worker(args):
@@ -260,9 +310,10 @@ def _run(g: Graph, group: GroupSpec, mode: str, plan: _Plan, pool):
     order, prefix, branches = plan
     if pool is not None:
         result = _merge(mode, list(pool.map(
-            _branch_worker, [(g, group, order, mode, b) for b in branches])))
+            _branch_worker,
+            [(g, group, order, mode, b, bool(prefix)) for b in branches])))
     else:
-        result = _search(g, group, order, mode, prefix)
+        result = _search(g, group, order, mode, prefix, bool(prefix))
     return result * g.n if prefix and mode == "count" else result
 
 

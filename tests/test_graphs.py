@@ -183,6 +183,24 @@ def test_graph_power_matches_all_pairs_bfs(case):
     assert graph_power(g, k).edges() == _all_pairs_power(g, k).edges()
 
 
+def _join_from_edges(g, h):
+    """join built from its edge list, as it was before it built its
+    neighbourhoods directly."""
+    edges = list(g.edges())
+    edges += [(g.n + u, g.n + v) for u, v in h.edges()]
+    edges += [(u, g.n + w) for u in range(g.n) for w in range(h.n)]
+    return Graph.from_edges(g.n + h.n, edges)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(graphs_and_powers(), graphs_and_powers())
+def test_join_and_power_equal_their_edge_list_builds(first, second):
+    (g, k), (h, _) = first, second
+    # whole graphs, so that every neighbourhood is compared both ways
+    assert graph_power(g, k) == _all_pairs_power(g, k)
+    assert join(g, h) == _join_from_edges(g, h)
+
+
 def test_graph_power_monotone_and_complete_at_diameter():
     for g, diam in ((path(5), 4), (cycle(6), 3), (complete_bipartite(2, 3), 2),
                     (star(4), 2)):

@@ -20,6 +20,7 @@ from gdmagic.graphs import (
     complete_bipartite,
     complete_minus_matching,
     complete_multipartite,
+    construct_graph,
     cycle,
     join,
     path,
@@ -506,6 +507,73 @@ def graphs_with_near_twins(draw):
                           {0, 1, 2, 3, 4, 5, 6, 7}]))
 def test_shared_neighborhood_matches_all_pairs_scan(g):
     assert obstruction_shared_neighborhood(g) == _shared_neighborhood_all_pairs(g)
+
+
+@st.composite
+def graphs_with_twin_classes(draw):
+    """A random graph on 1..8 classes, each of 1..4 vertices that are all
+    open twins (no edges inside) or all closed twins (a clique), with
+    random edges between classes; sometimes a lex or direct product of it
+    with a small factor, whose twins come from both factors."""
+    rnd = random.Random(draw(st.integers(0, 2**32 - 1)))
+    sizes = [rnd.randint(1, 4) for _ in range(draw(st.integers(1, 8)))]
+    p = draw(st.sampled_from([0.2, 0.5, 0.8]))
+    starts = list(itertools.accumulate([0] + sizes))
+    members = [range(a, b) for a, b in zip(starts, starts[1:])]
+    edges = []
+    for i, j in itertools.combinations(range(len(sizes)), 2):
+        if rnd.random() < p:
+            edges += itertools.product(members[i], members[j])
+    for part in members:
+        if rnd.random() < 0.5:
+            edges += itertools.combinations(part, 2)
+    order = list(range(starts[-1]))
+    rnd.shuffle(order)
+    g = Graph.from_edges(len(order), [(order[u], order[v]) for u, v in edges])
+    product = draw(st.sampled_from([None, lex_product, direct_product]))
+    if product is None:
+        return g
+    factor = draw(st.sampled_from([path(3), cycle(4), complete(3),
+                                   complete_minus_matching(4), star(3)]))
+    return product(g, factor) if rnd.random() < 0.5 else product(factor, g)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(graphs_with_twin_classes())
+@example(lex_product(cycle(5), complete(2)))
+@example(direct_product(path(3), complete_minus_matching(4)))
+def test_shared_neighborhood_matches_all_pairs_scan_with_twins(g):
+    assert obstruction_shared_neighborhood(g) == _shared_neighborhood_all_pairs(g)
+
+
+def test_shared_neighborhood_tests_each_pair_once_and_no_twins():
+    class Counting(frozenset):
+        """A neighbourhood that records which pairs of vertices it is
+        intersected for."""
+
+        def __and__(self, other):
+            tested.append((self.vertex, other.vertex))
+            return frozenset.__and__(self, other)
+
+    tested = []
+    g = lex_product(cycle(100), complete_minus_matching(8))
+    adj = []
+    for v, nbrs in enumerate(g.adj):
+        adj.append(Counting(nbrs))
+        adj[-1].vertex = v
+    counted = Graph(g.n, tuple(adj))
+    assert obstruction_shared_neighborhood(counted) is None
+    assert tested
+    assert len(set(tested)) == len(tested)
+    assert not [(u, v) for u, v in tested if g.adj[u] == g.adj[v]]
+
+
+def test_shared_neighborhood_on_a_large_twin_rich_product():
+    # 3444 vertices, 608 distinct neighbourhoods, no witness
+    g = construct_graph("dir(lex(KmM(4),dir(P(3),S(6))),"
+                        "join(lex(Kb(2,7),P(4)),S(4)))")
+    assert g.n == 3444
+    assert obstruction_shared_neighborhood(g) is None
 
 
 def test_tree_group_magic():

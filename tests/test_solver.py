@@ -1,9 +1,18 @@
 import io
+import itertools
+import math
+import random
+from types import SimpleNamespace
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
-from gdmagic.abelian import enumerate_abelian_groups, parse_group_spec
+from gdmagic.abelian import (
+    GroupSpec,
+    cayley_tables,
+    enumerate_abelian_groups,
+    parse_group_spec,
+)
 from gdmagic.graphs import (
     Graph,
     complete,
@@ -14,11 +23,15 @@ from gdmagic.graphs import (
     path,
     star,
 )
-from gdmagic.magic import verify
+from gdmagic.magic import Labeling, verify
 from gdmagic.solver import (
     SearchOptions,
     SearchSizeError,
     SolverError,
+    _constraints,
+    _plan,
+    _run,
+    _twin_classes,
     classify_over_all_groups,
     search_labelings,
 )
@@ -324,3 +337,189 @@ def test_naive_labelings_carry_the_verified_constant(expr, spec):
         for lab in found:
             assert lab.magic_constant is not None
             assert verify(g, lab) == lab.magic_constant
+
+
+def _parent_search(g: Graph, group: GroupSpec, order: list[int], mode: str,
+            prefix: tuple[int, ...] = ()):
+    """The pruned search before twin classes, kept as the oracle for the
+    twin-ordered one: backtracking over integer element codes with forward
+    checking, translation pinning through ``prefix`` and the free tail
+    counted as (n - depth)!, with no twin order."""
+    n = g.n
+    add, neg, s = cayley_tables(group)
+    sub = [[row[neg[b]] for b in range(n)] for row in add]
+    sub_t = [list(col) for col in zip(*sub)]
+    elements = list(group.elements())
+    cons = _constraints(g)
+    step = [add if plus else sub for _, plus in cons]
+    unstep = [sub if plus else add for _, plus in cons]
+    # force[c][mu][value]: the last member's label that closes c at mu
+    force = [sub if plus else sub_t for _, plus in cons]
+    value = [0 if plus else s for _, plus in cons]
+    left = [len(members) for members, _ in cons]
+    cons_of = [[c for c, (members, _) in enumerate(cons) if v in members]
+               for v in range(n)]
+    used = [False] * n
+    label = [0] * n
+    counting = mode == "count"
+    fixed = len(prefix)
+    tail = [math.factorial(k) for k in range(n + 1)]
+    found: list[Labeling] = []
+    tally = 0
+    # a constraint with no members (an isolated vertex) is closed at 0
+    mu0 = 0 if 0 in left else -1
+
+    def dfs(depth: int, mu: int, open_: int) -> bool:
+        nonlocal tally
+        if counting and open_ == 0 and depth >= fixed:
+            tally += tail[n - depth]
+            return True
+        if depth == n:
+            assignment = tuple(elements[label[v]] for v in range(n))
+            found.append(Labeling(group, assignment, elements[mu]))
+            return mode != "first"
+        v = order[depth]
+        mine = cons_of[v]
+        if depth < fixed:
+            candidates = prefix[depth:depth + 1]
+        else:
+            candidates = range(n)
+            if mu >= 0:
+                for c in mine:
+                    if left[c] == 1:
+                        candidates = (force[c][mu][value[c]],)
+                        break
+        for e in candidates:
+            if used[e]:
+                continue
+            new_mu, ok, closed = mu, True, 0
+            for c in mine:
+                w = step[c][value[c]][e]
+                value[c] = w
+                left[c] -= 1
+                if left[c] == 0:
+                    closed += 1
+                    if new_mu < 0:
+                        new_mu = w
+                    elif w != new_mu:
+                        ok = False
+            used[e] = True
+            if ok and new_mu >= 0:
+                # forward check; when mu is new, every constraint can force
+                for c in (range(len(cons)) if mu < 0 else mine):
+                    if left[c] == 1 and used[force[c][new_mu][value[c]]]:
+                        ok = False
+                        break
+            keep_going = True
+            if ok:
+                label[v] = e
+                keep_going = dfs(depth + 1, new_mu, open_ - closed)
+            used[e] = False
+            for c in mine:
+                value[c] = unstep[c][value[c]][e]
+                left[c] += 1
+            if not keep_going:
+                return False
+        return True
+
+    dfs(0, mu0, sum(1 for k in left if k))
+    return tally if counting else found
+
+
+# runs the branches of a --jobs search one after another in this process
+IN_PROCESS = SimpleNamespace(map=map)
+
+
+def test_twin_classes_are_open_and_closed():
+    # closed twins only: each block of K(3) over a vertex of C(4)
+    assert _twin_classes(construct_graph("lex(C(4),K(3))"), list(range(12))) \
+        == [[0, 1, 2], [3, 4, 5], [6, 7, 8], [9, 10, 11]]
+    # open twins, each class in the given order
+    assert _twin_classes(construct_graph("Kb(2,3)"), [4, 0, 3, 1, 2]) == \
+        [[4, 3, 2], [0, 1]]
+    # an edge's ends are closed twins, isolated vertices open ones
+    assert _twin_classes(Graph.from_edges(5, [(1, 3)]), list(range(5))) == \
+        [[0, 2, 4], [1, 3]]
+    assert _twin_classes(path(4), list(range(4))) == []
+
+
+def _answers(result, mode):
+    if mode == "count":
+        return result
+    return [(lab.assignment, lab.magic_constant) for lab in result]
+
+
+def _parent_answers(g, group, opts):
+    """What the search answered before twin classes, by the same plan."""
+    order, prefix, _ = _plan(g, opts)
+    result = _parent_search(g, group, order, opts.mode, prefix)
+    if opts.mode == "count" and prefix:
+        result *= g.n
+    return _answers(result, opts.mode)
+
+
+def test_twin_ordered_search_matches_the_parent_on_the_atlas():
+    nx = pytest.importorskip("networkx")
+    cases = 0
+    for h in nx.graph_atlas_g()[1:]:
+        g = Graph.from_edges(h.number_of_nodes(), list(h.edges()))
+        for group in enumerate_abelian_groups(g.n):
+            for mode in ("first", "count"):
+                opts = SearchOptions(mode=mode)
+                assert _answers(search_labelings(g, group, opts), mode) == \
+                    _parent_answers(g, group, opts), (list(h.edges()), mode)
+                cases += 1
+    assert cases == 2526
+
+
+@st.composite
+def graphs_with_planted_twins(draw):
+    """A random graph on 1..8 vertices in classes of 1..3, every class all
+    open twins (no edges inside) or all closed twins (a clique), with
+    random edges between classes, numbered at random."""
+    rnd = random.Random(draw(st.integers(0, 2**32 - 1)))
+    n, sizes = draw(st.integers(1, 8)), []
+    while sum(sizes) < n:
+        sizes.append(min(rnd.randint(1, 3), n - sum(sizes)))
+    p = draw(st.sampled_from([0.3, 0.5, 0.7]))
+    starts = list(itertools.accumulate([0] + sizes))
+    members = [range(a, b) for a, b in zip(starts, starts[1:])]
+    edges = []
+    for i, j in itertools.combinations(range(len(sizes)), 2):
+        if rnd.random() < p:
+            edges += itertools.product(members[i], members[j])
+    for part in members:
+        if rnd.random() < 0.5:
+            edges += itertools.combinations(part, 2)
+    order = list(range(starts[-1]))
+    rnd.shuffle(order)
+    return Graph.from_edges(len(order), [(order[u], order[v])
+                                         for u, v in edges])
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(graphs_with_planted_twins())
+@example(construct_graph("lex(C(4),K(2))"))
+@example(construct_graph("Kb(3,5)"))
+@example(Graph.from_edges(6, [(0, 1), (2, 3)]))
+def test_twin_ordered_search_matches_the_parent_and_the_naive_oracle(g):
+    for group in enumerate_abelian_groups(g.n):
+        naive = search_labelings(g, group, ALL_NAIVE)
+        # the naive scan goes in input order, as first mode does with it;
+        # in input order a count's free tail often follows twins of its
+        # vertices that are already labeled
+        for opts in (COUNT, SearchOptions(mode="count", vertex_order="input"),
+                     SearchOptions(mode="first"),
+                     SearchOptions(mode="first", vertex_order="input")):
+            mode, plan = opts.mode, _plan(g, opts)
+            expected = _parent_answers(g, group, opts)
+            assert _answers(_run(g, group, mode, plan, None), mode) \
+                == expected
+            # the branches of --jobs 2, one per label of the first
+            # vertex that is not pinned
+            assert _answers(_run(g, group, mode, plan, IN_PROCESS), mode) \
+                == expected
+            if mode == "count":
+                assert expected == len(naive)
+            elif opts.vertex_order == "input":
+                assert expected == _answers(naive[:1], mode)
