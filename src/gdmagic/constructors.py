@@ -9,8 +9,9 @@ verification mismatch raises instead of being patched over.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, NamedTuple, Optional
+from typing import Callable, Iterable, NamedTuple, Optional, Union
 
 from .abelian import (
     CyclicFactorSplit,
@@ -28,7 +29,7 @@ from .graphs import (
     matching_join_pairs,
 )
 from .magic import Labeling, verify
-from .products import direct_product, lex_product
+from .products import FactoredProduct
 
 __all__ = [
     "ConstructionError",
@@ -64,17 +65,24 @@ class _WrongShape(ConstructionError):
 
 @dataclass
 class ConstructionReport:
-    """A labeled product graph plus the constant the labeler promised."""
+    """A labeled graph plus the constant the labeler promised. ``labeled``
+    is the graph, or the product held as its factors; ``graph`` is the
+    graph itself, a product built on its first read."""
 
-    graph: Graph
+    labeled: Union[Graph, FactoredProduct]
     labeling: Labeling
     theorem: str
     predicted_mu: GroupElement
     parameters: dict = field(default_factory=dict)
 
+    @functools.cached_property
+    def graph(self) -> Graph:
+        labeled = self.labeled
+        return labeled if isinstance(labeled, Graph) else labeled.build()
 
-def _verified(graph: Graph, assignment, group: GroupSpec,
-              predicted: GroupElement, theorem: str,
+
+def _verified(graph: Union[Graph, FactoredProduct], assignment,
+              group: GroupSpec, predicted: GroupElement, theorem: str,
               parameters: dict) -> ConstructionReport:
     labeling = Labeling(group, tuple(assignment), predicted)
     mu = verify(graph, labeling)
@@ -239,8 +247,8 @@ def label_lex_c4k2(g: Graph, h: Graph, group: GroupSpec) -> ConstructionReport:
     assignment = _c4k2_assignment(g, h, pairing, split, k)
     z = (2 * k + 2) % (4 * k + 2) if parities == {0} else 1
     predicted = split.from_pair(z, split.complement.zero())
-    return _verified(lex_product(g, h), assignment, group, predicted,
-                     "c4k2-lex", {"k": k})
+    return _verified(FactoredProduct("lex", g, h), assignment,
+                     group, predicted, "c4k2-lex", {"k": k})
 
 
 def label_dir_c4k2(g: Graph, h: Graph, group: GroupSpec) -> ConstructionReport:
@@ -253,8 +261,8 @@ def label_dir_c4k2(g: Graph, h: Graph, group: GroupSpec) -> ConstructionReport:
     split = _split_or_error(group, mod)
     assignment = _c4k2_assignment(g, h, pairing, split, k)
     predicted = split.from_pair((-2 * m * k) % mod, split.complement.zero())
-    return _verified(direct_product(g, h), assignment, group, predicted,
-                     "c4k2-dir", {"k": k, "m": m})
+    return _verified(FactoredProduct("dir", g, h), assignment,
+                     group, predicted, "c4k2-dir", {"k": k, "m": m})
 
 
 # ---------------------------------------------------------------------------
@@ -341,14 +349,16 @@ def label_lex_balanced_pow2(g: Graph, h: Graph, group: GroupSpec,
     if s <= k - 1:
         assignment = _pow2_assignment(g, h, pairing, split, k, s)
         predicted = split.from_pair((-r) % (1 << s), split.complement.zero())
-        return _verified(lex_product(g, h), assignment, group, predicted,
-                         "balanced-lex-small-s", {"k": k, "s": s, "r": r})
+        return _verified(FactoredProduct("lex", g, h), assignment,
+                         group, predicted, "balanced-lex-small-s",
+                         {"k": k, "s": s, "r": r})
     m = _common_residue(g, 1 << (s - 1))
     assignment = _pow2_assignment(g, h, pairing, split, k, s)
     predicted = split.from_pair((-r - (1 << (k - 1)) * m) % (1 << s),
                                 split.complement.zero())
-    return _verified(lex_product(g, h), assignment, group, predicted,
-                     "balanced-lex-large-s", {"k": k, "s": s, "r": r, "m": m})
+    return _verified(FactoredProduct("lex", g, h), assignment,
+                     group, predicted, "balanced-lex-large-s",
+                     {"k": k, "s": s, "r": r, "m": m})
 
 
 def label_dir_balanced_pow2(g: Graph, h: Graph, group: GroupSpec,
@@ -360,8 +370,9 @@ def label_dir_balanced_pow2(g: Graph, h: Graph, group: GroupSpec,
     assignment = _pow2_assignment(g, h, pairing, split, k, s)
     predicted = split.from_pair((-m * r) % (1 << s), split.complement.zero())
     size = "small" if s <= k - 1 else "large"
-    return _verified(direct_product(g, h), assignment, group, predicted,
-                     f"balanced-dir-{size}-s", {"k": k, "s": s, "r": r, "m": m})
+    return _verified(FactoredProduct("dir", g, h), assignment,
+                     group, predicted, f"balanced-dir-{size}-s",
+                     {"k": k, "s": s, "r": r, "m": m})
 
 
 def label_lex_even_degrees(g: Graph, h: Graph,
@@ -387,8 +398,8 @@ def label_lex_even_degrees(g: Graph, h: Graph,
         [group.zero()] * (g.n * h.n), h.n, pairing, split, (1 << k) - 1,
         ((i, zs, [a] * len(zs)) for i, a in enumerate(comp.elements())))
     predicted = split.from_pair((-r) % (1 << k), comp.zero())
-    return _verified(lex_product(g, h), assignment, group, predicted,
-                     "even-degrees-lex", {"k": k, "r": r})
+    return _verified(FactoredProduct("lex", g, h), assignment,
+                     group, predicted, "even-degrees-lex", {"k": k, "r": r})
 
 
 def label_lex_kmn_mixed(g: Graph, h: Graph,
@@ -432,8 +443,8 @@ def label_lex_kmn_mixed(g: Graph, h: Graph,
     _twin_pair_labels(assignment, h.n, pairing, split, (1 << k) - 1,
                       ((i, y_zs, [a] * pairs) for i, a in zip(ys, y_vals)))
     predicted = split.from_pair((-r) % (1 << k), comp.zero())
-    return _verified(lex_product(g, h), assignment, group, predicted,
-                     "kmn-mixed-lex",
+    return _verified(FactoredProduct("lex", g, h), assignment,
+                     group, predicted, "kmn-mixed-lex",
                      {"k": k, "r": r, "m": len(xs), "n": len(ys),
                       "t": (r - 1) // 2})
 

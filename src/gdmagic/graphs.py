@@ -19,7 +19,11 @@ from __future__ import annotations
 import sys
 from collections import deque
 from dataclasses import dataclass
-from typing import Callable, Iterable, NamedTuple, Optional, Sequence
+from typing import (TYPE_CHECKING, Callable, Iterable, NamedTuple, Optional,
+                    Sequence, Union)
+
+if TYPE_CHECKING:
+    from .products import FactoredProduct
 
 __all__ = [
     "Graph",
@@ -39,6 +43,7 @@ __all__ = [
     "Construction",
     "CONSTRUCTIONS",
     "construct_graph",
+    "parse_expression",
     "from_edge_list_text",
     "from_edge_list_file",
     "is_tree",
@@ -551,14 +556,14 @@ class _ExprParser:
             self.pos += 1
         return self.text[start:self.pos].strip()
 
-    def parse(self) -> Graph:
+    def parse(self) -> Union[Graph, FactoredProduct]:
         g = self.graph()
         self.skip_ws()
         if self.pos != len(self.text):
             raise self.error("trailing input after expression")
         return g
 
-    def graph(self) -> Graph:
+    def graph(self) -> Union[Graph, FactoredProduct]:
         name = self.name()
         if self.depth == MAX_EXPR_DEPTH:
             raise self.error(f"expression nests more than {MAX_EXPR_DEPTH} "
@@ -570,7 +575,7 @@ class _ExprParser:
         self.depth -= 1
         return g
 
-    def payload(self, name: str) -> Graph:
+    def payload(self, name: str) -> Union[Graph, FactoredProduct]:
         row = CONSTRUCTIONS.get(name)
         if row is None:
             raise self.error(f"unknown construction {name!r}")
@@ -579,9 +584,19 @@ class _ExprParser:
             if i:
                 self.expect(",")
             args.append(getattr(self, kind)())
+        if self.depth == 1 and name in ("lex", "dir"):
+            return _products().FactoredProduct(name, *args)
         return row.build(*args)
+
+
+def parse_expression(expr: str) -> Union[Graph, FactoredProduct]:
+    """The graph of an expression such as lex(C(3),C(4)) or Kb(2,3), with
+    construct_graph's errors, except that a top-level lex or dir product is
+    held as its factors, built, and is not itself built."""
+    return _ExprParser(expr).parse()
 
 
 def construct_graph(expr: str) -> Graph:
     """Build a graph from an expression such as lex(C(3),C(4)) or Kb(2,3)."""
-    return _ExprParser(expr).parse()
+    g = parse_expression(expr)
+    return g if isinstance(g, Graph) else g.build()

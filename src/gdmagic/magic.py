@@ -13,10 +13,11 @@ import itertools
 import re
 import sys
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Optional, Sequence
+from typing import Callable, Iterable, Iterator, Optional, Sequence, Union
 
 from .abelian import GroupElement, GroupSpec, parse_group_spec
-from .graphs import Graph, construct_graph, is_tree, matching_join_pairs
+from .graphs import Graph, is_tree, matching_join_pairs, parse_expression
+from .products import FactoredProduct
 
 __all__ = [
     "LabelingError",
@@ -97,7 +98,8 @@ def _reduced(group: GroupSpec, labels) -> bool:
     return True
 
 
-def _check_sizes(g: Graph, labeling: Labeling) -> None:
+def _check_sizes(g: Union[Graph, FactoredProduct],
+                 labeling: Labeling) -> None:
     if g.n != len(labeling.assignment):
         raise LabelingError(
             f"graph has {g.n} vertices but labeling covers "
@@ -122,8 +124,8 @@ def _common_weight(neighbourhoods: Sequence[Iterable[int]],
     neighbourhood the scan stopped at, whose weight differs from the first
     one's.
 
-    This is the one weight kernel. ``neighbourhoods`` lists each distinct
-    neighbourhood once, vertex 0's first (``Graph.twin_classes``);
+    This is the one weight kernel. ``neighbourhoods`` lists the
+    neighbourhoods to sum, twins' once, vertex 0's first (``_kernel_terms``);
     ``columns`` gives, per cyclic factor, coordinate k of every vertex's
     label. Coordinate k of a weight is the plain-int sum of coordinate k of
     the neighbours' labels, reduced mod the k-th factor; no group addition
@@ -144,17 +146,85 @@ def _common_weight(neighbourhoods: Sequence[Iterable[int]],
     return tuple(mu), None
 
 
-def verify(g: Graph, labeling: Labeling) -> Optional[GroupElement]:
+def _first_vertices(index: Sequence[int]) -> list[int]:
+    """The first vertex of each twin class, given each vertex's class
+    position in order of first occurrence (``Graph.twin_classes``)."""
+    firsts: list[int] = []
+    for v, k in enumerate(index):
+        if k == len(firsts):
+            firsts.append(v)
+    return firsts
+
+
+def _kernel_terms(g: Union[Graph, FactoredProduct]
+                  ) -> tuple[list, Callable[[list[int]], list[int]],
+                             Callable[[int], int]]:
+    """What the weight kernel sums on g: (neighbourhoods, extend, first).
+    The neighbourhoods come in order of their first vertices, each as
+    indices into a label column that ``extend`` lengthens, and ``first(k)``
+    is the first vertex with the k-th. Every vertex has its weight in one
+    list, so the first list whose sum differs names the first vertex whose
+    weight differs.
+
+    A Graph's neighbourhoods are its distinct ones (``Graph.twin_classes``)
+    and index the column itself. A lex or dir product is summed from its
+    factors, never built. Write S(i, c) for the sum of the labels of block
+    i (vertices i·|V(H)| + j) over the c-th distinct neighbourhood of H,
+    and B(i) for the whole block's sum. Vertex (i, j), with j in class c
+    of H, weighs S(i, c) plus B(i') for each i' ∈ N_G(i) in G ∘ H, and
+    S(i', c) for each i' ∈ N_G(i) in G × H. ``extend`` appends every
+    S(i, c) to the column, then (lex) every B(i), so a list holds
+    deg_G + 1 indices (lex) or deg_G (dir). The vertices of block i in
+    class c of H share one list, and in dir so do those of all blocks of
+    one twin class of G.
+    """
+    if isinstance(g, Graph):
+        distinct, index = g.twin_classes()
+        return distinct, lambda column: column, index.index
+    left, h, n = g.g, g.h, g.n
+    gn, hn = left.n, h.n
+    h_distinct, h_index = h.twin_classes()
+    h_firsts = _first_vertices(h_index)
+    # S(i, c) is at n + c·|V(G)| + i, and B(i) after them
+    blocks = n + len(h_distinct) * gn
+    neighbourhoods, firsts = [], []
+    if g.kind == "lex":
+        summed = h_distinct + [range(hn)]
+        for i, g_nbrs in enumerate(left.adj):
+            outer = [blocks + ip for ip in g_nbrs]
+            neighbourhoods += [[*outer, s] for s in range(n + i, blocks, gn)]
+            firsts += [i * hn + j for j in h_firsts]
+    else:
+        summed = h_distinct
+        g_distinct, g_index = left.twin_classes()
+        for i, g_nbrs in zip(_first_vertices(g_index), g_distinct):
+            neighbourhoods += [[s + ip for ip in g_nbrs]
+                               for s in range(n, blocks, gn)]
+            firsts += [i * hn + j for j in h_firsts]
+
+    def extend(column):
+        sums = []
+        for js in summed:
+            sums += (map(sum, zip(*[column[j::hn] for j in js])) if js
+                     else [0] * gn)
+        return column + sums
+    return neighbourhoods, extend, firsts.__getitem__
+
+
+def verify(g: Union[Graph, FactoredProduct],
+           labeling: Labeling) -> Optional[GroupElement]:
     """The magic constant when all vertex weights agree, else None: one call
     of the weight kernel that ``verify_certificate`` and
-    ``magic_permutations`` share.
+    ``magic_permutations`` share. g is a Graph, or a lex or dir product
+    held as its factors, whose weights are summed without building it.
 
     Edgeless graphs verify with the identity (all weights are empty sums).
     """
     _check_sizes(g, labeling)
+    neighbourhoods, extend, _ = _kernel_terms(g)
     labels = labeling.assignment
-    return _common_weight(g.twin_classes()[0], labeling.group.factors,
-                          ([x[k] for x in labels]
+    return _common_weight(neighbourhoods, labeling.group.factors,
+                          (extend([x[k] for x in labels])
                            for k in range(labeling.group.arity)))[0]
 
 
@@ -239,9 +309,7 @@ def obstruction_shared_neighborhood(g: Graph) -> Optional[Obstruction]:
             best = (ones[0], v)
             break
     distinct, index = g.twin_classes()
-    firsts = [0] * len(distinct)
-    for v in reversed(range(g.n)):
-        firsts[index[v]] = v
+    firsts = _first_vertices(index)
     buckets: dict[tuple[int, int, int], list[int]] = {}
     slots = []  # slots[k]: (bucket, position of firsts[k] in it) per key
     for u, nbrs in zip(firsts, distinct):
@@ -494,12 +562,15 @@ def save_certificate(cert: Certificate, filename: str) -> None:
 
 def verify_certificate(cert: Certificate) -> tuple[bool, str, Optional[GroupElement]]:
     """Recompute the certificate from scratch: parse the graph expression,
-    rebuild the labeling, and check every weight against the claimed mu.
+    rebuild the labeling, and check every weight against the claimed mu. A
+    top-level lex or dir product is summed from its factors, unbuilt, so
+    its size is compared with the group order before anything that large
+    is built.
 
     Returns (ok, detail, actual_mu).
     """
     try:
-        g = construct_graph(cert.graph_expr)
+        g = parse_expression(cert.graph_expr)
     except ValueError as exc:
         return False, f"bad graph expression: {exc}", None
     group = cert.group
@@ -510,24 +581,24 @@ def verify_certificate(cert: Certificate) -> tuple[bool, str, Optional[GroupElem
         labeling = Labeling(group, cert.labels)
     except LabelingError as exc:
         return False, str(exc), None
-    neighbourhoods = g.twin_classes()[0]
+    neighbourhoods, extend, first = _kernel_terms(g)
     labels, factors = labeling.assignment, group.factors
-    columns = [[x[k] for x in labels] for k in range(group.arity)]
+    columns = [extend([x[k] for x in labels]) for k in range(group.arity)]
     mu, stop = _common_weight(neighbourhoods, factors, columns)
     if stop is not None:
         # a neighbourhood before the one found may differ on a later factor
         # only: scan the prefix before it again until the prefix agrees
         while stop is not None:
-            differs = stop
-            mu, stop = _common_weight(
-                neighbourhoods[:neighbourhoods.index(differs)], factors,
-                columns)
+            differs = neighbourhoods.index(stop)
+            mu, stop = _common_weight(neighbourhoods[:differs], factors,
+                                      columns)
         # neighbourhoods come in order of first occurrence, so the first
         # vertex with this one is the first whose weight differs
-        wb = _common_weight((differs,), factors, columns)[0]
+        wb = _common_weight(neighbourhoods[differs:differs + 1], factors,
+                            columns)[0]
         return False, (f"weights differ: vertex 0 has "
                        f"{group.format_element(mu)}, vertex "
-                       f"{g.adj.index(differs)} has "
+                       f"{first(differs)} has "
                        f"{group.format_element(wb)}"), None
     if mu != cert.mu:
         return False, (f"magic constant is {group.format_element(mu)} but "

@@ -10,13 +10,17 @@ neighbourhoods) stay twins within a block, so those two products build one
 frozenset per distinct neighbourhood and share it among the twins: a
 balanced H halves the sets built and held. The returned graph equals, by
 value, the one built vertex by vertex.
+
+A ``FactoredProduct`` holds a lex or dir product as its two factors, unbuilt:
+the verifier sums its weights from the factors, and builds nothing.
 """
 
 from __future__ import annotations
 
 from .graphs import Graph
 
-__all__ = ["lex_product", "direct_product", "cartesian_product"]
+__all__ = ["lex_product", "direct_product", "cartesian_product",
+           "FactoredProduct"]
 
 
 def lex_product(g: Graph, h: Graph) -> Graph:
@@ -55,3 +59,17 @@ def cartesian_product(g: Graph, h: Graph) -> Graph:
         frozenset([i * hn + jp for jp in h.adj[j]]
                   + [ip * hn + j for ip in g.adj[i]])
         for i in range(g.n) for j in range(hn)))
+
+
+class FactoredProduct:
+    """G ∘ H (``kind`` "lex") or G × H ("dir") held as its factors g and h:
+    ``n`` is the product's vertex count, and ``build()`` the product."""
+
+    __slots__ = ("kind", "g", "h", "n")
+
+    def __init__(self, kind: str, g: Graph, h: Graph):
+        self.kind, self.g, self.h, self.n = kind, g, h, g.n * h.n
+
+    def build(self) -> Graph:
+        build = lex_product if self.kind == "lex" else direct_product
+        return build(self.g, self.h)

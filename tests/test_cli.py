@@ -403,6 +403,69 @@ def test_certificate_of_a_huge_group_is_rejected_at_once(tmp_path):
     assert f"must label vertices 0..{'9' * 29}8 exactly once" in err
 
 
+def _refuse_product_builds(monkeypatch):
+    from gdmagic import products
+
+    def refuse(g, h):
+        raise AssertionError("a product graph was built")
+    monkeypatch.setattr(products, "lex_product", refuse)
+    monkeypatch.setattr(products, "direct_product", refuse)
+
+
+@pytest.mark.parametrize("product", ["lex", "dir"])
+def test_certificate_of_a_huge_product_is_rejected_before_it_is_built(
+        tmp_path, monkeypatch, product):
+    # 9,000,000 vertices: building the product would take gigabytes
+    _refuse_product_builds(monkeypatch)
+    cert = tmp_path / "c.txt"
+    cert.write_text(f"graph: {product}(C(3000),C(3000))\ngroup: Z2xZ2\n"
+                    "mu: (0,0)\n"
+                    + "".join(f"v {v} ({v // 2},{v % 2})\n" for v in range(4)))
+    code, out, err = _run(["verify", "--cert", str(cert)])
+    assert (code, out, err) == (1, "rejected: graph has 9000000 vertices but "
+                                   "group Z2xZ2 has order 4\n", "")
+
+
+@pytest.mark.parametrize("g, h, product, group", [
+    ("C(50)", "KmM(6)", "lex", "Z6xZ50"),
+    ("C(128)", "KmM(16)", "dir", "Z16xZ128"),
+])
+def test_label_and_verify_build_no_product_graph(tmp_path, monkeypatch,
+                                                 g, h, product, group):
+    from gdmagic import products
+
+    built = {"lex_product": 0, "direct_product": 0}
+    for name in built:
+        def counted(*args, _real=getattr(products, name), _name=name):
+            built[_name] += 1
+            return _real(*args)
+        monkeypatch.setattr(products, name, counted)
+    cert = tmp_path / "c.txt"
+    code, out, err = _run(["label", "--graph", g, "--h", h, "--product",
+                           product, "--group", group, "--out", str(cert)])
+    assert (code, err) == (0, "") and out.startswith("wrote certificate")
+    assert _run(["verify", "--cert", str(cert)])[0] == 0
+    assert built == {"lex_product": 0, "direct_product": 0}
+
+
+def test_a_report_builds_its_product_once_on_first_read(monkeypatch):
+    from gdmagic import products
+    from gdmagic.abelian import parse_group_spec
+    from gdmagic.constructors import auto_label
+    from gdmagic.graphs import construct_graph
+
+    g, h = construct_graph("C(3)"), construct_graph("KmM(4)")
+    expected = products.lex_product(g, h)
+    calls = []
+    real = products.lex_product
+    monkeypatch.setattr(products, "lex_product",
+                        lambda *args: calls.append(args) or real(*args))
+    report = auto_label(g, h, "lex", parse_group_spec("Z4xZ3"))
+    assert calls == []
+    assert report.graph == expected and report.graph is report.graph
+    assert calls == [(g, h)]
+
+
 # two factors under the limit whose product, the order, is over it
 HUGE_ORDER_GROUP = "Z" + "9" * 4000 + "xZ" + "9" * 4000
 HUGE_ORDER = "has order of more than 4300 digits"

@@ -26,7 +26,7 @@ from gdmagic.graphs import (
     path,
     star,
 )
-from gdmagic.products import direct_product, lex_product
+from gdmagic.products import FactoredProduct, direct_product, lex_product
 from gdmagic.magic import (
     Certificate,
     CertificateError,
@@ -370,7 +370,7 @@ def test_verify_certificate_matches_per_vertex_weight(case):
     for lab, claimed in claims:
         cert = Certificate("G", lab.group, claimed, lab.assignment)
         calls.clear()
-        with mock.patch.object(magic, "construct_graph", lambda expr: g), \
+        with mock.patch.object(magic, "parse_expression", lambda expr: g), \
                 mock.patch.object(magic, "_common_weight", counted):
             verdict = verify_certificate(cert)
         assert verdict == reference_verdict(g, lab, claimed)
@@ -379,6 +379,60 @@ def test_verify_certificate_matches_per_vertex_weight(case):
             assert 3 <= len(calls) <= lab.group.arity + 2
         else:
             assert len(calls) == 1
+
+
+# Factors of the products verified unbuilt below: with isolated vertices
+# (K(1), P(1), and dir(K(2),K(1)), which is edgeless), with twins that a dir
+# product merges across blocks (P(3), Kb(1,2)), twin-rich (KmM, Kb) and
+# nested products. H = KmM(4) or Kb(2,2) gives auto_label magic labelings.
+PRODUCT_FACTORS = ["K(1)", "P(1)", "K(2)", "P(3)", "C(3)", "Kb(1,2)",
+                   "KmM(4)", "Kb(2,2)", "KmM(6)", "dir(K(2),K(1))",
+                   "lex(K(2),K(1))", "dir(P(3),K(2))"]
+
+
+@st.composite
+def product_certificates(draw):
+    """lex(G,H) or dir(G,H) as an expression, its unbuilt and built forms,
+    and for every group of its order a labeling with a claimed mu: random,
+    or auto_label's magic one (where it labels the product), as it is or
+    with two labels swapped; the claim is vertex 0's weight or a random
+    element."""
+    from gdmagic.constructors import ConstructionError, auto_label
+
+    g, h = (draw(st.sampled_from(PRODUCT_FACTORS)) for _ in range(2))
+    kind = draw(st.sampled_from(["lex", "dir"]))
+    factored = FactoredProduct(kind, construct_graph(g), construct_graph(h))
+    built = factored.build()
+    claims = []
+    for grp in enumerate_abelian_groups(built.n):
+        labels = draw(st.permutations(list(grp.elements())))
+        how = draw(st.sampled_from(["random", "magic", "swapped"]))
+        if how != "random":
+            try:
+                labels = list(auto_label(factored.g, factored.h, kind,
+                                         grp).labeling.assignment)
+            except ConstructionError:
+                how = "random"
+        if how == "swapped" and built.n > 1:
+            x, y = draw(st.lists(st.integers(0, built.n - 1), min_size=2,
+                                 max_size=2, unique=True))
+            labels[x], labels[y] = labels[y], labels[x]
+        lab = Labeling(grp, tuple(labels))
+        claimed = (weight(built, lab, 0) if draw(st.booleans())
+                   else draw(st.sampled_from(list(grp.elements()))))
+        claims.append((lab, claimed))
+    return f"{kind}({g},{h})", factored, built, claims
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(product_certificates())
+def test_unbuilt_product_verification_matches_the_built_product(case):
+    expr, factored, built, claims = case
+    for lab, claimed in claims:
+        cert = Certificate(expr, lab.group, claimed, lab.assignment)
+        assert verify_certificate(cert) == reference_verdict(built, lab,
+                                                             claimed)
+        assert verify(factored, lab) == verify(built, lab)
 
 
 def test_verify_certificate_names_an_earlier_vertex_than_the_first_factor():
@@ -679,6 +733,25 @@ def test_verify_certificate_makes_one_weight_pass(monkeypatch):
     not_magic = Certificate("C(4)", Z4, (0,), ((0,), (1,), (2,), (3,)))
     assert not verify_certificate(not_magic)[0]
     assert len(calls) == 5
+    # so do a lex and a dir product, summed from their factors
+    from gdmagic.constructors import auto_label
+
+    for product, g, h, spec, x, y in [("lex", "C(3)", "C(4)", "Z4xZ3", 0, 4),
+                                      ("dir", "C(3)", "KmM(6)", "Z6xZ3", 0, 7)]:
+        group = parse_group_spec(spec)
+        report = auto_label(construct_graph(g), construct_graph(h), product,
+                            group)
+        labels = list(report.labeling.assignment)
+        expr = f"{product}({g},{h})"
+        calls.clear()
+        good = Certificate(expr, group, report.predicted_mu, tuple(labels))
+        assert verify_certificate(good) == (True, "ok", report.predicted_mu)
+        assert len(calls) == 1
+        labels[x], labels[y] = labels[y], labels[x]
+        calls.clear()
+        swapped = Certificate(expr, group, report.predicted_mu, tuple(labels))
+        assert verify_certificate(swapped)[1].startswith("weights differ")
+        assert 3 <= len(calls) <= group.arity + 2
 
 
 def _count_calls(monkeypatch, cls, *names):
