@@ -271,15 +271,22 @@ def cayley_tables(spec: GroupSpec) -> tuple[list[list[int]], list[int], int]:
     ``add[a][b]`` is the code of a + b, ``neg[a]`` the code of -a, and the
     third value the code of s(spec).
 
-    The table has order**2 entries; build it only for small groups.
+    Built one cyclic factor at a time on the codes alone: a code is a
+    mixed-radix number, last factor least significant, so appending a
+    factor f takes (code a, digit y) to a·f + y. The table has order**2
+    entries; build it only for small groups.
     """
-    elems = list(spec.elements())
-    code = {g: i for i, g in enumerate(elems)}
-    fs = spec.factors
-    add = [[code[tuple((x + y) % f for x, y, f in zip(g, h, fs))] for h in elems]
-           for g in elems]
-    neg = [code[tuple((-x) % f for x, f in zip(g, fs))] for g in elems]
-    return add, neg, code[sum_of_elements(spec)]
+    add, neg = [[0]], [0]
+    for f in spec.factors:
+        shifts = [[(y + z) % f for z in range(f)] for y in range(f)]
+        add = [[c + w for c in scaled for w in shift]
+               for scaled in ([a * f for a in row] for row in add)
+               for shift in shifts]
+        neg = [a * f + (-y) % f for a in neg for y in range(f)]
+    s = 0
+    for x, f in zip(sum_of_elements(spec), spec.factors):
+        s = s * f + x
+    return add, neg, s
 
 
 def _partitions_desc(n: int):

@@ -23,7 +23,6 @@ from .abelian import (
 )
 from .graphs import (
     Graph,
-    TwinPairing,
     complete_bipartite_parts,
     find_twin_pairing,
     matching_join_pairs,
@@ -109,7 +108,8 @@ def _split_or_error(group: GroupSpec, d: int) -> CyclicFactorSplit:
     return split
 
 
-def _twin_pair_labels(labels: list, hn: int, pairing: TwinPairing,
+def _twin_pair_labels(labels: list, hn: int,
+                      pairing: tuple[tuple[int, int], ...],
                       split: CyclicFactorSplit, pair_z: int,
                       blocks: Iterable[tuple[int, list[int], list[GroupElement]]]
                       ) -> list:
@@ -130,10 +130,10 @@ def _twin_pair_labels(labels: list, hn: int, pairing: TwinPairing,
     total = split.from_pair(pair_z, split.complement.zero())
     twins = list(zip(*([(c - x[k]) % f for x in primary] for k, (c, f)
                        in enumerate(zip(total, split.group.factors)))))
-    size = len(pairing.pairs)
+    size = len(pairing)
     # where vertex j of H sits in a block's first vertices, then its twins
     order = [0] * hn
-    for t, (j, jp) in enumerate(pairing.pairs):
+    for t, (j, jp) in enumerate(pairing):
         order[j], order[jp] = t, size + t
     for b, i in enumerate(ids):
         row = primary[b * size:(b + 1) * size] + twins[b * size:(b + 1) * size]
@@ -187,11 +187,9 @@ def label_star_graph(g: Graph, group: GroupSpec) -> Optional[ConstructionReport]
     all group elements; leaves take the rest in canonical order. Returns
     None when no such x exists (leaf count 1 mod 4)."""
     n = g.n
-    center = next(
-        (v for v in range(n)
-         if n >= 2 and g.degree(v) == n - 1
-         and all(g.degree(u) == 1 for u in range(n) if u != v)),
-        None)
+    # a star is a complete bipartite graph with a part of one vertex
+    center = next((part[0] for part in complete_bipartite_parts(g) or ()
+                   if len(part) == 1), None)
     if center is None:
         raise _WrongShape("graph is not a star")
     _check_order(group, n)
@@ -207,7 +205,8 @@ def label_star_graph(g: Graph, group: GroupSpec) -> Optional[ConstructionReport]
 # ---------------------------------------------------------------------------
 # products with a complete-minus-matching factor on 4k+2 vertices
 
-def _c4k2_host(method: str, h: Graph) -> tuple[int, TwinPairing]:
+def _c4k2_host(method: str, h: Graph
+               ) -> tuple[int, tuple[tuple[int, int], ...]]:
     """Validate H: a complete graph minus a perfect matching on 4k+2
     vertices, k >= 1. Returns (k, pairing)."""
     if h.n < 6 or h.n % 4 != 2:
@@ -219,7 +218,8 @@ def _c4k2_host(method: str, h: Graph) -> tuple[int, TwinPairing]:
     return (h.n - 2) // 4, find_twin_pairing(h)
 
 
-def _c4k2_assignment(g: Graph, h: Graph, pairing: TwinPairing,
+def _c4k2_assignment(g: Graph, h: Graph,
+                     pairing: tuple[tuple[int, int], ...],
                      split: CyclicFactorSplit, k: int) -> list[GroupElement]:
     # block i, pair t: primary label (t, a_i)
     zs = list(range(2 * k + 1))
@@ -268,7 +268,8 @@ def label_dir_c4k2(g: Graph, h: Graph, group: GroupSpec) -> ConstructionReport:
 # ---------------------------------------------------------------------------
 # products with a balanced factor on 2^k vertices
 
-def _pow2_host(h: Graph) -> tuple[int, int, TwinPairing]:
+def _pow2_host(h: Graph) -> tuple[int, int,
+                                  tuple[tuple[int, int], ...]]:
     """Validate H: 2^k vertices with k >= 2, regular, twin-paired. Returns
     (k, r, pairing) where H is 2r-regular."""
     n = h.n
@@ -297,7 +298,8 @@ def _common_residue(g: Graph, mod: int) -> int:
 
 
 def _balanced_host(g: Graph, h: Graph, group: GroupSpec, s: int
-                   ) -> tuple[int, int, TwinPairing, CyclicFactorSplit]:
+                   ) -> tuple[int, int, tuple[tuple[int, int], ...],
+                              CyclicFactorSplit]:
     """The balanced-* labelers' checks on H, s and the group; returns
     (k, r, pairing, split) with split: group ~ Z_{2^s} x A."""
     k, r, pairing = _pow2_host(h)
@@ -312,7 +314,8 @@ def _balanced_host(g: Graph, h: Graph, group: GroupSpec, s: int
     return k, r, pairing, _split_or_error(group, 1 << s)
 
 
-def _pow2_assignment(g: Graph, h: Graph, pairing: TwinPairing,
+def _pow2_assignment(g: Graph, h: Graph,
+                     pairing: tuple[tuple[int, int], ...],
                      split: CyclicFactorSplit, k: int,
                      s: int) -> list[GroupElement]:
     # block i, pair t: primary label, for s <= k-1,
@@ -487,19 +490,18 @@ def _auto_pow2(g: Graph, h: Graph, product: str,
             f"group {group} has no cyclic 2-power direct factor")
     diagnostics: list[str] = []
     for n0 in exponents:
-        if n0 >= k and product == "lex":
-            if n0 == k:
+        if n0 == k and product == "lex":
+            try:
+                return label_lex_even_degrees(g, h, group)
+            except ConstructionError as exc:
+                diagnostics.append(f"even-degrees (s={n0}): {exc}")
+            if r % 2 == 1:
                 try:
-                    return label_lex_even_degrees(g, h, group)
+                    return label_lex_kmn_mixed(g, h, group)
+                except _WrongShape:
+                    pass
                 except ConstructionError as exc:
-                    diagnostics.append(f"even-degrees (s={n0}): {exc}")
-                if r % 2 == 1:
-                    try:
-                        return label_lex_kmn_mixed(g, h, group)
-                    except _WrongShape:
-                        pass
-                    except ConstructionError as exc:
-                        diagnostics.append(f"kmn-mixed (s={n0}): {exc}")
+                    diagnostics.append(f"kmn-mixed (s={n0}): {exc}")
         try:
             return METHODS[f"balanced-{product}"].label_product(
                 g, h, product, group, n0)

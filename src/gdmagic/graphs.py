@@ -1,6 +1,8 @@
 """Simple-graph kernel: named constructions, an expression parser, graph
-powers, tree recognition and enumeration, and twin-pair (balanced)
-structure.
+powers, tree recognition and enumeration, and twin structure: each graph's
+twin-class record (``Graph.twin_classes``, built once per graph), which the
+shape tests for K(m,n), a hub over K(n) minus a matching, and a twin-paired
+(balanced) graph read.
 
 Vertex numbering conventions are part of the contract, since labelings are
 reported against concrete ids:
@@ -16,6 +18,7 @@ reported against concrete ids:
 
 from __future__ import annotations
 
+import functools
 import sys
 from collections import deque
 from dataclasses import dataclass
@@ -29,7 +32,6 @@ __all__ = [
     "Graph",
     "GraphError",
     "GraphParseError",
-    "TwinPairing",
     "complete",
     "cycle",
     "path",
@@ -95,13 +97,20 @@ class Graph:
     def num_edges(self) -> int:
         return sum(self.degrees) // 2
 
-    def twin_classes(self) -> tuple[list[frozenset[int]], list[int]]:
-        """The distinct neighbourhoods, compared by value, in order of first
-        occurrence, and for each vertex the position of its own among them.
-        Twins (vertices with equal neighbourhoods) share one position."""
+    @functools.cached_property
+    def twin_classes(self) -> tuple[tuple[frozenset[int], ...], tuple[int, ...],
+                                    tuple[tuple[int, ...], ...]]:
+        """The twin-class record, built on first read and kept with the
+        graph: the distinct neighbourhoods, compared by value, in order of
+        first occurrence; for each vertex the position of its own among
+        them; and each class's vertices in ascending order. Twins (vertices
+        with equal neighbourhoods) share one position."""
         position: dict[frozenset[int], int] = {}
         index = [position.setdefault(nbrs, len(position)) for nbrs in self.adj]
-        return list(position), index
+        members: list[list[int]] = [[] for _ in position]
+        for v, k in enumerate(index):
+            members[k].append(v)
+        return tuple(position), tuple(index), tuple(map(tuple, members))
 
     def edges(self) -> list[tuple[int, int]]:
         return [(u, v) for u in range(self.n) for v in sorted(self.adj[u]) if u < v]
@@ -208,73 +217,51 @@ def is_tree(g: Graph) -> bool:
 
 # twin pairs -------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class TwinPairing:
-    """Partition of the vertex set into pairs with equal open neighborhoods."""
-
-    pairs: tuple[tuple[int, int], ...]
-
-
-def find_twin_pairing(g: Graph) -> Optional[TwinPairing]:
+def find_twin_pairing(g: Graph) -> Optional[tuple[tuple[int, int], ...]]:
     """Pair up vertices with identical open neighborhoods.
 
-    Vertices fall into classes of equal neighborhoods; the pairing exists
-    exactly when every class has even size. Pairs are taken in ascending id
-    order inside each class.
+    Vertices fall into classes of equal neighborhoods (``Graph.twin_classes``);
+    the pairing exists exactly when every class has even size. Pairs are
+    taken in ascending id order inside each class, and returned sorted.
     """
-    classes: dict[frozenset[int], list[int]] = {}
-    for v in range(g.n):
-        classes.setdefault(g.adj[v], []).append(v)
-    pairs = []
-    for members in classes.values():
-        if len(members) % 2:
-            return None
-        for t in range(0, len(members), 2):
-            pairs.append((members[t], members[t + 1]))
-    pairs.sort()
-    return TwinPairing(tuple(pairs))
+    classes = g.twin_classes[2]
+    if any(len(members) % 2 for members in classes):
+        return None
+    return tuple(sorted(members[t:t + 2] for members in classes
+                        for t in range(0, len(members), 2)))
 
 
 def complete_bipartite_parts(g: Graph) -> Optional[tuple[list[int], list[int]]]:
-    """The two color classes if g is a complete bipartite graph, else None."""
-    if g.n < 2:
+    """The two color classes if g is a complete bipartite graph, else None;
+    vertex 0's class first.
+
+    These are exactly the graphs with two twin classes: a twin is never its
+    twin's neighbour, so each class is independent, and a vertex adjacent
+    to one member of the other class is adjacent to all of it, so each
+    class is the other's neighbourhood (with no edge, there is one class)."""
+    classes = g.twin_classes[2]
+    if len(classes) != 2:
         return None
-    color = [-1] * g.n
-    color[0] = 0
-    queue = deque([0])
-    while queue:
-        u = queue.popleft()
-        for w in g.adj[u]:
-            if color[w] < 0:
-                color[w] = 1 - color[u]
-                queue.append(w)
-            elif color[w] == color[u]:
-                return None
-    if any(c < 0 for c in color):
-        return None
-    part0 = [v for v in range(g.n) if color[v] == 0]
-    part1 = [v for v in range(g.n) if color[v] == 1]
-    if not part1 or g.num_edges != len(part0) * len(part1):
-        return None
-    return part0, part1
+    return list(classes[0]), list(classes[1])
 
 
 def matching_join_pairs(g: Graph, hub: int) -> Optional[list[tuple[int, int]]]:
     """Twin pairs of a complete-minus-matching joined to a universal hub.
 
     Every non-hub vertex must be adjacent to the hub and miss exactly one
-    other non-hub vertex; those misses must pair up.
+    other non-hub vertex; those misses must pair up. Equivalently, the hub
+    is alone in its twin class and every other class is a pair of degree
+    n - 2 (a twin is never its twin's neighbour, so the pair misses only
+    itself and has the hub among its neighbours).
     """
-    others = [v for v in range(g.n) if v != hub]
-    partner = {}
-    for u in others:
-        non = [w for w in others if w != u and w not in g.adj[u]]
-        if hub not in g.adj[u] or len(non) != 1:
-            return None
-        partner[u] = non[0]
-    if any(partner[partner[u]] != u for u in others):
+    _, index, classes = g.twin_classes
+    own = index[hub]
+    pairs = [members for k, members in enumerate(classes) if k != own]
+    if len(classes[own]) != 1 or any(
+            len(members) != 2 or g.degree(members[0]) != g.n - 2
+            for members in pairs):
         return None
-    return [(u, w) for u, w in partner.items() if u < w]
+    return pairs
 
 
 # tree enumeration -------------------------------------------------------------

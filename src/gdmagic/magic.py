@@ -146,18 +146,8 @@ def _common_weight(neighbourhoods: Sequence[Iterable[int]],
     return tuple(mu), None
 
 
-def _first_vertices(index: Sequence[int]) -> list[int]:
-    """The first vertex of each twin class, given each vertex's class
-    position in order of first occurrence (``Graph.twin_classes``)."""
-    firsts: list[int] = []
-    for v, k in enumerate(index):
-        if k == len(firsts):
-            firsts.append(v)
-    return firsts
-
-
 def _kernel_terms(g: Union[Graph, FactoredProduct]
-                  ) -> tuple[list, Callable[[list[int]], list[int]],
+                  ) -> tuple[Sequence, Callable[[list[int]], list[int]],
                              Callable[[int], int]]:
     """What the weight kernel sums on g: (neighbourhoods, extend, first).
     The neighbourhoods come in order of their first vertices, each as
@@ -179,25 +169,26 @@ def _kernel_terms(g: Union[Graph, FactoredProduct]
     one twin class of G.
     """
     if isinstance(g, Graph):
-        distinct, index = g.twin_classes()
-        return distinct, lambda column: column, index.index
+        distinct, _, classes = g.twin_classes
+        return distinct, lambda column: column, lambda k: classes[k][0]
     left, h, n = g.g, g.h, g.n
     gn, hn = left.n, h.n
-    h_distinct, h_index = h.twin_classes()
-    h_firsts = _first_vertices(h_index)
+    h_distinct, _, h_classes = h.twin_classes
+    h_firsts = [members[0] for members in h_classes]
     # S(i, c) is at n + c·|V(G)| + i, and B(i) after them
     blocks = n + len(h_distinct) * gn
     neighbourhoods, firsts = [], []
     if g.kind == "lex":
-        summed = h_distinct + [range(hn)]
+        summed = [*h_distinct, range(hn)]
         for i, g_nbrs in enumerate(left.adj):
             outer = [blocks + ip for ip in g_nbrs]
             neighbourhoods += [[*outer, s] for s in range(n + i, blocks, gn)]
             firsts += [i * hn + j for j in h_firsts]
     else:
         summed = h_distinct
-        g_distinct, g_index = left.twin_classes()
-        for i, g_nbrs in zip(_first_vertices(g_index), g_distinct):
+        g_distinct, _, g_classes = left.twin_classes
+        for members, g_nbrs in zip(g_classes, g_distinct):
+            i = members[0]
             neighbourhoods += [[s + ip for ip in g_nbrs]
                                for s in range(n, blocks, gn)]
             firsts += [i * hn + j for j in h_firsts]
@@ -234,12 +225,12 @@ def magic_permutations(g: Graph, labeling: Labeling) -> Iterator[Labeling]:
 
     A rearrangement of a bijection is one, so no candidate is checked or
     built as a Labeling: each is scored by the weight kernel that ``verify``
-    and ``verify_certificate`` share, over the distinct neighbourhoods found
-    once per call, and only a magic one becomes a Labeling, which ``verify``
-    then confirms.
+    and ``verify_certificate`` share, over the distinct neighbourhoods of
+    g's twin-class record (``Graph.twin_classes``, built once per graph),
+    and only a magic one becomes a Labeling, which ``verify`` then confirms.
     """
     _check_sizes(g, labeling)
-    neighbourhoods, group = g.twin_classes()[0], labeling.group
+    neighbourhoods, group = g.twin_classes[0], labeling.group
     factors = group.factors
     for labels in itertools.permutations(labeling.assignment):
         mu = _common_weight(neighbourhoods, factors, zip(*labels))[0]
@@ -308,8 +299,8 @@ def obstruction_shared_neighborhood(g: Graph) -> Optional[Obstruction]:
         if adj[v] != adj[ones[0]]:
             best = (ones[0], v)
             break
-    distinct, index = g.twin_classes()
-    firsts = _first_vertices(index)
+    distinct, _, classes = g.twin_classes
+    firsts = [members[0] for members in classes]
     buckets: dict[tuple[int, int, int], list[int]] = {}
     slots = []  # slots[k]: (bucket, position of firsts[k] in it) per key
     for u, nbrs in zip(firsts, distinct):

@@ -7,7 +7,8 @@ agree on which physical vertex carries which block/twin role.
 
 In the lexicographic and direct products, twins of H (vertices with equal
 neighbourhoods) stay twins within a block, so those two products build one
-frozenset per distinct neighbourhood and share it among the twins: a
+frozenset per distinct neighbourhood of the factors' twin-class records
+(``Graph.twin_classes``) and share it among the twins: a
 balanced H halves the sets built and held. The returned graph equals, by
 value, the one built vertex by vertex.
 
@@ -28,7 +29,7 @@ def lex_product(g: Graph, h: Graph) -> Graph:
 
     Block i holds one set per distinct neighbourhood of h."""
     hn = h.n
-    distinct, index = h.twin_classes()
+    distinct, index, _ = h.twin_classes
     adj = []
     for i in range(g.n):
         outer = frozenset(v for ip in g.adj[i]
@@ -44,8 +45,8 @@ def direct_product(g: Graph, h: Graph) -> Graph:
 
     One set is built per pair of a distinct neighbourhood of g and one of h."""
     hn = h.n
-    g_distinct, g_index = g.twin_classes()
-    h_distinct, h_index = h.twin_classes()
+    g_distinct, g_index, _ = g.twin_classes
+    h_distinct, h_index, _ = h.twin_classes
     shared = [[frozenset(ip * hn + jp for ip in g_nbrs for jp in h_nbrs)
                for h_nbrs in h_distinct] for g_nbrs in g_distinct]
     return Graph(g.n * hn, tuple(

@@ -72,8 +72,9 @@ def _naive(g: Graph, group: GroupSpec, mode: str):
 
 
 def _constraints(g: Graph) -> list[tuple[frozenset[int], bool]]:
-    """One weight constraint per vertex, in the smaller of two equivalent
-    forms, with duplicates dropped.
+    """One weight constraint per distinct neighbourhood, in order of first
+    occurrence (``Graph.twin_classes``), in the smaller of two equivalent
+    forms: twins have one constraint.
 
     w(v) = mu is a sum over N(v); since all labels sum to s(group), it is
     also s - (sum over V - N(v)) = mu, whose members include v itself.
@@ -82,9 +83,8 @@ def _constraints(g: Graph) -> list[tuple[frozenset[int], bool]]:
     it holds when the closed value equals mu.
     """
     everyone = frozenset(range(g.n))
-    return list(dict.fromkeys(
-        (nbrs, True) if 2 * len(nbrs) <= g.n else (everyone - nbrs, False)
-        for nbrs in g.adj))
+    return [(nbrs, True) if 2 * len(nbrs) <= g.n else (everyone - nbrs, False)
+            for nbrs in g.twin_classes[0]]
 
 
 def _twin_classes(g: Graph, vertices: list[int]) -> list[list[int]]:
@@ -92,7 +92,9 @@ def _twin_classes(g: Graph, vertices: list[int]) -> list[list[int]]:
     given order: open twins have N(u) = N(v), closed twins N(u) + u =
     N(v) + v. Swapping two twins is an automorphism of g. A vertex is in at
     most one class: an open twin of u is not adjacent to u, a closed one
-    is, and the two cannot both occur."""
+    is, and the two cannot both occur. Computed per search, unlike the
+    graph's own record (``Graph.twin_classes``), which holds open twins
+    only."""
     classes: dict[tuple[frozenset[int], bool], list[int]] = {}
     for v in vertices:
         classes.setdefault((g.adj[v], False), []).append(v)
@@ -126,8 +128,9 @@ def _search(g: Graph, group: GroupSpec, order: list[int], mode: str,
     """
     n = g.n
     add, neg, s = cayley_tables(group)
-    sub = [[row[neg[b]] for b in range(n)] for row in add]
-    sub_t = [list(col) for col in zip(*sub)]
+    sub = [[row[b] for b in neg] for row in add]
+    # column b of sub holds a - b = -b + a: row -b of add (the group is abelian)
+    sub_t = [add[b] for b in neg]
     elements = list(group.elements())
     cons = _constraints(g)
     step = [add if plus else sub for _, plus in cons]

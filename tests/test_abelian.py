@@ -80,8 +80,12 @@ def test_parse_element_rejects_unreduced_coordinates(text):
         parse_group_spec("Z4xZ3").parse_element(text)
 
 
-@pytest.mark.parametrize("spec", ["trivial", "Z5", "Z4xZ3", "Z2xZ2xZ2", "Z2xZ6"])
+@pytest.mark.parametrize("spec", list(dict.fromkeys(
+    ["Z4xZ3", "Z2xZ6", "Z3xZ2xZ2", "Z2xZ4xZ2"]
+    + [str(g) for n in range(1, 17) for g in enumerate_abelian_groups(n)])))
 def test_cayley_tables_match_arithmetic(spec):
+    """Every group of order at most 16, and some with their factors in
+    other orders."""
     g = parse_group_spec(spec)
     elems = list(g.elements())
     add, neg, s = cayley_tables(g)

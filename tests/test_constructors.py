@@ -58,7 +58,7 @@ def _pair_sums(report, pairing, h_order):
     blocks = len(report.labeling.assignment) // h_order
     sums = set()
     for i in range(blocks):
-        for j, jp in pairing.pairs:
+        for j, jp in pairing:
             sums.add(group.add(report.labeling.assignment[i * h_order + j],
                                report.labeling.assignment[i * h_order + jp]))
     return sums

@@ -1,3 +1,5 @@
+import collections
+import functools
 import hashlib
 import heapq
 import itertools
@@ -7,6 +9,8 @@ import re
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from gdmagic.abelian import GroupSpec, parse_group_spec
+from gdmagic.constructors import ConstructionError, auto_label, label_star_graph
 from gdmagic.graphs import (
     MAX_TREE_VERTICES,
     Graph,
@@ -25,9 +29,11 @@ from gdmagic.graphs import (
     graph_power,
     is_tree,
     join,
+    matching_join_pairs,
     path,
     star,
 )
+from gdmagic.magic import all_obstructions
 
 
 def _assert_simple(g):
@@ -226,30 +232,33 @@ def test_is_tree_agrees_with_metrics():
 
 
 def test_twin_classes():
-    assert cycle(4).twin_classes() == ([frozenset({1, 3}), frozenset({0, 2})],
-                                       [0, 1, 0, 1])
-    neighbourhoods, index = path(3).twin_classes()
-    assert neighbourhoods == [frozenset({1}), frozenset({0, 2})]
-    assert index == [0, 1, 0]
-    assert Graph.from_edges(0, []).twin_classes() == ([], [])
+    assert cycle(4).twin_classes == ((frozenset({1, 3}), frozenset({0, 2})),
+                                     (0, 1, 0, 1), ((0, 2), (1, 3)))
+    neighbourhoods, index, classes = path(3).twin_classes
+    assert neighbourhoods == (frozenset({1}), frozenset({0, 2}))
+    assert index == (0, 1, 0)
+    assert classes == ((0, 2), (1,))
+    assert Graph.from_edges(0, []).twin_classes == ((), (), ())
     for g in (cycle(6), complete_bipartite(2, 3), complete_minus_matching(8),
               star(4)):
-        neighbourhoods, index = g.twin_classes()
+        neighbourhoods, index, classes = g.twin_classes
         assert len(set(neighbourhoods)) == len(neighbourhoods)
         assert [neighbourhoods[c] for c in index] == list(g.adj)
         assert index[0] == 0
+        assert classes == tuple(tuple(v for v in range(g.n) if index[v] == k)
+                                for k in range(len(neighbourhoods)))
 
 
 def test_twin_pairing():
     pairing = find_twin_pairing(cycle(4))
-    assert pairing.pairs == ((0, 2), (1, 3))
+    assert pairing == ((0, 2), (1, 3))
 
     assert find_twin_pairing(cycle(6)) is None
 
     kmm8 = complete_minus_matching(8)
-    assert find_twin_pairing(kmm8).pairs == ((0, 1), (2, 3), (4, 5), (6, 7))
+    assert find_twin_pairing(kmm8) == ((0, 1), (2, 3), (4, 5), (6, 7))
 
-    for a, b in find_twin_pairing(complete_bipartite(4, 4)).pairs:
+    for a, b in find_twin_pairing(complete_bipartite(4, 4)):
         g = complete_bipartite(4, 4)
         assert g.adj[a] == g.adj[b]
 
@@ -268,6 +277,181 @@ def test_complete_bipartite_parts():
     assert complete_bipartite_parts(cycle(5)) is None
     assert complete_bipartite_parts(path(4)) is None  # bipartite, not complete
     assert complete_bipartite_parts(cycle(4)) == ([0, 2], [1, 3])
+
+
+# the twin-class recognizers against the parent's own scans ---------------------
+
+def _parent_find_twin_pairing(g):
+    """find_twin_pairing before the twin-class record, kept as its oracle
+    (it returned the pairs in a one-field wrapper)."""
+    classes = {}
+    for v in range(g.n):
+        classes.setdefault(g.adj[v], []).append(v)
+    pairs = []
+    for members in classes.values():
+        if len(members) % 2:
+            return None
+        for t in range(0, len(members), 2):
+            pairs.append((members[t], members[t + 1]))
+    pairs.sort()
+    return tuple(pairs)
+
+
+def _parent_complete_bipartite_parts(g):
+    """complete_bipartite_parts before the twin-class record: a BFS
+    2-colouring from vertex 0 and an edge count."""
+    if g.n < 2:
+        return None
+    color = [-1] * g.n
+    color[0] = 0
+    queue = collections.deque([0])
+    while queue:
+        u = queue.popleft()
+        for w in g.adj[u]:
+            if color[w] < 0:
+                color[w] = 1 - color[u]
+                queue.append(w)
+            elif color[w] == color[u]:
+                return None
+    if any(c < 0 for c in color):
+        return None
+    part0 = [v for v in range(g.n) if color[v] == 0]
+    part1 = [v for v in range(g.n) if color[v] == 1]
+    if not part1 or g.num_edges != len(part0) * len(part1):
+        return None
+    return part0, part1
+
+
+def _parent_matching_join_pairs(g, hub):
+    """matching_join_pairs before the twin-class record: each non-hub
+    vertex's one non-neighbour, found by an all-pairs scan."""
+    others = [v for v in range(g.n) if v != hub]
+    partner = {}
+    for u in others:
+        non = [w for w in others if w != u and w not in g.adj[u]]
+        if hub not in g.adj[u] or len(non) != 1:
+            return None
+        partner[u] = non[0]
+    if any(partner[partner[u]] != u for u in others):
+        return None
+    return [(u, w) for u, w in partner.items() if u < w]
+
+
+def _parent_star_center(g):
+    """label_star_graph's centre scan before the twin-class record."""
+    n = g.n
+    return next(
+        (v for v in range(n)
+         if n >= 2 and g.degree(v) == n - 1
+         and all(g.degree(u) == 1 for u in range(n) if u != v)),
+        None)
+
+
+def _star_center(g):
+    """The centre label_star_graph labels as one, None when it refuses the
+    graph as no star; a star over whose group no centre label exists gives
+    no witness, and -1 stands for it."""
+    group = GroupSpec((g.n,)) if g.n > 1 else GroupSpec()
+    try:
+        report = label_star_graph(g, group)
+    except ConstructionError as exc:
+        assert str(exc) == "graph is not a star"
+        return None
+    if report is None:
+        return -1
+    labels = report.labeling.assignment
+    return labels.index(report.predicted_mu)
+
+
+def check_recognizers_match_the_parent(g):
+    assert find_twin_pairing(g) == _parent_find_twin_pairing(g)
+    assert complete_bipartite_parts(g) == _parent_complete_bipartite_parts(g)
+    for hub in range(g.n):
+        assert matching_join_pairs(g, hub) == \
+            _parent_matching_join_pairs(g, hub), hub
+    center, parent = _star_center(g), _parent_star_center(g)
+    assert center == parent or center == -1 and parent is not None
+
+
+def _twin_paired(rnd, classes):
+    """Classes of 1..4 open twins (2 most often), with random all-or-none
+    edges between two classes."""
+    sizes = [rnd.choice([1, 2, 2, 2, 3, 4]) for _ in range(classes)]
+    starts = list(itertools.accumulate([0] + sizes))
+    edges = []
+    for i, j in itertools.combinations(range(classes), 2):
+        if rnd.random() < 0.5:
+            edges += itertools.product(range(starts[i], starts[i + 1]),
+                                       range(starts[j], starts[j + 1]))
+    return Graph.from_edges(starts[-1], edges)
+
+
+@st.composite
+def recognizer_graphs(draw):
+    """A random graph, a planted K(m,n), a star, a hub joined to a KmM, or
+    a twin-paired graph; under a random relabelling, and sometimes with one
+    vertex pair's adjacency flipped."""
+    rnd = random.Random(draw(st.integers(0, 2**32 - 1)))
+    kind = draw(st.sampled_from(
+        ["random", "kmn", "star", "hub", "twins"]))
+    if kind == "random":
+        n = rnd.randint(0, 9)
+        p = rnd.choice([0.2, 0.5, 0.8])
+        g = Graph.from_edges(n, [e for e in itertools.combinations(range(n), 2)
+                                 if rnd.random() < p])
+    elif kind == "kmn":
+        g = complete_bipartite(rnd.randint(1, 5), rnd.randint(1, 5))
+    elif kind == "star":
+        g = star(rnd.randint(1, 9))
+    elif kind == "hub":
+        g = join(complete(1), complete_minus_matching(2 * rnd.randint(1, 4)))
+    else:
+        g = _twin_paired(rnd, rnd.randint(1, 5))
+    order = list(range(g.n))
+    rnd.shuffle(order)
+    edges = {frozenset((order[u], order[v])) for u, v in g.edges()}
+    if g.n > 1 and draw(st.booleans()):
+        edges ^= {frozenset(rnd.sample(range(g.n), 2))}
+    return Graph.from_edges(g.n, [tuple(e) for e in edges])
+
+
+@settings(max_examples=1500, deadline=None, derandomize=True)
+@given(recognizer_graphs())
+@example(complete(2))
+@example(Graph.from_edges(3, [(0, 1), (0, 2)]))
+@example(complete_bipartite(1, 5))
+@example(join(complete(1), complete_minus_matching(6)))
+@example(join(complete_minus_matching(4), complete(1)))
+def test_twin_recognizers_match_the_parent(g):
+    check_recognizers_match_the_parent(g)
+
+
+def test_twin_recognizers_match_the_parent_on_the_atlas():
+    nx = pytest.importorskip("networkx")
+    for h in nx.graph_atlas_g():
+        check_recognizers_match_the_parent(
+            Graph.from_edges(h.number_of_nodes(), list(h.edges())))
+
+
+def test_twin_record_is_built_once_per_graph(monkeypatch):
+    built = []
+    build = Graph.twin_classes.func
+
+    def counted(g):
+        built.append(g)
+        return build(g)
+    wrapped = functools.cached_property(counted)
+    wrapped.__set_name__(Graph, "twin_classes")
+    monkeypatch.setattr(Graph, "twin_classes", wrapped)
+    g, h = cycle(6), complete_minus_matching(8)
+    assert g.twin_classes is g.twin_classes
+    assert built == [g]
+    group = parse_group_spec("Z8xZ6")
+    for factor in (g, h):
+        all_obstructions(factor)
+    for product in ("lex", "dir"):
+        auto_label(g, h, product, group)
+    assert [id(x) for x in built] == [id(g), id(h)]
 
 
 # isomorphism: a plain backtracking search, the tree-dedup oracle below

@@ -91,7 +91,7 @@ def check_kernel_against_weight(g, labeling):
     neighbourhoods agree with per-vertex ``weight``, and so does verify."""
     expected = [weight(g, labeling, v) for v in range(g.n)]
     assert kernel_weights(g, labeling) == expected
-    neighbourhoods = g.twin_classes()[0]
+    neighbourhoods = g.twin_classes[0]
     mu, stop = magic._common_weight(neighbourhoods, labeling.group.factors,
                                     _columns(labeling))
     mismatch = weight_mismatch(g, labeling)
@@ -454,7 +454,7 @@ def test_kernel_asks_for_no_column_after_the_factor_that_differs():
     lab = _lab(Z222, *Z222.elements())
     assert len({weight(g, lab, v)[0] for v in range(g.n)}) > 1
     asked = []
-    mu, stop = magic._common_weight(g.twin_classes()[0], Z222.factors,
+    mu, stop = magic._common_weight(g.twin_classes[0], Z222.factors,
                                     _recording(_columns(lab), asked))
     assert mu is None and stop is not None
     assert [k for k, _ in asked] == [0]

@@ -1,4 +1,5 @@
 import ast
+import functools
 import importlib
 import pathlib
 import re
@@ -184,3 +185,47 @@ def test_caller_scan_sees_an_uncalled_name(tmp_path):
     (tmp_path / "__init__.py").write_text("from .a import *\nunused\n")
     assert _uncalled_exports(tmp_path, "see `documented`") == {
         "a.py": ["recursive", "unused"]}
+
+
+_MODULES = sorted(path.stem for path in PACKAGE.glob("*.py")
+                  if path.stem not in ("__init__", "__main__"))
+
+
+def _stale_readme_names(readme_text):
+    """The backticked dotted names of the README that do not resolve by
+    ``getattr``, among those whose first part is ``gdmagic``, a gdmagic
+    module or a public gdmagic name (a standard-library name such as
+    ``str.splitlines`` is left out); a name written as a call, ``f()``,
+    must also be callable."""
+    for module in _MODULES:  # so that each is an attribute of the package
+        importlib.import_module(f"gdmagic.{module}")
+    missing = object()
+    stale = []
+    for text, dotted, call in re.findall(r"`(([A-Za-z_]\w*(?:\.\w+)+)(\(\))?)`",
+                                         readme_text):
+        first, *rest = dotted.split(".")
+        if first == "gdmagic":
+            root = gdmagic
+        elif first in _MODULES or first in gdmagic.__all__:
+            root = getattr(gdmagic, first)
+        else:
+            continue
+        found = functools.reduce(lambda obj, name: getattr(obj, name, missing),
+                                 rest, root)
+        if found is missing or call and not callable(found):
+            stale.append(text)
+    return stale
+
+
+def test_readme_names_resolve():
+    assert _stale_readme_names(README.read_text()) == []
+
+
+def test_readme_name_scan_sees_a_stale_name():
+    text = ("`gdmagic.graphs.TwinPairing`, `Graph.twin_classes()`, "
+            "`Graph.twin_classes`, `graphs.find_twin_pairing()`, "
+            "`gdmagic.cli`, `str.splitlines`, `magic.no_such_name`, "
+            "`lex(C(3),C(4))`")
+    assert _stale_readme_names(text) == [
+        "gdmagic.graphs.TwinPairing", "Graph.twin_classes()",
+        "magic.no_such_name"]
