@@ -13,7 +13,6 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-import re
 import sys
 from dataclasses import dataclass
 from typing import Iterator, Optional
@@ -165,47 +164,9 @@ class GroupSpec:
 
     def parse_element(self, text: str) -> GroupElement:
         """Read "(r1,...,rk)"; each coordinate must already be reduced,
-        0 <= ri < fi, so a text form names exactly one element."""
-        return self.parse_elements((text,))[0]
-
-    def parse_elements(self, texts) -> list[GroupElement]:
-        """parse_element over an iterable of texts, read once: the
-        coordinates of all of them go through one int() map and one min/max
-        per factor. A coordinate is what int() reads, so inner blanks, a
-        leading "+", "_" separators and non-ASCII decimal digits pass. On a
-        text it refuses, raises parse_element's message for the first such
-        text."""
-        texts = list(texts)
-        arity = len(self.factors)
-        stripped = list(map(str.strip, texts))
-        joined = ";".join(stripped)
-        # each text one "(...)" with arity - 1 commas inside and no other
-        # parenthesis or ";": then the coordinates are the pieces between
-        # the commas and ";"s once the parentheses are dropped
-        one = r"\([^(),;]*" + r",[^(),;]*" * (arity - 1) + r"\)"
-        if re.fullmatch(f"{one}(?:;{one})*", joined):
-            flat = joined.translate(
-                {ord("("): None, ord(")"): None, ord(";"): ","}).split(",")
-            if not arity:
-                if not "".join(flat).strip():
-                    return [()] * len(stripped)
-            else:
-                try:
-                    values = list(map(int, flat))
-                except ValueError:
-                    pass
-                else:
-                    columns = [values[k::arity] for k in range(arity)]
-                    if all(min(c) >= 0 and max(c) < f
-                           for c, f in zip(columns, self.factors)):
-                        return list(zip(*columns))
-        # refused, or empty: one text at a time, which raises at the first
-        # text refused
-        return [self._parse_one(text) for text in texts]
-
-    def _parse_one(self, text: str) -> GroupElement:
-        """parse_element's reading of one text, which parse_elements falls
-        back on only to name the text it refuses."""
+        0 <= ri < fi, so a text form names exactly one element. A
+        coordinate is what int() reads, so inner blanks, a leading "+",
+        "_" separators and non-ASCII decimal digits pass."""
         t = text.strip()
         if not (t.startswith("(") and t.endswith(")")):
             raise GroupError(f"element must look like (r1,...,rk), got {text!r}")
@@ -220,6 +181,11 @@ class GroupSpec:
                 f"element {t} has a coordinate out of range for "
                 f"{self} (each must satisfy 0 <= r < factor)")
         return coords
+
+    def parse_elements(self, texts) -> list[GroupElement]:
+        """parse_element over an iterable of texts, read once; raises
+        parse_element's message for the first text it refuses."""
+        return [self.parse_element(text) for text in texts]
 
 
 def parse_group_spec(text: str) -> GroupSpec:

@@ -88,10 +88,12 @@ def _cmd_label(args, out: TextIO, err: TextIO) -> int:
         _emit(args, out, lambda: {"ok": False, "reason": message},
               lambda: message)
         return _NEGATIVE
+    # label_with_method does not verify: this check of the certificate
+    # about to be written is the one pass over its labels and weights
     cert = Certificate(graph_expr, group, report.predicted_mu,
-                       report.labeling.assignment, report.theorem)
+                       report.labels, report.theorem)
     ok, detail, _ = verify_certificate(cert)
-    if not ok:  # never expected: certificates are re-verified before emission
+    if not ok:  # never expected: a construction that breaks its theorem
         print(f"internal error: emitted certificate failed: {detail}",
               file=err)
         return _USAGE_ERROR
@@ -101,8 +103,7 @@ def _cmd_label(args, out: TextIO, err: TextIO) -> int:
     _emit(args, out,
           lambda: {"ok": True, "theorem": report.theorem, "graph": graph_expr,
                    "group": str(group), "mu": mu,
-                   "labels": group.format_elements(
-                       report.labeling.assignment),
+                   "labels": group.format_elements(report.labels),
                    "parameters": report.parameters, "out": args.out},
           lambda: (f"wrote certificate to {args.out} (theorem "
                    f"{report.theorem}, mu {mu})" if args.out

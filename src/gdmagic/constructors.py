@@ -1,10 +1,13 @@
 """Constructive labelers for product graphs and small named families.
 
-Every labeler assembles an explicit bijection onto the target group in split
-coordinates (z, a) over Z_d x A, maps it back to the caller's group, and
-re-checks the result with the verifier before reporting. The reported
-``predicted_mu`` is the constant the construction is designed to achieve; a
-verification mismatch raises instead of being patched over.
+Every labeler has a core, ``_label_*``, that assembles an explicit bijection
+onto the target group in split coordinates (z, a) over Z_d x A and maps it
+back to the caller's group, and a public form, ``label_*``, that runs the
+core and re-checks its result with the verifier before reporting. The
+reported ``predicted_mu`` is the constant the construction is designed to
+achieve; a verification mismatch raises instead of being patched over.
+``label_with_method`` runs the cores alone: its caller checks the result,
+as the CLI does by verifying the certificate it writes.
 """
 
 from __future__ import annotations
@@ -64,12 +67,15 @@ class _WrongShape(ConstructionError):
 
 @dataclass
 class ConstructionReport:
-    """A labeled graph plus the constant the labeler promised. ``labeled``
-    is the graph, or the product held as its factors; ``graph`` is the
-    graph itself, a product built on its first read."""
+    """A labeled graph, its labels over ``group`` and the constant the
+    labeler promised. ``labeled`` is the graph, or the product held as its
+    factors; ``graph`` is the graph itself, a product built on its first
+    read. ``labels`` are the labels as the construction made them;
+    ``labeling`` is them checked as a Labeling, on its first read."""
 
     labeled: Union[Graph, FactoredProduct]
-    labeling: Labeling
+    group: GroupSpec
+    labels: tuple[GroupElement, ...]
     theorem: str
     predicted_mu: GroupElement
     parameters: dict = field(default_factory=dict)
@@ -79,18 +85,30 @@ class ConstructionReport:
         labeled = self.labeled
         return labeled if isinstance(labeled, Graph) else labeled.build()
 
+    @functools.cached_property
+    def labeling(self) -> Labeling:
+        return Labeling(self.group, self.labels, self.predicted_mu)
 
-def _verified(graph: Union[Graph, FactoredProduct], assignment,
-              group: GroupSpec, predicted: GroupElement, theorem: str,
-              parameters: dict) -> ConstructionReport:
-    labeling = Labeling(group, tuple(assignment), predicted)
-    mu = verify(graph, labeling)
-    if mu != predicted:
-        got = group.format_element(mu) if mu is not None else "no constant"
-        raise ConstructionError(
-            f"{theorem}: construction produced {got} instead of "
-            f"{group.format_element(predicted)}; please report this input")
-    return ConstructionReport(graph, labeling, theorem, predicted, parameters)
+
+def _verifying(core: Callable[..., Optional[ConstructionReport]]
+               ) -> Callable[..., Optional[ConstructionReport]]:
+    """The public labeler of ``core``, named as it is without the leading
+    underscore: core's report, returned once the verifier has confirmed
+    that every weight is the predicted constant."""
+    @functools.wraps(core)
+    def labeler(*args, **kwargs):
+        report = core(*args, **kwargs)
+        if report is not None:
+            mu = verify(report.labeled, report.labeling)
+            if mu != report.predicted_mu:
+                fmt = report.group.format_element
+                got = fmt(mu) if mu is not None else "no constant"
+                raise ConstructionError(
+                    f"{report.theorem}: construction produced {got} instead "
+                    f"of {fmt(report.predicted_mu)}; please report this input")
+        return report
+    labeler.__name__ = labeler.__qualname__ = core.__name__.lstrip("_")
+    return labeler
 
 
 def _check_order(group: GroupSpec, expected: int) -> None:
@@ -154,7 +172,8 @@ def _inverse_pair_values(comp: GroupSpec) -> list[tuple[GroupElement, GroupEleme
 # ---------------------------------------------------------------------------
 # universal vertex over a complete-minus-matching core
 
-def label_matching_join_graph(g: Graph, group: GroupSpec) -> ConstructionReport:
+def _label_matching_join_graph(g: Graph,
+                               group: GroupSpec) -> ConstructionReport:
     """Label a graph shaped like a universal vertex joined onto a complete
     graph minus a perfect matching: the hub gets the identity and every twin
     pair gets an inverse pair (x, -x); all weights collapse to the identity.
@@ -175,14 +194,15 @@ def label_matching_join_graph(g: Graph, group: GroupSpec) -> ConstructionReport:
     assignment = [group.zero()] * n
     for (a, b), (x, neg_x) in zip(pairs, _inverse_pair_values(group)):
         assignment[a], assignment[b] = x, neg_x
-    return _verified(g, assignment, group, group.zero(), "matching-join",
-                     {"n": n})
+    return ConstructionReport(g, group, tuple(assignment), "matching-join",
+                              group.zero(), {"n": n})
 
 
 # ---------------------------------------------------------------------------
 # stars
 
-def label_star_graph(g: Graph, group: GroupSpec) -> Optional[ConstructionReport]:
+def _label_star_graph(g: Graph,
+                      group: GroupSpec) -> Optional[ConstructionReport]:
     """Label a star: scan for a center label x with 2x equal to the sum of
     all group elements; leaves take the rest in canonical order. Returns
     None when no such x exists (leaf count 1 mod 4)."""
@@ -199,7 +219,8 @@ def label_star_graph(g: Graph, group: GroupSpec) -> Optional[ConstructionReport]
         return None
     rest = iter(e for e in group.elements() if e != x)
     assignment = [x if v == center else next(rest) for v in range(n)]
-    return _verified(g, assignment, group, x, "star", {"n": n - 1})
+    return ConstructionReport(g, group, tuple(assignment), "star", x,
+                              {"n": n - 1})
 
 
 # ---------------------------------------------------------------------------
@@ -229,7 +250,8 @@ def _c4k2_assignment(g: Graph, h: Graph,
          for i, a in enumerate(split.complement.elements())))
 
 
-def label_lex_c4k2(g: Graph, h: Graph, group: GroupSpec) -> ConstructionReport:
+def _label_lex_c4k2(g: Graph, h: Graph,
+                    group: GroupSpec) -> ConstructionReport:
     """Label G o H for H the complete graph minus a matching on 4k+2
     vertices, i.e. the (2k)-th power of a (4k+2)-cycle.
 
@@ -247,11 +269,13 @@ def label_lex_c4k2(g: Graph, h: Graph, group: GroupSpec) -> ConstructionReport:
     assignment = _c4k2_assignment(g, h, pairing, split, k)
     z = (2 * k + 2) % (4 * k + 2) if parities == {0} else 1
     predicted = split.from_pair(z, split.complement.zero())
-    return _verified(FactoredProduct("lex", g, h), assignment,
-                     group, predicted, "c4k2-lex", {"k": k})
+    return ConstructionReport(FactoredProduct("lex", g, h), group,
+                              tuple(assignment), "c4k2-lex", predicted,
+                              {"k": k})
 
 
-def label_dir_c4k2(g: Graph, h: Graph, group: GroupSpec) -> ConstructionReport:
+def _label_dir_c4k2(g: Graph, h: Graph,
+                    group: GroupSpec) -> ConstructionReport:
     """Label G x H for the same H; needs all degrees of G congruent to a
     common m mod 4k+2, and reaches the constant (-2mk, 0)."""
     k, pairing = _c4k2_host("c4k2-dir", h)
@@ -261,8 +285,9 @@ def label_dir_c4k2(g: Graph, h: Graph, group: GroupSpec) -> ConstructionReport:
     split = _split_or_error(group, mod)
     assignment = _c4k2_assignment(g, h, pairing, split, k)
     predicted = split.from_pair((-2 * m * k) % mod, split.complement.zero())
-    return _verified(FactoredProduct("dir", g, h), assignment,
-                     group, predicted, "c4k2-dir", {"k": k, "m": m})
+    return ConstructionReport(FactoredProduct("dir", g, h), group,
+                              tuple(assignment), "c4k2-dir", predicted,
+                              {"k": k, "m": m})
 
 
 # ---------------------------------------------------------------------------
@@ -339,8 +364,8 @@ def _pow2_assignment(g: Graph, h: Graph,
                              pairing, split, (1 << s) - 1, blocks)
 
 
-def label_lex_balanced_pow2(g: Graph, h: Graph, group: GroupSpec,
-                            s: int) -> ConstructionReport:
+def _label_lex_balanced_pow2(g: Graph, h: Graph, group: GroupSpec,
+                             s: int) -> ConstructionReport:
     """Label G o H for a balanced 2r-regular H on 2^k vertices, splitting the
     group as Z_{2^s} x A.
 
@@ -352,20 +377,20 @@ def label_lex_balanced_pow2(g: Graph, h: Graph, group: GroupSpec,
     if s <= k - 1:
         assignment = _pow2_assignment(g, h, pairing, split, k, s)
         predicted = split.from_pair((-r) % (1 << s), split.complement.zero())
-        return _verified(FactoredProduct("lex", g, h), assignment,
-                         group, predicted, "balanced-lex-small-s",
-                         {"k": k, "s": s, "r": r})
+        return ConstructionReport(FactoredProduct("lex", g, h), group,
+                                  tuple(assignment), "balanced-lex-small-s",
+                                  predicted, {"k": k, "s": s, "r": r})
     m = _common_residue(g, 1 << (s - 1))
     assignment = _pow2_assignment(g, h, pairing, split, k, s)
     predicted = split.from_pair((-r - (1 << (k - 1)) * m) % (1 << s),
                                 split.complement.zero())
-    return _verified(FactoredProduct("lex", g, h), assignment,
-                     group, predicted, "balanced-lex-large-s",
-                     {"k": k, "s": s, "r": r, "m": m})
+    return ConstructionReport(FactoredProduct("lex", g, h), group,
+                              tuple(assignment), "balanced-lex-large-s",
+                              predicted, {"k": k, "s": s, "r": r, "m": m})
 
 
-def label_dir_balanced_pow2(g: Graph, h: Graph, group: GroupSpec,
-                            s: int) -> ConstructionReport:
+def _label_dir_balanced_pow2(g: Graph, h: Graph, group: GroupSpec,
+                             s: int) -> ConstructionReport:
     """Label G x H for a balanced H on 2^k vertices; all degrees of G must be
     congruent to a common m mod 2^s and the constant is (-mr, 0)."""
     k, r, pairing, split = _balanced_host(g, h, group, s)
@@ -373,13 +398,13 @@ def label_dir_balanced_pow2(g: Graph, h: Graph, group: GroupSpec,
     assignment = _pow2_assignment(g, h, pairing, split, k, s)
     predicted = split.from_pair((-m * r) % (1 << s), split.complement.zero())
     size = "small" if s <= k - 1 else "large"
-    return _verified(FactoredProduct("dir", g, h), assignment,
-                     group, predicted, f"balanced-dir-{size}-s",
-                     {"k": k, "s": s, "r": r, "m": m})
+    return ConstructionReport(FactoredProduct("dir", g, h), group,
+                              tuple(assignment), f"balanced-dir-{size}-s",
+                              predicted, {"k": k, "s": s, "r": r, "m": m})
 
 
-def label_lex_even_degrees(g: Graph, h: Graph,
-                           group: GroupSpec) -> ConstructionReport:
+def _label_lex_even_degrees(g: Graph, h: Graph,
+                            group: GroupSpec) -> ConstructionReport:
     """Label G o H when every degree of G is even and positive, splitting off
     a full Z_{2^k} factor; pair t of block i takes (2t, a_i) and the constant
     is (-r, 0). For groups without an exact Z_{2^k} factor use the small-s
@@ -401,12 +426,13 @@ def label_lex_even_degrees(g: Graph, h: Graph,
         [group.zero()] * (g.n * h.n), h.n, pairing, split, (1 << k) - 1,
         ((i, zs, [a] * len(zs)) for i, a in enumerate(comp.elements())))
     predicted = split.from_pair((-r) % (1 << k), comp.zero())
-    return _verified(FactoredProduct("lex", g, h), assignment,
-                     group, predicted, "even-degrees-lex", {"k": k, "r": r})
+    return ConstructionReport(FactoredProduct("lex", g, h), group,
+                              tuple(assignment), "even-degrees-lex",
+                              predicted, {"k": k, "r": r})
 
 
-def label_lex_kmn_mixed(g: Graph, h: Graph,
-                        group: GroupSpec) -> ConstructionReport:
+def _label_lex_kmn_mixed(g: Graph, h: Graph,
+                         group: GroupSpec) -> ConstructionReport:
     """Label K_{m,n} o H with m even, n odd, and H a 2r-regular balanced
     graph on 2^k vertices with r odd, over a group with an exact Z_{2^k}
     factor. G may number its vertices in any order.
@@ -446,17 +472,17 @@ def label_lex_kmn_mixed(g: Graph, h: Graph,
     _twin_pair_labels(assignment, h.n, pairing, split, (1 << k) - 1,
                       ((i, y_zs, [a] * pairs) for i, a in zip(ys, y_vals)))
     predicted = split.from_pair((-r) % (1 << k), comp.zero())
-    return _verified(FactoredProduct("lex", g, h), assignment,
-                     group, predicted, "kmn-mixed-lex",
-                     {"k": k, "r": r, "m": len(xs), "n": len(ys),
-                      "t": (r - 1) // 2})
+    return ConstructionReport(FactoredProduct("lex", g, h), group,
+                              tuple(assignment), "kmn-mixed-lex", predicted,
+                              {"k": k, "r": r, "m": len(xs), "n": len(ys),
+                               "t": (r - 1) // 2})
 
 
 # ---------------------------------------------------------------------------
 # dispatcher
 
-def auto_label(g: Graph, h: Graph, product: str,
-               group: GroupSpec) -> ConstructionReport:
+def _auto_label(g: Graph, h: Graph, product: str,
+                group: GroupSpec) -> ConstructionReport:
     """Pick a labeler for the product of G with a balanced H.
 
     For H on 2^k vertices the available cyclic 2-power exponents of the
@@ -465,7 +491,8 @@ def auto_label(g: Graph, h: Graph, product: str,
     mixed complete-bipartite specializations, and larger exponents use the
     mod-2^{s-1} branch. H on 4k+2 vertices (complete minus a matching)
     routes to the corresponding labelers. Raises with one diagnostic per
-    failed route when nothing applies.
+    failed route when nothing applies. The routes are tried by their cores,
+    so the chosen route's labels are verified once, by auto_label.
     """
     if product not in ("lex", "dir"):
         raise ConstructionError(f"product must be 'lex' or 'dir', got {product!r}")
@@ -492,12 +519,12 @@ def _auto_pow2(g: Graph, h: Graph, product: str,
     for n0 in exponents:
         if n0 == k and product == "lex":
             try:
-                return label_lex_even_degrees(g, h, group)
+                return _label_lex_even_degrees(g, h, group)
             except ConstructionError as exc:
                 diagnostics.append(f"even-degrees (s={n0}): {exc}")
             if r % 2 == 1:
                 try:
-                    return label_lex_kmn_mixed(g, h, group)
+                    return _label_lex_kmn_mixed(g, h, group)
                 except _WrongShape:
                     pass
                 except ConstructionError as exc:
@@ -512,7 +539,8 @@ def _auto_pow2(g: Graph, h: Graph, product: str,
         diagnostics)
 
 
-def auto_label_bare(g: Graph, group: GroupSpec) -> Optional[ConstructionReport]:
+def _auto_label_bare(g: Graph,
+                     group: GroupSpec) -> Optional[ConstructionReport]:
     """Label a bare (non-product) graph when its shape admits a construction:
     stars and universal-vertex-over-matching graphs. Returns None for a star
     whose center equation has no solution."""
@@ -528,13 +556,28 @@ def auto_label_bare(g: Graph, group: GroupSpec) -> Optional[ConstructionReport]:
 
 
 # ---------------------------------------------------------------------------
+# the public labelers: each core, verified
+
+label_matching_join_graph = _verifying(_label_matching_join_graph)
+label_star_graph = _verifying(_label_star_graph)
+label_lex_c4k2 = _verifying(_label_lex_c4k2)
+label_dir_c4k2 = _verifying(_label_dir_c4k2)
+label_lex_balanced_pow2 = _verifying(_label_lex_balanced_pow2)
+label_dir_balanced_pow2 = _verifying(_label_dir_balanced_pow2)
+label_lex_even_degrees = _verifying(_label_lex_even_degrees)
+label_lex_kmn_mixed = _verifying(_label_lex_kmn_mixed)
+auto_label = _verifying(_auto_label)
+auto_label_bare = _verifying(_auto_label_bare)
+
+
+# ---------------------------------------------------------------------------
 # method table: the `label --method` choices
 
 class LabelingMethod(NamedTuple):
     """A method's own product ("lex", "dir", or None: none fixed), whether
-    it needs the exponent s, and its labelers label_product(g, h, product,
-    group, s) and label_bare(g, group), None for a shape it does not
-    take."""
+    it needs the exponent s, and its labelers' unverified cores
+    label_product(g, h, product, group, s) and label_bare(g, group), None
+    for a shape it does not take."""
 
     product: Optional[str]
     needs_s: bool
@@ -542,44 +585,44 @@ class LabelingMethod(NamedTuple):
     label_bare: Optional[Callable[..., Optional[ConstructionReport]]]
 
 
-# The entries call the labelers by their module-level names, so that a
-# labeler rebound in this module (a tracer's wrapper) is the one called.
+# The entries call the labelers' cores by their module-level names, so
+# that a core rebound in this module is the one called.
 METHODS: dict[str, LabelingMethod] = {
     "auto": LabelingMethod(
         None, False,
-        lambda g, h, product, group, s: auto_label(g, h, product, group),
-        lambda g, group: auto_label_bare(g, group)),
+        lambda g, h, product, group, s: _auto_label(g, h, product, group),
+        lambda g, group: _auto_label_bare(g, group)),
     "balanced-dir": LabelingMethod(
         "dir", True,
         lambda g, h, product, group, s:
-            label_dir_balanced_pow2(g, h, group, s),
+            _label_dir_balanced_pow2(g, h, group, s),
         None),
     "balanced-lex": LabelingMethod(
         "lex", True,
         lambda g, h, product, group, s:
-            label_lex_balanced_pow2(g, h, group, s),
+            _label_lex_balanced_pow2(g, h, group, s),
         None),
     "c4k2-dir": LabelingMethod(
         "dir", False,
-        lambda g, h, product, group, s: label_dir_c4k2(g, h, group),
+        lambda g, h, product, group, s: _label_dir_c4k2(g, h, group),
         None),
     "c4k2-lex": LabelingMethod(
         "lex", False,
-        lambda g, h, product, group, s: label_lex_c4k2(g, h, group),
+        lambda g, h, product, group, s: _label_lex_c4k2(g, h, group),
         None),
     "even-degrees-lex": LabelingMethod(
         "lex", False,
-        lambda g, h, product, group, s: label_lex_even_degrees(g, h, group),
+        lambda g, h, product, group, s: _label_lex_even_degrees(g, h, group),
         None),
     "kmn-mixed-lex": LabelingMethod(
         "lex", False,
-        lambda g, h, product, group, s: label_lex_kmn_mixed(g, h, group),
+        lambda g, h, product, group, s: _label_lex_kmn_mixed(g, h, group),
         None),
     "matching-join": LabelingMethod(
         None, False, None,
-        lambda g, group: label_matching_join_graph(g, group)),
+        lambda g, group: _label_matching_join_graph(g, group)),
     "star": LabelingMethod(
-        None, False, None, lambda g, group: label_star_graph(g, group)),
+        None, False, None, lambda g, group: _label_star_graph(g, group)),
 }
 
 
@@ -606,10 +649,14 @@ def method_product(method: str, has_h: bool,
 def label_with_method(method: str, g: Graph, h: Optional[Graph],
                       product: Optional[str], group: GroupSpec,
                       s: Optional[int]) -> Optional[ConstructionReport]:
-    """Run `method` on the product of G and H that method_product names,
-    or on G alone when h is None. Returns None only for a star whose
-    center equation has no solution. Raises when s is given to a method
-    that takes none, or missing for one that needs it."""
+    """Run `method`'s core on the product of G and H that method_product
+    names, or on G alone when h is None. Returns None only for a star
+    whose center equation has no solution. Raises when s is given to a
+    method that takes none, or missing for one that needs it.
+
+    Unlike the public labelers, it does not verify the report: the caller
+    checks it, as the CLI does by verifying the certificate it writes, so
+    that ``label`` sums the weights once."""
     entry = METHODS[method]
     product = method_product(method, h is not None, product)
     if s is not None and not entry.needs_s:

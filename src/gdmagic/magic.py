@@ -10,12 +10,11 @@ constant.
 from __future__ import annotations
 
 import itertools
-import re
 import sys
 from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, Optional, Sequence, Union
 
-from .abelian import GroupElement, GroupSpec, parse_group_spec
+from .abelian import GroupElement, GroupError, GroupSpec, parse_group_spec
 from .graphs import Graph, is_tree, matching_join_pairs, parse_expression
 from .products import FactoredProduct
 
@@ -446,6 +445,17 @@ def format_certificate(cert: Certificate) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _theorem_tag(line: str) -> Optional[str]:
+    """The tag of a "# theorem: <tag>" comment line: the first word after
+    "theorem:", blanks allowed after the "#" and the colon; None for any
+    other comment. A blank is what ``str.isspace`` calls one."""
+    rest = line[1:].lstrip()
+    if not rest.startswith("theorem:"):
+        return None
+    words = rest[len("theorem:"):].split(None, 1)
+    return words[0] if words else None
+
+
 def _read_lines(lines: Iterable[str], fields: dict[str, str],
                 raw_labels: dict[int, str]) -> Optional[str]:
     """Read certificate lines one at a time into ``fields`` and
@@ -454,9 +464,7 @@ def _read_lines(lines: Iterable[str], fields: dict[str, str],
     theorem = None
     for line in lines:
         if line.startswith("#"):
-            m = re.match(r"#\s*theorem:\s*(\S+)", line)
-            if m:
-                theorem = m.group(1)
+            theorem = _theorem_tag(line) or theorem
             continue
         if line.startswith("v "):
             parts = line.split(None, 2)
@@ -482,39 +490,73 @@ def _read_lines(lines: Iterable[str], fields: dict[str, str],
     return theorem
 
 
-def _label_lines(lines: Iterable[str]) -> Optional[dict[int, str]]:
-    """_read_lines' reading of "v <index> <element>" lines, done on all of
-    them at once: each element text by its index, or None when a line is
-    one that _read_lines refuses."""
-    rows = list(map(str.split, lines, itertools.repeat(None),
-                    itertools.repeat(2)))
-    if not {3}.issuperset(map(len, rows)):
+def _read_canonical(text: str) -> Optional[Certificate]:
+    """The certificate in ``text`` when the text is laid out as
+    format_certificate writes one, else None. Such a text is read in one
+    pass, with no line read on its own: the numbers of mu and of every
+    label go straight into one integer column per cyclic factor.
+
+    The layout: a "#" line when the text starts with "#"; "graph: " and
+    "group: " lines of printable characters, no blank around the graph
+    expression, the group not trivial; then "mu: (m1,...,mk)" and
+    "v i (c1,...,ck)" for i = 0..n-1 in order, each line ended by "\n",
+    every number ASCII digits. Deleting the digits must leave exactly the
+    layout's other characters, and the separators that hold no number
+    ("mu: (", " (" and ")\nv ") must occur whole as often as the layout
+    has them, so every run of digits stands where a number goes. The
+    per-line reader reads the same certificate from such a text."""
+    *head, block = text.split("\n", 3 if text.startswith("#") else 2)
+    if len(head) < 2 or not all(map(str.isprintable, head)):
         return None
-    indices, texts = [r[1] for r in rows], [r[2] for r in rows]
-    del rows
-    if not all(map(str.isdecimal, indices)):
+    theorem = _theorem_tag(head.pop(0)) if len(head) == 3 else None
+    (graph_key, _, graph), (group_key, _, spec) = (
+        line.partition(": ") for line in head)
+    if (graph_key, group_key) != ("graph", "group") or graph != graph.strip():
         return None
     try:
-        raw_labels = dict(zip(map(int, indices), texts))
+        group = parse_group_spec(spec)
+    except GroupError:
+        return None
+    n, arity = group.order, group.arity
+    numbers = "(" + "," * (arity - 1) + ")\n"
+    # the line count first: the layout is built only for a group whose
+    # order the text can hold
+    if (not arity or block.count("\n") != n + 1
+            or not block.startswith("mu: (") or not block.endswith(")\n")
+            or block.count(" (") != n + 1 or block.count(")\nv ") != n
+            or block.translate(str.maketrans("", "", "0123456789"))
+            != "mu: " + numbers + ("v  " + numbers) * n):
+        return None
+    # the words are mu's k numbers, then per label its index and its k
+    # numbers: in steps of k + 1, the slice from j < k is column j, mu's
+    # number first, and the slice from k the indices
+    words = block.translate(str.maketrans("mu:v(),", "       ")).split()
+    step = arity + 1
+    if (len(words) != arity + n * step
+            or words[arity::step] != list(map(str, range(n)))):
+        return None
+    try:
+        columns = [list(map(int, words[k::step])) for k in range(arity)]
     except ValueError:  # more digits than int() converts
         return None
-    return raw_labels if len(raw_labels) == len(texts) else None
+    del words
+    if any(max(column) >= f for column, f in zip(columns, group.factors)):
+        return None
+    mu = tuple(column.pop(0) for column in columns)
+    return Certificate(graph, group, mu, tuple(zip(*columns)), theorem)
 
 
 def parse_certificate(text: str) -> Certificate:
-    """Read a certificate's text. The label lines are split, and their
-    elements parsed, all at once; when one is bad, the lines are read one
-    at a time, so the message names the first bad line."""
-    lines = list(filter(None, map(str.strip, text.splitlines())))
-    is_label = list(map(str.startswith, lines, itertools.repeat("v ")))
-    raw_labels = _label_lines(itertools.compress(lines, is_label))
-    if raw_labels is None:  # every line, one at a time, to name the fault
-        raw_labels = {}
-    else:  # only the other lines are left to read
-        lines = list(itertools.compress(lines, [not v for v in is_label]))
+    """Read a certificate's text. Text laid out as format_certificate
+    writes it is read in one pass (``_read_canonical``); any other text is
+    read one line at a time, so that a message names the first bad line."""
+    cert = _read_canonical(text)
+    if cert is not None:
+        return cert
     fields: dict[str, str] = {}
-    theorem = _read_lines(lines, fields, raw_labels)
-    del lines, is_label  # not held while the elements are parsed
+    raw_labels: dict[int, str] = {}
+    theorem = _read_lines(filter(None, map(str.strip, text.splitlines())),
+                          fields, raw_labels)
     for required in ("graph", "group", "mu"):
         if required not in fields:
             raise CertificateError(f"certificate missing {required!r} line")
@@ -529,7 +571,7 @@ def parse_certificate(text: str) -> Certificate:
             detail = (f"certificate labels {len(raw_labels)} vertices but "
                       f"group {group} has order {group.order_text()}")
         raise CertificateError(detail)
-    labels = tuple(group.parse_elements(list(map(raw_labels.pop, range(n)))))
+    labels = tuple(group.parse_elements(map(raw_labels.pop, range(n))))
     return Certificate(fields["graph"], group, mu, labels, theorem)
 
 

@@ -313,8 +313,8 @@ def test_from_pairs_refuses_a_complement_element_of_the_wrong_arity():
 
 
 # Coordinates are read by int(), so they may carry blanks around them, a
-# sign, "_" between digits and decimal digits of any script; the bulk parser
-# must accept exactly these, no more and no fewer.
+# sign, "_" between digits and decimal digits of any script; parse_element
+# and parse_elements must accept exactly these, no more and no fewer.
 @pytest.mark.parametrize("text, element", [
     ("( 1 , 2 )", (1, 2)),
     ("(+1,0)", (1, 0)),

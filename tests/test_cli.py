@@ -880,15 +880,60 @@ def test_label_reports_a_certificate_its_verifier_rejects(monkeypatch):
     assert err == "internal error: emitted certificate failed: planted\n"
 
 
-def test_label_reports_a_construction_its_verifier_rejects(monkeypatch):
+@pytest.mark.parametrize("method", ["even-degrees-lex", "auto"])
+def test_label_writes_no_certificate_for_a_wrong_construction(
+        monkeypatch, tmp_path, method):
+    # label runs the labeler's core unverified; the one check is the
+    # verification of the certificate about to be written
+    import dataclasses
+
     from gdmagic import constructors
 
-    monkeypatch.setattr(constructors, "verify", lambda g, labeling: None)
+    core = constructors._label_lex_even_degrees
+
+    def swapped(*args):
+        report = core(*args)
+        labels = list(report.labels)
+        labels[0], labels[5] = labels[5], labels[0]
+        return dataclasses.replace(report, labels=tuple(labels))
+
+    monkeypatch.setattr(constructors, "_label_lex_even_degrees", swapped)
+    cert_path = tmp_path / "cert.txt"
     code, out, err = _run(["label", "--graph", "C(3)", "--h", "C(4)",
-                           "--group", "Z4xZ3", "--method", "even-degrees-lex"])
+                           "--group", "Z4xZ3", "--method", method,
+                           "--out", str(cert_path)])
     assert (code, out) == (2, "")
-    assert err == ("error: even-degrees-lex: construction produced no "
-                   "constant instead of (3,0); please report this input\n")
+    assert err == ("internal error: emitted certificate failed: weights "
+                   "differ: vertex 0 has (1,2), vertex 1 has (3,0)\n")
+    assert not cert_path.exists()
+
+
+def test_label_and_verify_check_a_certificate_once(monkeypatch, tmp_path):
+    import re
+
+    from gdmagic import magic
+
+    calls = {"_common_weight": 0, "_reduced": 0}
+    for name in calls:
+        def counted(*args, _real=getattr(magic, name), _name=name):
+            calls[_name] += 1
+            return _real(*args)
+        monkeypatch.setattr(magic, name, counted)
+    cert_path = str(tmp_path / "cert.txt")
+    assert _run(["label", "--graph", "C(500)", "--h", "KmM(8)", "--product",
+                 "lex", "--group", "Z8xZ500", "--out", cert_path])[0] == 0
+    # one weight pass and one scan of the labels, both in the check of
+    # the certificate written (two of each before)
+    assert calls == {"_common_weight": 1, "_reduced": 1}
+
+    def refused(*args, **kwargs):
+        raise AssertionError("a regular expression was used")
+
+    for name in ("match", "fullmatch", "search", "compile"):
+        monkeypatch.setattr(re, name, refused)
+    calls.update(dict.fromkeys(calls, 0))
+    assert _run(["verify", "--cert", cert_path]) == (0, "ok: mu (5,0)\n", "")
+    assert calls == {"_common_weight": 1, "_reduced": 1}
 
 
 # one valid argv per verb, after the verb itself

@@ -393,18 +393,18 @@ def test_auto_bare():
 ])
 def test_method_table_calls_labelers_by_module_name(monkeypatch, method, h,
                                                     labeler):
-    # a labeler rebound in the module (as a tracer does) is the one the
-    # table and auto_label call
+    # the core of a labeler, rebound in the module, is the one the table
+    # and auto_label's core call, so that a test can plant a fault in it
     from gdmagic import constructors
 
     calls = []
-    real = getattr(constructors, labeler)
+    real = getattr(constructors, "_" + labeler)
 
     def spy(*args, **kwargs):
         calls.append(labeler)
         return real(*args, **kwargs)
 
-    monkeypatch.setattr(constructors, labeler, spy)
+    monkeypatch.setattr(constructors, "_" + labeler, spy)
     g, group = (cycle(3), P("Z4xZ3")) if h is not None else (star(4), P("Z5"))
     rep = constructors.label_with_method(method, g, h, None, group, None)
     assert calls == [labeler] and rep.theorem in ("even-degrees-lex", "star")
@@ -427,6 +427,17 @@ def _sample_reports():
          4),
         (label_lex_balanced_pow2(cycle(3), kmm8, P("Z8xZ3"), 3), 8),
     ]
+
+
+def test_label_reports_a_construction_its_verifier_rejects(monkeypatch):
+    from gdmagic import constructors
+
+    monkeypatch.setattr(constructors, "verify", lambda g, labeling: None)
+    with pytest.raises(ConstructionError) as info:
+        label_lex_even_degrees(cycle(3), cycle(4), P("Z4xZ3"))
+    assert str(info.value) == ("even-degrees-lex: construction produced no "
+                               "constant instead of (3,0); please report "
+                               "this input")
 
 
 def test_every_report_verifies_and_is_bijective():

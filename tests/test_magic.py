@@ -795,12 +795,11 @@ def test_labels_and_certificates_go_by_the_column(monkeypatch):
         report.labeling.assignment))
     parse_calls = _count_calls(monkeypatch, GroupSpec,
                                "parse_element", "parse_elements")
-    monkeypatch.setattr(GroupSpec, "_parse_one", None)  # no row is refused
     cert = parse_certificate(text)
     assert cert.labels == report.labeling.assignment
-    assert parse_calls["parse_element"] == [("(5,0)",)]  # mu only
-    assert sorted(len(texts) for texts, in parse_calls["parse_elements"]) \
-        == [1, 4000]
+    assert cert.mu == (5, 0)
+    # mu and the labels are read in bulk: no element is read on its own
+    assert parse_calls == {"parse_element": [], "parse_elements": []}
 
 
 # (product, G, H, group, two swapped vertices, the rejection detail the
@@ -885,9 +884,10 @@ def test_auto_label_certificates_survive_format_and_parse(g, h, product,
         assert verify_certificate(cert)[0]
 
 
-# The one-row readings that parse_elements and parse_certificate replace by
-# bulk ones, kept as the oracles the bulk readings must agree with: same
-# result on every text, same error for the first bad row.
+# One-row readings of elements and certificates, kept as the oracles that
+# parse_elements and parse_certificate (its canonical one-pass reader and
+# its per-line reader alike) must agree with: same result on every text,
+# same error for the first bad row.
 
 def _parse_element_per_row(group, text):
     t = text.strip()
@@ -1057,3 +1057,145 @@ def test_bulk_certificate_parse_agrees_with_the_per_line_reading(group, data):
     text = sep.join(draw(_BLANKS) + line for line in lines)
     assert _parse_outcome(parse_certificate, text) == \
         _parse_outcome(_parse_certificate_per_line, text)
+
+
+def _near_miss(draw, text, group):
+    """``text``, a certificate as format_certificate writes it, with at most
+    one change: of a kind a hand-edited or re-saved certificate may hold, or
+    one character inserted, deleted or moved in one line."""
+    lines = text.split("\n")[:-1]
+    mu = next(k for k, line in enumerate(lines) if line.startswith("mu: "))
+    # a header line, mu's, or a label line, the last one as often as others
+    k = draw(st.sampled_from([0, 1, mu - 1, mu, mu + 1, len(lines) - 1,
+                              draw(st.integers(0, len(lines) - 1))]))
+    line = lines[k]
+    at = draw(st.sampled_from([len(line), draw(st.integers(0, len(line)))]))
+    kind = draw(st.sampled_from([
+        "none", "zero index", "plus", "blank", "non-ASCII digit", "crlf",
+        "no final newline", "comment", "order", "missing", "duplicate",
+        "trailing", "insert", "delete", "swap", "move digit", "factor"]))
+    if kind == "zero index":
+        line = line.replace("v ", "v 0", 1)
+    elif kind == "plus":
+        line = line.replace("(", "(+", 1)
+    elif kind == "blank":
+        blank = draw(st.sampled_from([" ", "\t", "\u3000", "\xa0"]))
+        line = line[:at] + blank + line[at:]
+    elif kind == "non-ASCII digit":
+        line = re.sub(r"\d", lambda m: chr(0x0660 + int(m[0])), line, count=1)
+    elif kind == "crlf":
+        return "\r\n".join(lines) + "\r\n"
+    elif kind == "no final newline":
+        return "\n".join(lines)
+    elif kind == "comment":
+        lines.insert(k, draw(st.sampled_from(["# note", "# theorem: later",
+                                              "#theorem:"])))
+    elif kind == "order" and k > 0:
+        lines[k - 1], line = line, lines[k - 1]
+    elif kind == "missing":
+        del lines[k]
+        return "\n".join(lines) + "\n"
+    elif kind == "duplicate":
+        lines.insert(k, line)
+    elif kind == "trailing":
+        line += draw(st.sampled_from(["x", " x", ")", ",", "0"]))
+    elif kind == "insert":
+        line = line[:at] + draw(st.sampled_from(
+            ["0", "7", " ", ",", "(", ")", "v", ":", "\n", "\u0661",
+             "\x85", "\r", "\x0b", "#"])) + line[at:]
+    elif kind == "delete":
+        line = line[:at] + line[at + 1:]
+    elif kind == "swap" and at + 1 < len(line):
+        line = line[:at] + line[at + 1] + line[at] + line[at + 2:]
+    elif kind == "move digit":
+        digits = [j for j, c in enumerate(line) if c.isdigit()]
+        if digits:
+            j = draw(st.sampled_from(digits))
+            rest = line[:j] + line[j + 1:]
+            to = draw(st.sampled_from([0, len(rest), at % (len(rest) + 1)]))
+            line = rest[:to] + line[j] + rest[to:]
+    elif kind == "factor" and "(" in line and group.factors:
+        # a coordinate set to its factor, one past the last it may hold
+        head, _, inner = line.partition("(")
+        numbers = inner[:-1].split(",")
+        j = at % len(numbers)
+        numbers[j] = str(group.factors[j])
+        line = head + "(" + ",".join(numbers) + ")"
+    lines[k] = line
+    return "\n".join(lines) + "\n"
+
+
+@settings(max_examples=800, deadline=None, derandomize=True)
+@given(st.sampled_from([GroupSpec(())] + [spec for spec in _GROUPS
+                                          if 2 <= spec.order <= 12]),
+       st.data())
+def test_canonical_certificate_parse_agrees_with_the_per_line_reading(group,
+                                                                      data):
+    draw = data.draw
+    labels = tuple(draw(st.permutations(list(group.elements()))))
+    cert = Certificate(
+        draw(st.sampled_from(["C(4)", "lex(C(3),K(2))", "file(a b.txt)"])),
+        group, labels[-1], labels,
+        draw(st.sampled_from([None, "demo", "a b"])))
+    text = format_certificate(cert)
+    # read in one pass, but for the trivial group, whose "()" holds no
+    # number ("a b" is a theorem tag of one word, "a", for both readers)
+    assert magic._read_canonical(text) == (
+        _parse_certificate_per_line(text) if group.factors else None)
+    text = _near_miss(draw, text, group)
+    assert _parse_outcome(parse_certificate, text) == \
+        _parse_outcome(_parse_certificate_per_line, text)
+
+
+_CANONICAL = ("# theorem: demo\ngraph: C(6)\ngroup: Z2xZ3\nmu: (1,2)\n"
+              "v 0 (0,0)\nv 1 (0,1)\nv 2 (0,2)\nv 3 (1,0)\nv 4 (1,1)\n"
+              "v 5 (1,2)\n")
+
+
+# one near-miss per check of the canonical reader, each of which that
+# reader alone would misread
+@pytest.mark.parametrize("old, new", [
+    ("v 5 (1,2)\n", "v 5 (1,)2\n"),  # a number after the last ")"
+    ("v 5 (1,2)\n", "v 5 (1,)\n"),  # the last number empty
+    ("mu: (1,2)", "m1u: (,2)"),  # a number inside "mu: ("
+    ("v 3 (1,0)", "v  3(1,0)"),  # a number inside " ("
+    ("v 2 (0,2)\nv 3", "v 2 (0,)\n2v 3"),  # a number inside ")\nv "
+    ("v 1 (0,1)\nv 2 (0,2)", "v 2 (0,2)\nv 1 (0,1)"),  # out of order
+    ("v 1 ", "v 01 "),  # an index as int() reads it
+    ("v 4 (1,1)", "v 4 (2,1)"),  # a coordinate equal to its factor
+    ("mu: (1,2)", "mu: (1,3)"),
+    ("graph: C(6)", "graph: C(6) "),  # a blank the per-line reader strips
+    ("graph: C(6)", "graph: C(\x0b6)"),  # a line break str.splitlines sees
+    ("# theorem: demo", "# theorem: demo\x85x"),
+    ("group: Z2xZ3\nmu: (1,2)\nv 0 (0,0)\nv 1 (0,1)\nv 2 (0,2)\n"
+     "v 3 (1,0)\nv 4 (1,1)\nv 5 (1,2)", "group: trivial\nmu: ()\nv 0 ()"),
+    ("\n", "\r\n"),
+])
+def test_canonical_reader_leaves_each_near_miss_to_the_per_line_reader(old,
+                                                                       new):
+    assert magic._read_canonical(_CANONICAL) == \
+        _parse_certificate_per_line(_CANONICAL)
+    text = _CANONICAL.replace(old, new)
+    assert text != _CANONICAL
+    assert magic._read_canonical(text) is None
+    assert _parse_outcome(parse_certificate, text) == \
+        _parse_outcome(_parse_certificate_per_line, text)
+
+
+def test_theorem_tag_reads_as_the_theorem_pattern():
+    # the pattern's \s is str.isspace, which str.split and str.lstrip use
+    every = "".join(map(chr, range(sys.maxunicode + 1)))
+    assert re.findall(r"\s", every) == [c for c in every if c.isspace()]
+    blanks = [c for c in every if c.isspace()]
+    words = ["", "theorem:", "theorem", "x", "a:b", "#"]
+    for blank in blanks:
+        for line in ("#" + blank + "theorem:" + blank + "x" + blank + "y",
+                     "#theorem:" + blank, "#" + blank + "theorem:x",
+                     "# theorem" + blank + ":x", "#theorem:" + blank + "x"):
+            m = re.match(r"#\s*theorem:\s*(\S+)", line)
+            assert magic._theorem_tag(line) == (m and m.group(1)), line
+    for parts in itertools.product(["", " ", "　", "\x1c", "\x85"],
+                                   words, ["", "\t", "\xa0"], words):
+        line = "#" + "".join(parts)
+        m = re.match(r"#\s*theorem:\s*(\S+)", line)
+        assert magic._theorem_tag(line) == (m and m.group(1)), line
