@@ -4,8 +4,8 @@ Two engines share nothing but the definition of a weight:
 
 * a pruned backtracking search over integer element codes (the group's
   Cayley table from ``abelian.cayley_tables``): one sum constraint per
-  vertex, forward checking, translation and twin symmetry in count and
-  first mode, and in count mode a closed-form count of the free tail;
+  vertex, forward checking, translation and open-twin symmetry in count
+  and first mode, and in count mode a closed-form count of the free tail;
 * a deliberately naive permutation scan, scored by the verifier's own
   arithmetic (``magic.magic_permutations``), used as the independent
   oracle; every labeling it reports is confirmed by ``verify``.
@@ -30,12 +30,16 @@ __all__ = [
     "SearchOptions",
     "NAIVE_VERTEX_CAP",
     "PRUNED_VERTEX_CAP",
+    "ALL_MODE_CAP",
     "search_labelings",
     "classify_over_all_groups",
 ]
 
 NAIVE_VERTEX_CAP = 8
 PRUNED_VERTEX_CAP = 12
+# labelings that all mode lists, 8! and more, so that the naive path, which
+# lists at most 8!, needs no check of its own
+ALL_MODE_CAP = 100_000
 
 
 class SolverError(ValueError):
@@ -49,7 +53,8 @@ class SearchSizeError(SolverError):
 @dataclass(frozen=True)
 class SearchOptions:
     """mode: first | all | count; vertex_order: degree_desc | input;
-    use_pruning=False selects the naive oracle path."""
+    use_pruning=False selects the naive oracle path; jobs: the most worker
+    processes a pruned search runs its branches on (1: none)."""
 
     mode: str = "first"
     vertex_order: str = "degree_desc"
@@ -87,19 +92,10 @@ def _constraints(g: Graph) -> list[tuple[frozenset[int], bool]]:
             for nbrs in g.twin_classes[0]]
 
 
-def _twin_classes(g: Graph, vertices: list[int]) -> list[list[int]]:
-    """The twin classes of two or more among ``vertices``, each in the
-    given order: open twins have N(u) = N(v), closed twins N(u) + u =
-    N(v) + v. Swapping two twins is an automorphism of g. A vertex is in at
-    most one class: an open twin of u is not adjacent to u, a closed one
-    is, and the two cannot both occur. Computed per search, unlike the
-    graph's own record (``Graph.twin_classes``), which holds open twins
-    only."""
-    classes: dict[tuple[frozenset[int], bool], list[int]] = {}
-    for v in vertices:
-        classes.setdefault((g.adj[v], False), []).append(v)
-        classes.setdefault((g.adj[v] | {v}, True), []).append(v)
-    return [members for members in classes.values() if len(members) > 1]
+def _has_closed_twins(g: Graph) -> bool:
+    """Whether two vertices u, v have N(u) + u = N(v) + v. Such twins are
+    adjacent, so w(u) - w(v) = l(v) - l(u): no labeling is magic."""
+    return len({nbrs | {v} for v, nbrs in enumerate(g.adj)}) < g.n
 
 
 def _search(g: Graph, group: GroupSpec, order: list[int], mode: str,
@@ -115,7 +111,7 @@ def _search(g: Graph, group: GroupSpec, order: list[int], mode: str,
     first vertices of ``order``; ``pinned`` says that the first of them is
     pinned by translation symmetry rather than chosen by a branch.
 
-    In first and count mode the members of each twin class (``order[0]``
+    In first and count mode the members of each open twin class (``order[0]``
     left out when pinned) take increasing codes along ``order``: swapping
     twins maps a magic labeling to one with the same mu, so this keeps one
     labeling per orbit, and the least of each orbit, which holds the first
@@ -147,8 +143,10 @@ def _search(g: Graph, group: GroupSpec, order: list[int], mode: str,
     label = [0] * n + [-1]
     prev = [n] * n
     later = [0] * n
-    classes = (_twin_classes(g, order[1:] if pinned else order)
-               if mode != "all" else [])
+    classes: list[list[int]] = [[] for _ in g.twin_classes[2]]
+    if mode != "all":
+        for v in order[1:] if pinned else order:
+            classes[g.twin_classes[1][v]].append(v)
     for members in classes:
         for k, v in enumerate(members):
             prev[v] = members[k - 1] if k else n
@@ -173,6 +171,8 @@ def _search(g: Graph, group: GroupSpec, order: list[int], mode: str,
                 n - 1 - low - sum(used[low + 1:]), n - depth)
             return True
         if depth == n:
+            if len(found) == ALL_MODE_CAP:
+                raise _over_all_mode_cap()
             assignment = tuple(elements[label[v]] for v in range(n))
             found.append(Labeling(group, assignment, elements[mu]))
             return mode != "first"
@@ -239,7 +239,15 @@ def _branch_worker(args):
     return _search(*args)
 
 
-def _merge(mode: str, results: list):
+def _over_all_mode_cap() -> SearchSizeError:
+    return SearchSizeError(
+        f"more than {ALL_MODE_CAP} labelings, over the cap of all mode "
+        f"(ALL_MODE_CAP); --mode count counts them")
+
+
+def _merge(mode: str, results):
+    """The branches' results, read in branch order and only as far as the
+    answer needs them."""
     if mode == "count":
         return sum(results)
     merged: list[Labeling] = []
@@ -247,6 +255,8 @@ def _merge(mode: str, results: list):
         merged.extend(labelings)
         if mode == "first" and merged:
             return merged[:1]
+        if len(merged) > ALL_MODE_CAP:
+            raise _over_all_mode_cap()
     return merged
 
 
@@ -312,9 +322,9 @@ def _run(g: Graph, group: GroupSpec, mode: str, plan: _Plan, pool):
     running its branches on ``pool`` when one is given."""
     order, prefix, branches = plan
     if pool is not None:
-        result = _merge(mode, list(pool.map(
+        result = _merge(mode, pool.map(
             _branch_worker,
-            [(g, group, order, mode, b, bool(prefix)) for b in branches])))
+            [(g, group, order, mode, b, bool(prefix)) for b in branches]))
     else:
         result = _search(g, group, order, mode, prefix, bool(prefix))
     return result * g.n if prefix and mode == "count" else result
@@ -326,14 +336,18 @@ def search_labelings(g: Graph, group: GroupSpec,
 
     Returns a list of labelings for modes "first" and "all", or an int for
     mode "count". The naive path accepts at most 8 vertices, the pruned path
-    at most 12. With jobs > 1 the pruned search splits into one branch per
-    label of the first vertex that is not pinned, and runs them on at most
-    min(jobs, cpu count, branches) worker processes; the results are the
-    same as with jobs = 1.
+    at most 12, and mode "all" lists at most ALL_MODE_CAP labelings. The
+    pruned path does not search a graph with closed twins, which has none.
+    With jobs > 1 the pruned search splits into one branch per label of the
+    first vertex that is not pinned, and runs them on at most min(jobs, cpu
+    count, branches) worker processes; the results are the same as with
+    jobs = 1.
     """
     _check_request(g, group, opts)
     if not opts.use_pruning:
         return _naive(g, group, opts.mode)
+    if _has_closed_twins(g):
+        return 0 if opts.mode == "count" else []
     plan = _plan(g, opts)
     with _branch_pool(opts.jobs, len(plan.branches)) as pool:
         return _run(g, group, opts.mode, plan, pool)
@@ -353,6 +367,8 @@ def classify_over_all_groups(g: Graph,
         _check_request(g, spec, first)
     if not first.use_pruning:
         return {spec: bool(_naive(g, spec, "first")) for spec in specs}
+    if _has_closed_twins(g):
+        return dict.fromkeys(specs, False)
     plan = _plan(g, first)
     with _branch_pool(first.jobs, len(plan.branches)) as pool:
         return {spec: bool(_run(g, spec, "first", plan, pool))

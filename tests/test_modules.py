@@ -229,3 +229,47 @@ def test_readme_name_scan_sees_a_stale_name():
     assert _stale_readme_names(text) == [
         "gdmagic.graphs.TwinPairing", "Graph.twin_classes()",
         "magic.no_such_name"]
+
+
+def _caps_not_documented(readme_text, caps):
+    """The names among ``caps`` (name -> value) that no README sentence
+    names in backticks together with the value, written in digits, with
+    thousands separators or as a power such as 10^12, outside backticks
+    (a quoted message does not document the cap)."""
+    stale = []
+    for name, value in caps.items():
+        sentences = [s for s in re.split(r"\.\s+", readme_text)
+                     if f"`{name}`" in s]
+        numbers = {int(base.replace(",", "")) ** int(power or 1)
+                   for s in sentences
+                   for base, power in re.findall(
+                       r"(?<![\w.^])(\d{1,3}(?:,\d{3})+|\d+)(?:\^(\d+))?",
+                       re.sub(r"`[^`]*`", "", s))}
+        if value not in numbers:
+            stale.append(name)
+    return stale
+
+
+def test_readme_caps_match_the_code():
+    from gdmagic import abelian, graphs, solver
+
+    caps = {name: getattr(module, name) for module, names in (
+        (solver, ("NAIVE_VERTEX_CAP", "PRUNED_VERTEX_CAP", "ALL_MODE_CAP")),
+        (graphs, ("MAX_TREE_VERTICES", "MAX_EXPR_DEPTH")),
+        (abelian, ("MAX_GROUP_ORDER",))) for name in names}
+    assert _caps_not_documented(README.read_text(), caps) == []
+
+
+def test_readme_cap_scan_sees_a_stale_cap():
+    text = ("The search takes at most 13 vertices (`PRUNED_VERTEX_CAP`). "
+            "It lists 100,000 labelings at most. The cap is "
+            "`ALL_MODE_CAP`. Orders go up to 10^12 (`MAX_GROUP_ORDER`); "
+            "trees to 14 vertices (`MAX_TREE_VERTICES`: 3159 trees). "
+            "Depth: `MAX_EXPR_DEPTH` is K(1000), `naive over 8`, "
+            "`NAIVE_VERTEX_CAP`.")
+    caps = {"PRUNED_VERTEX_CAP": 12, "ALL_MODE_CAP": 100_000,
+            "MAX_GROUP_ORDER": 10**12, "MAX_TREE_VERTICES": 14,
+            "MAX_EXPR_DEPTH": 100, "NAIVE_VERTEX_CAP": 8}
+    assert _caps_not_documented(text, caps) == [
+        "PRUNED_VERTEX_CAP", "ALL_MODE_CAP", "MAX_EXPR_DEPTH",
+        "NAIVE_VERTEX_CAP"]

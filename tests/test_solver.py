@@ -31,7 +31,6 @@ from gdmagic.solver import (
     _constraints,
     _plan,
     _run,
-    _twin_classes,
     classify_over_all_groups,
     search_labelings,
 )
@@ -278,8 +277,6 @@ def _atlas_regular_graphs():
 
 
 def test_pinned_first_is_the_first_of_all():
-    from gdmagic.solver import _plan
-
     first = SearchOptions(mode="first")
     checked, magic = 0, 0
     for g in _atlas_regular_graphs():
@@ -430,19 +427,6 @@ def _parent_search(g: Graph, group: GroupSpec, order: list[int], mode: str,
 IN_PROCESS = SimpleNamespace(map=map)
 
 
-def test_twin_classes_are_open_and_closed():
-    # closed twins only: each block of K(3) over a vertex of C(4)
-    assert _twin_classes(construct_graph("lex(C(4),K(3))"), list(range(12))) \
-        == [[0, 1, 2], [3, 4, 5], [6, 7, 8], [9, 10, 11]]
-    # open twins, each class in the given order
-    assert _twin_classes(construct_graph("Kb(2,3)"), [4, 0, 3, 1, 2]) == \
-        [[4, 3, 2], [0, 1]]
-    # an edge's ends are closed twins, isolated vertices open ones
-    assert _twin_classes(Graph.from_edges(5, [(1, 3)]), list(range(5))) == \
-        [[0, 2, 4], [1, 3]]
-    assert _twin_classes(path(4), list(range(4))) == []
-
-
 def _answers(result, mode):
     if mode == "count":
         return result
@@ -523,3 +507,91 @@ def test_twin_ordered_search_matches_the_parent_and_the_naive_oracle(g):
                 assert expected == len(naive)
             elif opts.vertex_order == "input":
                 assert expected == _answers(naive[:1], mode)
+
+
+def test_closed_twins_are_answered_without_searching(monkeypatch):
+    """Closed twins u, v are adjacent, so w(u) - w(v) = l(v) - l(u): no
+    labeling is magic, and they share deg - 1 neighbours."""
+    nx = pytest.importorskip("networkx")
+    from gdmagic import solver
+    from gdmagic.magic import obstruction_shared_neighborhood
+
+    def refuse(*args):
+        raise AssertionError("searched a graph with closed twins")
+
+    monkeypatch.setattr(solver, "_search", refuse)
+    graphs = cases = 0
+    for h in nx.graph_atlas_g():
+        n = h.number_of_nodes()
+        if len({frozenset(h[v]) | {v} for v in h}) == n:
+            continue
+        g = Graph.from_edges(n, list(h.edges()))
+        assert obstruction_shared_neighborhood(g) is not None
+        for group in enumerate_abelian_groups(n):
+            assert search_labelings(g, group, SearchOptions()) == []
+            assert search_labelings(g, group, ALL) == []
+            assert search_labelings(g, group, COUNT) == 0
+            assert search_labelings(g, group, COUNT_NAIVE) == 0
+            cases += 1
+        assert set(classify_over_all_groups(g).values()) == {False}
+        graphs += 1
+    assert (graphs, cases) == (561, 567)
+
+
+def _cli(argv):
+    from gdmagic.cli import run
+
+    out, err = io.StringIO(), io.StringIO()
+    return run(argv, out, err), out.getvalue(), err.getvalue()
+
+
+def test_closed_twins_start_no_pool_and_keep_the_exit_codes(monkeypatch):
+    import concurrent.futures
+    import os
+
+    made = []
+
+    class CountingPool(concurrent.futures.ProcessPoolExecutor):
+        def __init__(self, *args, **kwargs):
+            made.append(kwargs)
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
+                        CountingPool)
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    graph = ["--graph", "lex(C(4),K(3))"]
+    for argv in (["search", *graph, "--group", "Z12", "--mode", "count"],
+                 ["classify", *graph]):
+        answers = [_cli(argv + ["--jobs", jobs]) for jobs in ("1", "2")]
+        assert answers[0] == answers[1]
+        assert answers[0][0] == 1 and answers[0][1]
+    assert made == []
+    # the request is checked before the rule: K(13) has closed twins
+    over = (2, "", "error: pruned search supports at most 12 vertices, "
+                   "got 13\n")
+    assert _cli(["search", "--graph", "K(13)", "--group", "Z13"]) == over
+    assert _cli(["classify", "--graph", "K(13)"]) == over
+    assert _cli(["classify", "--graph", "lex(C(4),K(3))", "--jobs", "0"]) \
+        == (2, "", "error: --jobs must be at least 1, got 0\n")
+
+
+def test_all_mode_lists_at_most_the_cap(monkeypatch):
+    from gdmagic import solver
+
+    # C(4) has 16 labelings over Z4, four per label of its first vertex
+    monkeypatch.setattr(solver, "ALL_MODE_CAP", 10)
+    refusal = ("error: more than 10 labelings, over the cap of all mode "
+               "(ALL_MODE_CAP); --mode count counts them\n")
+    for jobs in ("1", "2"):
+        assert _cli(["search", "--graph", "C(4)", "--group", "Z4",
+                     "--mode", "all", "--jobs", jobs]) == (2, "", refusal)
+    g, group, opts = cycle(4), P("Z4"), SearchOptions(mode="all")
+    plan = _plan(g, opts)
+    # every branch is under the cap, and their union over it
+    for pool in (None, IN_PROCESS):
+        with pytest.raises(SearchSizeError) as refused:
+            _run(g, group, "all", plan, pool)
+        assert f"error: {refused.value}\n" == refusal
+    monkeypatch.setattr(solver, "ALL_MODE_CAP", 16)
+    assert len(_run(g, group, "all", plan, IN_PROCESS)) == 16
+    assert search_labelings(g, group, COUNT) == 16
