@@ -115,34 +115,52 @@ def weight(g: Graph, labeling: Labeling, v: int) -> GroupElement:
     return total
 
 
-def _common_weight(neighbourhoods: Sequence[Iterable[int]],
-                   factors: Sequence[int],
-                   columns: Iterable[Sequence[int]]
-                   ) -> tuple[Optional[GroupElement], Optional[Iterable[int]]]:
-    """The weight all of ``neighbourhoods`` share and None, or None and the
-    neighbourhood the scan stopped at, whose weight differs from the first
-    one's.
+def _common_weights(neighbourhoods: Sequence[Iterable[int]],
+                    factors: Sequence[int],
+                    candidates: Iterable[Iterable[Sequence[int]]]
+                    ) -> Iterator[tuple[Optional[GroupElement],
+                                        Optional[Iterable[int]]]]:
+    """For each candidate labeling in turn, the weight all of
+    ``neighbourhoods`` share and None, or None and the neighbourhood the
+    scan stopped at, whose weight differs from the first one's.
 
     This is the one weight kernel. ``neighbourhoods`` lists the
     neighbourhoods to sum, twins' once, vertex 0's first (``_kernel_terms``);
-    ``columns`` gives, per cyclic factor, coordinate k of every vertex's
+    a candidate gives, per cyclic factor, coordinate k of every vertex's
     label. Coordinate k of a weight is the plain-int sum of coordinate k of
     the neighbours' labels, reduced mod the k-th factor; no group addition
     runs. Per factor, the first neighbourhood's coordinate is the target
     and the scan stops at the first neighbourhood whose coordinate differs,
-    so a later factor's column is never asked for. ``weight`` is the
-    per-vertex definition this agrees with.
+    so a later factor's column is never asked for. The candidates are read
+    one at a time, each as late as its answer is asked for, so a stream of
+    them is scored in this one frame. ``weight`` is the per-vertex
+    definition this agrees with.
     """
-    mu = []
-    for f, column in zip(factors, columns):
-        get = column.__getitem__
-        rest = iter(neighbourhoods)
-        target = sum(map(get, next(rest))) % f
-        for nbrs in rest:
-            if sum(map(get, nbrs)) % f != target:
-                return None, nbrs
-        mu.append(target)
-    return tuple(mu), None
+    for columns in candidates:
+        mu = []
+        for f, column in zip(factors, columns):
+            get = column.__getitem__
+            rest = iter(neighbourhoods)
+            target = sum(map(get, next(rest))) % f
+            for nbrs in rest:
+                if sum(map(get, nbrs)) % f != target:
+                    break
+            else:
+                mu.append(target)
+                continue
+            yield None, nbrs  # no later factor's column is asked for
+            break
+        else:
+            yield tuple(mu), None
+
+
+def _common_weight(neighbourhoods: Sequence[Iterable[int]],
+                   factors: Sequence[int],
+                   columns: Iterable[Sequence[int]]
+                   ) -> tuple[Optional[GroupElement], Optional[Iterable[int]]]:
+    """The weight kernel's answer for one labeling, given by its label
+    ``columns`` (``_common_weights``)."""
+    return next(_common_weights(neighbourhoods, factors, (columns,)))
 
 
 def _kernel_terms(g: Union[Graph, FactoredProduct]
@@ -223,22 +241,35 @@ def magic_permutations(g: Graph, labeling: Labeling) -> Iterator[Labeling]:
     ``itertools.permutations`` order, each carrying its magic constant.
 
     A rearrangement of a bijection is one, so no candidate is checked or
-    built as a Labeling: each is scored by the weight kernel that ``verify``
-    and ``verify_certificate`` share, over the distinct neighbourhoods of
-    g's twin-class record (``Graph.twin_classes``, built once per graph),
-    and only a magic one becomes a Labeling, which ``verify`` then confirms.
+    built as a Labeling: the permutations go as one stream through the
+    weight kernel that ``verify`` and ``verify_certificate`` share
+    (``_common_weights``), over the distinct neighbourhoods of g's
+    twin-class record (``Graph.twin_classes``, built once per graph). Over
+    a cyclic group the label column itself is permuted; over more factors
+    each candidate's rows are transposed lazily (``zip(*rows)``), so a later
+    factor's column is made only when the earlier ones agree. Every
+    candidate is scored, and only a magic one becomes a Labeling, which
+    ``verify`` then confirms.
     """
     _check_sizes(g, labeling)
-    neighbourhoods, group = g.twin_classes[0], labeling.group
-    factors = group.factors
-    for labels in itertools.permutations(labeling.assignment):
-        mu = _common_weight(neighbourhoods, factors, zip(*labels))[0]
+    group = labeling.group
+    if group.arity == 1:
+        column = [x for x, in labeling.assignment]
+        labels, scan = itertools.tee(itertools.permutations(column))
+        candidates = zip(scan)  # each candidate's one column
+        as_rows = lambda permuted: tuple(zip(permuted))
+    else:
+        labels, scan = itertools.tee(
+            itertools.permutations(labeling.assignment))
+        candidates, as_rows = itertools.starmap(zip, scan), tuple
+    scores = _common_weights(g.twin_classes[0], group.factors, candidates)
+    for candidate, (mu, _) in zip(labels, scores):
         if mu is None:
             continue
-        hit = Labeling(group, labels, mu)
+        rows = as_rows(candidate)
+        hit = Labeling(group, rows, mu)
         if verify(g, hit) != mu:  # never expected: one arithmetic scores both
-            raise LabelingError(
-                f"verify disagrees with the scan on {labels!r}")
+            raise LabelingError(f"verify disagrees with the scan on {rows!r}")
         yield hit
 
 

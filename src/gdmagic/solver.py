@@ -6,9 +6,11 @@ Two engines share nothing but the definition of a weight:
   Cayley table from ``abelian.cayley_tables``): one sum constraint per
   vertex, forward checking, translation and open-twin symmetry in count
   and first mode, and in count mode a closed-form count of the free tail;
-* a deliberately naive permutation scan, scored by the verifier's own
-  arithmetic (``magic.magic_permutations``), used as the independent
-  oracle; every labeling it reports is confirmed by ``verify``.
+* a deliberately naive permutation scan, used as the independent oracle:
+  every one of the n! permutations of the group's elements, unpruned, goes
+  as one stream through the verifier's weight kernel
+  (``magic.magic_permutations``), and every labeling it reports is
+  confirmed by ``verify``.
 """
 
 from __future__ import annotations
@@ -305,15 +307,17 @@ def _plan(g: Graph, opts: SearchOptions) -> _Plan:
 @contextmanager
 def _branch_pool(jobs: int, branches: int):
     """A process pool of min(jobs, cpu count, branches) workers, or None
-    when that is one worker."""
+    when that is one worker. Leaving the block terminates and joins the
+    workers, so a refusal or an early answer does not wait for the branches
+    still running."""
     workers = min(jobs, os.cpu_count() or 1, branches)
     if workers < 2:
         yield None
         return
     # imported here: only this path needs it, and it pulls in
     # multiprocessing, about a third of the time of importing gdmagic
-    from concurrent.futures import ProcessPoolExecutor
-    with ProcessPoolExecutor(max_workers=workers) as pool:
+    from multiprocessing.pool import Pool
+    with Pool(processes=workers) as pool:
         yield pool
 
 
@@ -322,7 +326,7 @@ def _run(g: Graph, group: GroupSpec, mode: str, plan: _Plan, pool):
     running its branches on ``pool`` when one is given."""
     order, prefix, branches = plan
     if pool is not None:
-        result = _merge(mode, pool.map(
+        result = _merge(mode, pool.imap(
             _branch_worker,
             [(g, group, order, mode, b, bool(prefix)) for b in branches]))
     else:

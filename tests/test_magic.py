@@ -460,16 +460,43 @@ def test_kernel_asks_for_no_column_after_the_factor_that_differs():
     assert [k for k, _ in asked] == [0]
 
 
+def test_kernel_reads_each_candidate_as_its_answer_is_asked_for():
+    g = cycle(4)
+    labs = [_lab(Z4, *labels) for labels in [(0, 1, 2, 3), (1, 0, 2, 3),
+                                             (0, 3, 2, 1), (3, 0, 2, 1)]]
+    read = []
+
+    def candidates():
+        for lab in labs:
+            read.append(lab)
+            yield _columns(lab)
+    scores = magic._common_weights(g.twin_classes[0], Z4.factors,
+                                   candidates())
+    for k, lab in enumerate(labs, 1):
+        mu, stop = next(scores)
+        assert read == labs[:k]
+        assert mu == verify(g, lab)
+        assert (mu, stop) == magic._common_weight(
+            g.twin_classes[0], Z4.factors, _columns(lab))
+    assert next(scores, None) is None
+    assert [verify(g, lab) is None for lab in labs] == [True, False, True,
+                                                        False]
+
+
 def test_naive_scan_asks_for_no_column_after_the_factor_that_differs(
         monkeypatch):
-    g, real, calls = cycle(8), magic._common_weight, []
+    g, real, calls = cycle(8), magic._common_weights, []
 
-    def spy(neighbourhoods, factors, columns):
-        calls.append([])
-        return real(neighbourhoods, factors, _recording(columns, calls[-1]))
-    monkeypatch.setattr(magic, "_common_weight", spy)
+    def spy(neighbourhoods, factors, candidates):
+        def recorded():
+            for columns in candidates:
+                calls.append([])
+                yield _recording(columns, calls[-1])
+        return real(neighbourhoods, factors, recorded())
+    monkeypatch.setattr(magic, "_common_weights", spy)
     hits = list(magic.magic_permutations(g, _lab(Z222, *Z222.elements())))
-    assert len(calls) == 40320 + len(hits)  # each hit is confirmed by verify
+    # every candidate is scored, and each hit again by verify
+    assert len(calls) == 40320 + len(hits)
     differ_on_first = 0
     for asked in calls:
         (k0, column), *later = asked
@@ -480,6 +507,81 @@ def test_naive_scan_asks_for_no_column_after_the_factor_that_differs(
         else:
             assert [k for k, _ in later][:1] == [1]
     assert 0 < differ_on_first < len(calls)
+
+
+def oracle_permutations(g, labeling):
+    """The naive scan as it was before candidates went through the kernel
+    as one stream: every rearrangement of the rows, in
+    ``itertools.permutations`` order, checked as a Labeling by ``verify``."""
+    hits = []
+    for rows in itertools.permutations(labeling.assignment):
+        mu = verify(g, Labeling(labeling.group, rows))
+        if mu is not None:
+            hits.append((rows, mu))
+    return hits
+
+
+@st.composite
+def small_labelled_graphs(draw):
+    """A random graph of 1-7 vertices (edgeless ones and ones with isolated
+    vertices included) and, for each group of its order, a shuffled
+    labeling in which no label column is 0, 1, ..., n - 1."""
+    n = draw(st.integers(1, 7))
+    p = draw(st.sampled_from([0.0, 0.3, 0.5, 0.7, 1.0]))
+    rnd = random.Random(draw(st.integers(0, 2**32 - 1)))
+    g = Graph.from_edges(n, [e for e in itertools.combinations(range(n), 2)
+                             if rnd.random() < p])
+    labelings = []
+    for group in enumerate_abelian_groups(n):
+        rows = list(group.elements())
+        rnd.shuffle(rows)
+        if n > 1 and rows == sorted(rows):
+            rows = rows[1:] + rows[:1]
+        labelings.append(Labeling(group, tuple(rows)))
+    return g, labelings
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(small_labelled_graphs())
+@example((Graph.from_edges(4, []), [_lab(Z4, 3, 1, 0, 2),
+                                    _lab(Z22, (1, 1), (0, 0), (1, 0),
+                                         (0, 1))]))
+@example((Graph.from_edges(4, [(0, 1), (1, 2)]), [_lab(Z4, 2, 0, 3, 1)]))
+@example((Graph.from_edges(1, []), [Labeling(GroupSpec(()), ((),))]))
+def test_naive_scan_matches_the_parent_oracle(case):
+    g, labelings = case
+    for lab in labelings:
+        assert tuple(range(g.n)) not in zip(*lab.assignment)
+        hits = list(magic.magic_permutations(g, lab))
+        assert [(hit.assignment, hit.magic_constant) for hit in hits] == \
+            oracle_permutations(g, lab)
+
+
+# the instances of at most 8 vertices that perfbench's search workload runs
+SEARCH_WORKLOAD = [("KmM(6)", "Z6"), ("Kb(2,6)", "Z8"), ("S(7)", "Z2xZ2xZ2"),
+                   ("join(KmM(6),K(1))", "Z7"), ("lex(C(4),K(2))", "Z8"),
+                   ("C(8)", "Z8")]
+
+
+@pytest.mark.parametrize("expr, spec", SEARCH_WORKLOAD)
+def test_naive_search_matches_the_pruned_search(expr, spec):
+    from gdmagic.solver import SearchOptions, search_labelings
+
+    g, group = construct_graph(expr), parse_group_spec(spec)
+
+    def answers(mode, **kwargs):
+        found = search_labelings(g, group, SearchOptions(mode=mode, **kwargs))
+        if mode == "count":
+            return found
+        return [(lab.assignment, lab.magic_constant) for lab in found]
+    # the naive scan goes in permutation order, that is lexicographic
+    # order of the labels along the input order
+    naive_all = answers("all", use_pruning=False)
+    assert naive_all == answers("all", vertex_order="input")
+    assert answers("count", use_pruning=False) == answers("count") == \
+        len(naive_all)
+    assert answers("first", use_pruning=False) == \
+        answers("first", vertex_order="input") == naive_all[:1]
 
 
 def test_verify_size_mismatch():

@@ -2,6 +2,7 @@ import io
 import itertools
 import math
 import random
+import time
 from types import SimpleNamespace
 
 import pytest
@@ -166,28 +167,28 @@ def test_parallel_classify_matches_sequential(expr):
 
 
 def test_classify_starts_one_pool(monkeypatch):
-    import concurrent.futures
+    import multiprocessing.pool
     import os
 
     from gdmagic.cli import run
 
     made = []
 
-    class CountingPool(concurrent.futures.ProcessPoolExecutor):
+    class CountingPool(multiprocessing.pool.Pool):
         def __init__(self, *args, **kwargs):
             made.append(kwargs)
             super().__init__(*args, **kwargs)
 
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
-                        CountingPool)
+    monkeypatch.setattr(multiprocessing.pool, "Pool", CountingPool)
     monkeypatch.setattr(os, "cpu_count", lambda: 2)
     outputs = []
     for jobs in ("1", "2"):
         out = io.StringIO()
         assert run(["classify", "--graph", "C(8)", "--jobs", jobs], out) == 1
         outputs.append(out.getvalue())
-    assert made == [{"max_workers": 2}]
+    assert made == [{"processes": 2}]
     assert outputs[0] == outputs[1]
+    assert multiprocessing.active_children() == []
 
 
 # counts of the engine this one replaced; KmM(10) took it about 6 minutes
@@ -424,7 +425,7 @@ def _parent_search(g: Graph, group: GroupSpec, order: list[int], mode: str,
 
 
 # runs the branches of a --jobs search one after another in this process
-IN_PROCESS = SimpleNamespace(map=map)
+IN_PROCESS = SimpleNamespace(imap=map)
 
 
 def _answers(result, mode):
@@ -546,18 +547,17 @@ def _cli(argv):
 
 
 def test_closed_twins_start_no_pool_and_keep_the_exit_codes(monkeypatch):
-    import concurrent.futures
+    import multiprocessing.pool
     import os
 
     made = []
 
-    class CountingPool(concurrent.futures.ProcessPoolExecutor):
+    class CountingPool(multiprocessing.pool.Pool):
         def __init__(self, *args, **kwargs):
             made.append(kwargs)
             super().__init__(*args, **kwargs)
 
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
-                        CountingPool)
+    monkeypatch.setattr(multiprocessing.pool, "Pool", CountingPool)
     monkeypatch.setattr(os, "cpu_count", lambda: 2)
     graph = ["--graph", "lex(C(4),K(3))"]
     for argv in (["search", *graph, "--group", "Z12", "--mode", "count"],
@@ -595,3 +595,48 @@ def test_all_mode_lists_at_most_the_cap(monkeypatch):
     monkeypatch.setattr(solver, "ALL_MODE_CAP", 16)
     assert len(_run(g, group, "all", plan, IN_PROCESS)) == 16
     assert search_labelings(g, group, COUNT) == 16
+
+
+def _later_branches_sleep(args):
+    """The branch worker, but a branch other than the first of its plan
+    ((0,) unpinned, (0, 1) pinned) sleeps 30 s before it searches."""
+    from gdmagic import solver
+
+    if args[4] not in ((0,), (0, 1)):
+        time.sleep(30)
+    return solver._search(*args)
+
+
+def test_an_answer_or_a_refusal_ends_the_workers(monkeypatch):
+    import multiprocessing.pool
+    import os
+
+    from gdmagic import solver
+
+    ended = []
+
+    class SpyPool(multiprocessing.pool.Pool):
+        def terminate(self):
+            ended.append(True)
+            super().terminate()
+
+    monkeypatch.setattr(multiprocessing.pool, "Pool", SpyPool)
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    # the workers are forked after these, so they run the sleeping worker
+    # and see the lower cap
+    monkeypatch.setattr(solver, "_branch_worker", _later_branches_sleep)
+    monkeypatch.setattr(solver, "ALL_MODE_CAP", 2)
+    refusal = ("error: more than 2 labelings, over the cap of all mode "
+               "(ALL_MODE_CAP); --mode count counts them\n")
+    search = ["search", "--graph", "C(4)", "--group", "Z4", "--jobs", "2"]
+    first = _cli(search[:-2])
+    assert first[0] == 0
+    # the first branch holds the first witness and, unpinned, more
+    # labelings than the cap: neither answer waits for a later branch
+    for argv, answer in ((search, first),
+                         (search + ["--mode", "all"], (2, "", refusal))):
+        started = time.perf_counter()
+        assert _cli(argv) == answer
+        assert time.perf_counter() - started < 15
+        assert multiprocessing.active_children() == []
+    assert ended == [True, True]
