@@ -9,7 +9,9 @@ constant.
 
 from __future__ import annotations
 
+import functools
 import itertools
+import operator
 import sys
 from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, Optional, Sequence, Union
@@ -115,52 +117,36 @@ def weight(g: Graph, labeling: Labeling, v: int) -> GroupElement:
     return total
 
 
-def _common_weights(neighbourhoods: Sequence[Iterable[int]],
-                    factors: Sequence[int],
-                    candidates: Iterable[Iterable[Sequence[int]]]
-                    ) -> Iterator[tuple[Optional[GroupElement],
-                                        Optional[Iterable[int]]]]:
-    """For each candidate labeling in turn, the weight all of
-    ``neighbourhoods`` share and None, or None and the neighbourhood the
-    scan stopped at, whose weight differs from the first one's.
-
-    This is the one weight kernel. ``neighbourhoods`` lists the
-    neighbourhoods to sum, twins' once, vertex 0's first (``_kernel_terms``);
-    a candidate gives, per cyclic factor, coordinate k of every vertex's
-    label. Coordinate k of a weight is the plain-int sum of coordinate k of
-    the neighbours' labels, reduced mod the k-th factor; no group addition
-    runs. Per factor, the first neighbourhood's coordinate is the target
-    and the scan stops at the first neighbourhood whose coordinate differs,
-    so a later factor's column is never asked for. The candidates are read
-    one at a time, each as late as its answer is asked for, so a stream of
-    them is scored in this one frame. ``weight`` is the per-vertex
-    definition this agrees with.
-    """
-    for columns in candidates:
-        mu = []
-        for f, column in zip(factors, columns):
-            get = column.__getitem__
-            rest = iter(neighbourhoods)
-            target = sum(map(get, next(rest))) % f
-            for nbrs in rest:
-                if sum(map(get, nbrs)) % f != target:
-                    break
-            else:
-                mu.append(target)
-                continue
-            yield None, nbrs  # no later factor's column is asked for
-            break
-        else:
-            yield tuple(mu), None
-
-
 def _common_weight(neighbourhoods: Sequence[Iterable[int]],
                    factors: Sequence[int],
                    columns: Iterable[Sequence[int]]
                    ) -> tuple[Optional[GroupElement], Optional[Iterable[int]]]:
-    """The weight kernel's answer for one labeling, given by its label
-    ``columns`` (``_common_weights``)."""
-    return next(_common_weights(neighbourhoods, factors, (columns,)))
+    """The weight all of ``neighbourhoods`` share and None, or None and the
+    neighbourhood the scan stopped at, whose weight differs from the first
+    one's.
+
+    This is the per-factor weight kernel of ``verify`` and
+    ``verify_certificate``, which also confirms every hit of
+    ``magic_permutations``. ``neighbourhoods`` lists the neighbourhoods to
+    sum, twins' once, vertex 0's first (``_kernel_terms``); ``columns``
+    gives, per cyclic factor, coordinate k of every vertex's label.
+    Coordinate k of a weight is the plain-int sum of coordinate k of the
+    neighbours' labels, reduced mod the k-th factor; no group addition
+    runs. Per factor, the first neighbourhood's coordinate is the target
+    and the scan stops at the first neighbourhood whose coordinate differs,
+    so a later factor's column is never asked for. ``weight`` is the
+    per-vertex definition this agrees with.
+    """
+    mu = []
+    for f, column in zip(factors, columns):
+        get = column.__getitem__
+        rest = iter(neighbourhoods)
+        target = sum(map(get, next(rest))) % f
+        for nbrs in rest:
+            if sum(map(get, nbrs)) % f != target:
+                return None, nbrs  # no later factor's column is asked for
+        mu.append(target)
+    return tuple(mu), None
 
 
 def _kernel_terms(g: Union[Graph, FactoredProduct]
@@ -222,8 +208,9 @@ def _kernel_terms(g: Union[Graph, FactoredProduct]
 def verify(g: Union[Graph, FactoredProduct],
            labeling: Labeling) -> Optional[GroupElement]:
     """The magic constant when all vertex weights agree, else None: one call
-    of the weight kernel that ``verify_certificate`` and
-    ``magic_permutations`` share. g is a Graph, or a lex or dir product
+    of the per-factor weight kernel (``_common_weight``), which
+    ``verify_certificate`` calls too and ``magic_permutations`` confirms
+    its hits with. g is a Graph, or a lex or dir product
     held as its factors, whose weights are summed without building it.
 
     Edgeless graphs verify with the identity (all weights are empty sums).
@@ -240,37 +227,73 @@ def magic_permutations(g: Graph, labeling: Labeling) -> Iterator[Labeling]:
     """Every rearrangement of ``labeling``'s labels that is magic on g, in
     ``itertools.permutations`` order, each carrying its magic constant.
 
-    A rearrangement of a bijection is one, so no candidate is checked or
-    built as a Labeling: the permutations go as one stream through the
-    weight kernel that ``verify`` and ``verify_certificate`` share
-    (``_common_weights``), over the distinct neighbourhoods of g's
-    twin-class record (``Graph.twin_classes``, built once per graph). Over
-    a cyclic group the label column itself is permuted; over more factors
-    each candidate's rows are transposed lazily (``zip(*rows)``), so a later
-    factor's column is made only when the earlier ones agree. Every
-    candidate is scored, and only a magic one becomes a Labeling, which
-    ``verify`` then confirms.
+    The scan scores the permutations of one integer column that serves
+    every group. Each label is packed in mixed radix with base
+    b_k = d·(f_k - 1) + 1 for the k-th cyclic factor f_k, where d is the
+    size of g's largest distinct neighbourhood (at least 1, so that labels
+    pack to distinct ints): a neighbourhood's plain-int sum of packed
+    labels then holds each coordinate's sum in its own digit, and a lookup
+    maps it to its weight. Each distinct neighbourhood of g's twin-class
+    record (``Graph.twin_classes``) after vertex 0's is one stage of
+    C-level ``itertools``/``operator`` calls that keeps a candidate only
+    when its weight there equals its weight on vertex 0's neighbourhood, so
+    no bytecode runs for a candidate a stage drops. The stream stays lazy:
+    a permutation is made when the next hit is asked for. Each hit is
+    confirmed by the per-factor kernel of ``verify`` (``_common_weight``),
+    a second and independent arithmetic that also gives the hit its
+    constant, and a hit it rejects raises LabelingError.
     """
     _check_sizes(g, labeling)
-    group = labeling.group
-    if group.arity == 1:
-        column = [x for x, in labeling.assignment]
-        labels, scan = itertools.tee(itertools.permutations(column))
-        candidates = zip(scan)  # each candidate's one column
-        as_rows = lambda permuted: tuple(zip(permuted))
-    else:
-        labels, scan = itertools.tee(
-            itertools.permutations(labeling.assignment))
-        candidates, as_rows = itertools.starmap(zip, scan), tuple
-    scores = _common_weights(g.twin_classes[0], group.factors, candidates)
-    for candidate, (mu, _) in zip(labels, scores):
-        if mu is None:
-            continue
-        rows = as_rows(candidate)
-        hit = Labeling(group, rows, mu)
-        if verify(g, hit) != mu:  # never expected: one arithmetic scores both
-            raise LabelingError(f"verify disagrees with the scan on {rows!r}")
-        yield hit
+    group, rows = labeling.group, labeling.assignment
+    neighbourhoods = g.twin_classes[0]
+    d = max(1, max(map(len, neighbourhoods)))
+    radix, places, place = [], [], 1  # the last factor is the lowest digit
+    for f in reversed(group.factors):
+        radix.append((d * (f - 1) + 1, f))
+        places.insert(0, place)
+        place *= radix[-1][0]
+    # each label's coordinates times their places, summed
+    packed = list(map(sum, map(map, itertools.repeat(operator.mul), rows,
+                               itertools.repeat(places))))
+    row_of = dict(zip(packed, rows)).__getitem__
+
+    @functools.cache
+    def code(total):
+        """The weight of a sum of packed labels as an element code, its
+        position in ``GroupSpec.elements()``. The cache is the lookup: it
+        grows with the sums the scan meets, never to the product of the
+        bases, and a sum met again is answered in C."""
+        weight, place = 0, 1
+        for base, f in radix:
+            total, digit = divmod(total, base)
+            weight += digit % f * place
+            place *= f
+        return weight
+
+    stages = []  # a getter of a candidate's labels on each neighbourhood
+    for nbrs in neighbourhoods:
+        v = min(nbrs, default=0)  # one neighbour or none: a slice's tuple
+        stages.append(operator.itemgetter(*nbrs) if len(nbrs) > 1 else
+                      operator.itemgetter(slice(v, v + len(nbrs))))
+    first, *rest = stages
+    stream = itertools.permutations(packed)
+    for pick in rest:
+        at_first, at_pick, kept = itertools.tee(stream, 3)
+        stream = itertools.compress(kept, map(
+            operator.eq, map(code, map(sum, map(first, at_first))),
+            map(code, map(sum, map(pick, at_pick)))))
+    for candidate in stream:
+        hit = tuple(map(row_of, candidate))
+        mu, _ = _common_weight(neighbourhoods, group.factors, zip(*hit))
+        if mu is None:  # never expected: the lookup or the packing is wrong
+            raise LabelingError(
+                f"the weight kernel finds {hit!r} not magic, which the "
+                f"packed scan kept")
+        # a rearrangement of a checked bijection is one, and the kernel's mu
+        # is reduced: Labeling.__post_init__ need not scan it again
+        found = object.__new__(Labeling)
+        found.__dict__.update(group=group, assignment=hit, magic_constant=mu)
+        yield found
 
 
 # obstructions ----------------------------------------------------------------

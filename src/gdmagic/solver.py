@@ -7,10 +7,11 @@ Two engines share nothing but the definition of a weight:
   vertex, forward checking, translation and open-twin symmetry in count
   and first mode, and in count mode a closed-form count of the free tail;
 * a deliberately naive permutation scan, used as the independent oracle:
-  every one of the n! permutations of the group's elements, unpruned, goes
-  as one stream through the verifier's weight kernel
-  (``magic.magic_permutations``), and every labeling it reports is
-  confirmed by ``verify``.
+  every one of the n! permutations of the group's elements, unpruned, is
+  scored stage by stage, one stage per distinct neighbourhood, on one
+  column of packed integer labels (``magic.magic_permutations``), and
+  every labeling it reports is confirmed by the verifier's per-factor
+  weight kernel.
 """
 
 from __future__ import annotations
@@ -71,7 +72,10 @@ def _vertex_order(g: Graph, kind: str) -> list[int]:
 
 
 def _naive(g: Graph, group: GroupSpec, mode: str):
-    """Scan every permutation of the group's elements as vertex labels."""
+    """Scan every permutation of the group's elements as vertex labels
+    (``magic_permutations``). The scan is lazy, so first mode reads the
+    permutations only up to the first hit, and count mode builds a
+    Labeling only per hit."""
     hits = magic_permutations(g, Labeling(group, tuple(group.elements())))
     if mode == "count":
         return sum(1 for _ in hits)

@@ -460,53 +460,108 @@ def test_kernel_asks_for_no_column_after_the_factor_that_differs():
     assert [k for k, _ in asked] == [0]
 
 
-def test_kernel_reads_each_candidate_as_its_answer_is_asked_for():
-    g = cycle(4)
-    labs = [_lab(Z4, *labels) for labels in [(0, 1, 2, 3), (1, 0, 2, 3),
-                                             (0, 3, 2, 1), (3, 0, 2, 1)]]
-    read = []
+def _counting_permutations(monkeypatch):
+    """Patch ``itertools.permutations`` so that every permutation it hands
+    out is appended to the returned list as it is read."""
+    real, read = itertools.permutations, []
 
-    def candidates():
-        for lab in labs:
-            read.append(lab)
-            yield _columns(lab)
-    scores = magic._common_weights(g.twin_classes[0], Z4.factors,
-                                   candidates())
-    for k, lab in enumerate(labs, 1):
-        mu, stop = next(scores)
-        assert read == labs[:k]
-        assert mu == verify(g, lab)
-        assert (mu, stop) == magic._common_weight(
-            g.twin_classes[0], Z4.factors, _columns(lab))
-    assert next(scores, None) is None
-    assert [verify(g, lab) is None for lab in labs] == [True, False, True,
-                                                        False]
+    def source(labels):
+        for candidate in real(labels):
+            read.append(candidate)
+            yield candidate
+    monkeypatch.setattr(itertools, "permutations", source)
+    return read
 
 
-def test_naive_scan_asks_for_no_column_after_the_factor_that_differs(
+def test_naive_scan_reads_each_permutation_as_its_hit_is_asked_for(
         monkeypatch):
-    g, real, calls = cycle(8), magic._common_weights, []
+    g = construct_graph("KmM(6)")
+    lab = _lab(parse_group_spec("Z6"), 4, 1, 5, 0, 3, 2)
+    positions = [k for k, rows in
+                 enumerate(itertools.permutations(lab.assignment))
+                 if verify(g, Labeling(lab.group, rows)) is not None]
+    assert 0 < len(positions) < 720
+    read = _counting_permutations(monkeypatch)
+    hits = magic.magic_permutations(g, lab)
+    for position in positions:
+        next(hits)
+        assert len(read) == position + 1
+    assert next(hits, None) is None
+    assert len(read) == 720
 
-    def spy(neighbourhoods, factors, candidates):
-        def recorded():
-            for columns in candidates:
-                calls.append([])
-                yield _recording(columns, calls[-1])
-        return real(neighbourhoods, factors, recorded())
-    monkeypatch.setattr(magic, "_common_weights", spy)
-    hits = list(magic.magic_permutations(g, _lab(Z222, *Z222.elements())))
-    # every candidate is scored, and each hit again by verify
-    assert len(calls) == 40320 + len(hits)
-    differ_on_first = 0
-    for asked in calls:
-        (k0, column), *later = asked
-        sums = {sum(column[u] for u in nbrs) % 2 for nbrs in g.adj}
-        if len(sums) > 1:
-            differ_on_first += 1
-            assert later == []
-        else:
-            assert [k for k, _ in later][:1] == [1]
-    assert 0 < differ_on_first < len(calls)
+
+@pytest.mark.parametrize("expr, group", [("KmM(6)", "Z6"), ("C(4)", "Z2xZ2"),
+                                         ("S(3)", "Z4")])
+def test_naive_scan_confirms_each_hit_with_the_per_factor_kernel(
+        monkeypatch, expr, group):
+    g, group = construct_graph(expr), parse_group_spec(group)
+    real, calls = magic._common_weight, []
+
+    def spy(neighbourhoods, factors, columns):
+        columns = [list(column) for column in columns]
+        calls.append((columns, real(neighbourhoods, factors, columns)))
+        return calls[-1][1]
+    monkeypatch.setattr(magic, "_common_weight", spy)
+    hits = list(magic.magic_permutations(
+        g, Labeling(group, tuple(group.elements()))))
+    assert hits
+    # one kernel call per hit, on the hit's own columns, whose verdict is
+    # the hit's constant
+    assert [(columns, verdict) for columns, verdict in calls] == \
+        [(_columns(hit), (hit.magic_constant, None)) for hit in hits]
+
+
+def test_a_wrong_lookup_raises_rather_than_yield_a_wrong_hit(monkeypatch):
+    import functools
+
+    # the scan's lookup is a functools.cache of the weight of a sum; here
+    # every sum looks up as the identity's code, so every candidate is kept,
+    # and the first, which is not magic, must not come out as a hit
+    monkeypatch.setattr(functools, "cache", lambda weigh: lambda total: 0)
+    lab = _lab(Z8, 3, 0, 5, 1, 7, 2, 6, 4)
+    assert verify(cycle(8), lab) is None
+    with pytest.raises(LabelingError, match="packed scan"):
+        next(magic.magic_permutations(cycle(8), lab))
+
+
+@pytest.mark.parametrize("expr, group", [("KmM(6)", "Z6"), ("C(4)", "Z2xZ2"),
+                                         ("Kb(2,6)", "Z2xZ4")])
+def test_naive_hits_are_labelings_whose_invariants_hold(expr, group):
+    g, group = construct_graph(expr), parse_group_spec(group)
+    lab = Labeling(group, tuple(reversed(list(group.elements()))))
+    hits = list(magic.magic_permutations(g, lab))
+    assert hits
+    for hit in hits:
+        assert type(hit) is Labeling
+        # built again through __post_init__, which checks and coerces it
+        again = Labeling(group, hit.assignment, hit.magic_constant)
+        assert again == hit and hash(again) == hash(hit)
+        assert magic._reduced(group, hit.assignment)
+        assert hit.magic_constant == verify(g, hit)
+
+
+def test_naive_scan_lookup_grows_with_the_sums_it_meets():
+    import time
+    import tracemalloc
+
+    # packed densely, the lookup of Kb(16,16) over Z2^5 would hold
+    # 17^5 (about 1.4 million) entries before the first candidate
+    group = parse_group_spec("Z2xZ2xZ2xZ2xZ2")
+    g, lab = complete_bipartite(16, 16), Labeling(group,
+                                                  tuple(group.elements()))
+    tracemalloc.start()
+    try:
+        start = time.perf_counter()
+        hit = next(magic.magic_permutations(g, lab))
+        elapsed = time.perf_counter() - start
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # both parts' labels sum to the identity: the first permutation is a hit
+    assert (hit.assignment, hit.magic_constant) == (lab.assignment,
+                                                    group.zero())
+    assert elapsed < 1
+    assert peak < 20 * 2**20
 
 
 def oracle_permutations(g, labeling):
@@ -519,6 +574,14 @@ def oracle_permutations(g, labeling):
         if mu is not None:
             hits.append((rows, mu))
     return hits
+
+
+def _shuffled(group, seed):
+    """A labeling with the group's elements in the order of a seeded
+    shuffle."""
+    rows = list(group.elements())
+    random.Random(seed).shuffle(rows)
+    return Labeling(group, tuple(rows))
 
 
 @st.composite
@@ -548,6 +611,17 @@ def small_labelled_graphs(draw):
                                          (0, 1))]))
 @example((Graph.from_edges(4, [(0, 1), (1, 2)]), [_lab(Z4, 2, 0, 3, 1)]))
 @example((Graph.from_edges(1, []), [Labeling(GroupSpec(()), ((),))]))
+# at the 8-vertex cap: the packed scan's largest lookup (S(7) and Kb(1,7),
+# d = 7, base 8 per factor of Z2xZ2xZ2), neighbourhood sums that reach the
+# top digit of both bases (C(8) over Z2xZ4: bases 3 and 7), a scan rich in
+# hits (Kb(2,6) over Z8: 8640) and one whose hits have sums at the top digit
+# of every base (Kb(4,4) over Z2xZ2xZ2, base 5: four labels with a 1 in
+# one coordinate), which a base one too small loses
+@example((construct_graph("S(7)"), [_shuffled(Z222, 7)]))
+@example((construct_graph("Kb(1,7)"), [_shuffled(Z222, 17)]))
+@example((construct_graph("C(8)"), [_shuffled(Z24, 8)]))
+@example((construct_graph("Kb(2,6)"), [_shuffled(Z8, 26)]))
+@example((construct_graph("Kb(4,4)"), [_shuffled(Z222, 44)]))
 def test_naive_scan_matches_the_parent_oracle(case):
     g, labelings = case
     for lab in labelings:

@@ -546,6 +546,31 @@ def _cli(argv):
     return run(argv, out, err), out.getvalue(), err.getvalue()
 
 
+def test_naive_first_reads_the_permutations_no_further_than_the_first_hit(
+        monkeypatch):
+    g = construct_graph("Kb(2,6)")
+    first_hit = {}
+    for group in enumerate_abelian_groups(g.n):
+        candidates = itertools.permutations(tuple(group.elements()))
+        first_hit[str(group)] = next(
+            k for k, rows in enumerate(candidates)
+            if verify(g, Labeling(group, rows)) is not None)
+    assert first_hit == {"Z8": 720, "Z4xZ2": 0, "Z2xZ2xZ2": 0}
+    real, read = itertools.permutations, []
+
+    def source(labels):
+        for candidate in real(labels):
+            read.append(candidate)
+            yield candidate
+    monkeypatch.setattr(itertools, "permutations", source)
+    code, out, _ = _cli(["search", "--graph", "Kb(2,6)", "--group", "Z8",
+                         "--mode", "first", "--naive"])
+    assert code == 0 and len(read) == 721
+    read.clear()
+    code, out, _ = _cli(["classify", "--graph", "Kb(2,6)", "--naive"])
+    assert code == 0 and len(read) == 721 + 1 + 1
+
+
 def test_closed_twins_start_no_pool_and_keep_the_exit_codes(monkeypatch):
     import multiprocessing.pool
     import os
