@@ -162,6 +162,16 @@ class GroupSpec:
         columns = [[g[k] for g in elems] for k in range(arity)]
         return list(map(template.__mod__, zip(range(len(elems)), *columns)))
 
+    def format_columns(self, columns, head: str = "") -> list[str]:
+        """``format_elements`` of the elements given as one sequence per
+        coordinate, ``columns[k][i]`` coordinate k of element i, for a group
+        of one or more factors; no element is built as a tuple."""
+        if not 0 < len(columns) == self.arity:
+            raise GroupError(f"{len(columns)} label columns for group {self}")
+        template = head + "(" + ",".join(["%s"] * self.arity) + ")"
+        return list(map(template.__mod__, zip(itertools.count(), *columns)
+                        if head else zip(*columns)))
+
     def parse_element(self, text: str) -> GroupElement:
         """Read "(r1,...,rk)"; each coordinate must already be reduced,
         0 <= ri < fi, so a text form names exactly one element. A
@@ -358,13 +368,17 @@ class CyclicFactorSplit:
         return self.from_pairs((z,), (self.complement.element(a),))[0]
 
     def from_pairs(self, zs, as_) -> list[GroupElement]:
-        """from_pair over columns: the image of (zs[i], as_[i]) for every i.
-        Coordinate k of every image is one list, z * one[k] plus r * u for
-        each complement coordinate r whose unit u lands on factor k, reduced
-        mod the factor once; the lists are zipped into elements at the end.
-        A complement coordinate need not be reduced: u is 0 mod f / q, so
-        r * u mod f depends only on r mod q. Each argument may be any
-        iterable: it is read once."""
+        """from_pair over columns: the image of (zs[i], as_[i]) for every i,
+        the columns of ``from_pair_columns`` zipped into elements."""
+        return list(zip(*self.from_pair_columns(zs, as_)))
+
+    def from_pair_columns(self, zs, as_) -> list[list[int]]:
+        """The images of ``from_pairs`` as one list per coordinate: list k
+        holds coordinate k of every image, z * one[k] plus r * u for each
+        complement coordinate r whose unit u lands on factor k, reduced mod
+        the factor once. A complement coordinate need not be reduced: u is
+        0 mod f / q, so r * u mod f depends only on r mod q. Each argument
+        may be any iterable: it is read once."""
         zs, as_ = list(zs), list(as_)
         arity = self.complement.arity
         if not {arity}.issuperset(map(len, as_)):
@@ -379,7 +393,7 @@ class CyclicFactorSplit:
                 if idx == k:
                     column = [x + r * u for x, r in zip(column, r_column)]
             columns.append([x % f for x in column])
-        return list(zip(*columns))
+        return columns
 
 
 def find_cyclic_factor(spec: GroupSpec, d: int) -> Optional[CyclicFactorSplit]:

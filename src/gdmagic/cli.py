@@ -89,9 +89,10 @@ def _cmd_label(args, out: TextIO, err: TextIO) -> int:
               lambda: message)
         return _NEGATIVE
     # label_with_method does not verify: this check of the certificate
-    # about to be written is the one pass over its labels and weights
-    cert = Certificate(graph_expr, group, report.predicted_mu,
-                       report.labels, report.theorem)
+    # about to be written is the one pass over its labels and weights, and
+    # the labeler's columns go through it and into the output as columns
+    cert = Certificate.from_columns(graph_expr, group, report.predicted_mu,
+                                    report.columns, report.theorem)
     ok, detail, _ = verify_certificate(cert)
     if not ok:  # never expected: a construction that breaks its theorem
         print(f"internal error: emitted certificate failed: {detail}",
@@ -103,7 +104,7 @@ def _cmd_label(args, out: TextIO, err: TextIO) -> int:
     _emit(args, out,
           lambda: {"ok": True, "theorem": report.theorem, "graph": graph_expr,
                    "group": str(group), "mu": mu,
-                   "labels": group.format_elements(report.labels),
+                   "labels": group.format_columns(report.columns),
                    "parameters": report.parameters, "out": args.out},
           lambda: (f"wrote certificate to {args.out} (theorem "
                    f"{report.theorem}, mu {mu})" if args.out

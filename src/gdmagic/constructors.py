@@ -70,8 +70,11 @@ class ConstructionReport:
     """A labeled graph, its labels over ``group`` and the constant the
     labeler promised. ``labeled`` is the graph, or the product held as its
     factors; ``graph`` is the graph itself, a product built on its first
-    read. ``labels`` are the labels as the construction made them;
-    ``labeling`` is them checked as a Labeling, on its first read."""
+    read. ``labels`` are the labels as the construction made them, and
+    ``columns`` the same labels as one list per cyclic factor, list k
+    holding coordinate k of every label. A product labeler makes the
+    columns, and the rows of ``labels`` are built on their first read;
+    ``labeling`` is the labels checked as a Labeling, on its first read."""
 
     labeled: Union[Graph, FactoredProduct]
     group: GroupSpec
@@ -88,6 +91,32 @@ class ConstructionReport:
     @functools.cached_property
     def labeling(self) -> Labeling:
         return Labeling(self.group, self.labels, self.predicted_mu)
+
+    @functools.cached_property
+    def columns(self) -> list[list[int]]:
+        return list(map(list, zip(*self.labels)))
+
+    def __getattr__(self, name: str):
+        # reached only for an attribute the instance lacks: the rows of a
+        # report made from its columns
+        if name != "labels" or "columns" not in self.__dict__:
+            raise AttributeError(
+                f"{type(self).__name__!r} object has no attribute {name!r}")
+        self.labels = tuple(zip(*self.columns))
+        return self.labels
+
+
+def _product_report(g: Graph, h: Graph, kind: str, group: GroupSpec,
+                    columns: list[list[int]], theorem: str,
+                    predicted_mu: GroupElement,
+                    parameters: dict) -> ConstructionReport:
+    """The report of a product labeler, which makes its labels as columns:
+    the rows are built only if ``labels`` is read."""
+    report = object.__new__(ConstructionReport)
+    report.__dict__.update(labeled=FactoredProduct(kind, g, h), group=group,
+                           columns=columns, theorem=theorem,
+                           predicted_mu=predicted_mu, parameters=parameters)
+    return report
 
 
 def _verifying(core: Callable[..., Optional[ConstructionReport]]
@@ -126,37 +155,45 @@ def _split_or_error(group: GroupSpec, d: int) -> CyclicFactorSplit:
     return split
 
 
-def _twin_pair_labels(labels: list, hn: int,
+def _twin_pair_labels(columns: list[list[int]], hn: int,
                       pairing: tuple[tuple[int, int], ...],
                       split: CyclicFactorSplit, pair_z: int,
                       blocks: Iterable[tuple[int, list[int], list[GroupElement]]]
-                      ) -> list:
+                      ) -> list[list[int]]:
     """Fill blocks of a product with a twin-paired H (vertex i*hn + j is
-    vertex j of H in block i). Each block is (i, zs, as_): the first vertex
-    of twin pair t gets the split element (zs[t], as_[t]) and its twin gets
+    vertex j of H in block i) into the label ``columns``, one list per
+    cyclic factor. Each block is (i, zs, as_): the first vertex of twin
+    pair t gets the split element (zs[t], as_[t]) and its twin gets
     (pair_z, 0) minus that, so every twin pair sums to (pair_z, 0).
 
-    All blocks' first vertices are mapped by one ``from_pairs``; the map
-    is additive, so the twins are one column subtraction from the image of
-    (pair_z, 0)."""
+    All blocks' first vertices are mapped by one ``from_pair_columns``; the
+    map is additive, so the twins are one column subtraction from the image
+    of (pair_z, 0). Each run of consecutive block ids then takes, per
+    factor and vertex j of H, one strided slice of those images."""
     ids, zs, as_ = [], [], []
     for i, block_zs, block_as in blocks:
         ids.append(i)
         zs += block_zs
         as_ += block_as
-    primary = split.from_pairs(zs, as_)
-    total = split.from_pair(pair_z, split.complement.zero())
-    twins = list(zip(*([(c - x[k]) % f for x in primary] for k, (c, f)
-                       in enumerate(zip(total, split.group.factors)))))
-    size = len(pairing)
-    # where vertex j of H sits in a block's first vertices, then its twins
-    order = [0] * hn
+    size, count = len(pairing), len(zs)
+    # vertex j of H in block b takes image bases[j] + b * size: its pair's
+    # first vertex's, or after all of those, its twin's
+    bases = [0] * hn
     for t, (j, jp) in enumerate(pairing):
-        order[j], order[jp] = t, size + t
-    for b, i in enumerate(ids):
-        row = primary[b * size:(b + 1) * size] + twins[b * size:(b + 1) * size]
-        labels[i * hn:(i + 1) * hn] = map(row.__getitem__, order)
-    return labels
+        bases[j], bases[jp] = t, count + t
+    breaks = [b for b in range(1, len(ids)) if ids[b] != ids[b - 1] + 1]
+    runs = list(zip([0, *breaks], [*breaks, len(ids)]))
+    total = split.from_pair(pair_z, split.complement.zero())
+    for column, primary, c, f in zip(columns,
+                                     split.from_pair_columns(zs, as_),
+                                     total, split.group.factors):
+        images = primary + list(map(f.__rmod__, map(c.__sub__, primary)))
+        for start, stop in runs:
+            at = ids[start] * hn
+            for j, base in enumerate(bases):
+                column[at + j:at + (stop - start) * hn:hn] = \
+                    images[base + start * size:base + stop * size:size]
+    return columns
 
 
 def _inverse_pair_values(comp: GroupSpec) -> list[tuple[GroupElement, GroupElement]]:
@@ -239,13 +276,14 @@ def _c4k2_host(method: str, h: Graph
     return (h.n - 2) // 4, find_twin_pairing(h)
 
 
-def _c4k2_assignment(g: Graph, h: Graph,
-                     pairing: tuple[tuple[int, int], ...],
-                     split: CyclicFactorSplit, k: int) -> list[GroupElement]:
+def _c4k2_columns(g: Graph, h: Graph,
+                  pairing: tuple[tuple[int, int], ...],
+                  split: CyclicFactorSplit, k: int) -> list[list[int]]:
     # block i, pair t: primary label (t, a_i)
     zs = list(range(2 * k + 1))
     return _twin_pair_labels(
-        [split.group.zero()] * (g.n * h.n), h.n, pairing, split, 4 * k + 1,
+        [[0] * (g.n * h.n) for _ in split.group.factors], h.n, pairing, split,
+        4 * k + 1,
         ((i, zs, [a] * len(zs))
          for i, a in enumerate(split.complement.elements())))
 
@@ -266,12 +304,11 @@ def _label_lex_c4k2(g: Graph, h: Graph,
             f"(degrees {sorted(set(g.degrees))})")
     _check_order(group, (4 * k + 2) * g.n)
     split = _split_or_error(group, 4 * k + 2)
-    assignment = _c4k2_assignment(g, h, pairing, split, k)
+    columns = _c4k2_columns(g, h, pairing, split, k)
     z = (2 * k + 2) % (4 * k + 2) if parities == {0} else 1
     predicted = split.from_pair(z, split.complement.zero())
-    return ConstructionReport(FactoredProduct("lex", g, h), group,
-                              tuple(assignment), "c4k2-lex", predicted,
-                              {"k": k})
+    return _product_report(g, h, "lex", group, columns, "c4k2-lex",
+                           predicted, {"k": k})
 
 
 def _label_dir_c4k2(g: Graph, h: Graph,
@@ -283,11 +320,10 @@ def _label_dir_c4k2(g: Graph, h: Graph,
     m = _common_residue(g, mod)
     _check_order(group, mod * g.n)
     split = _split_or_error(group, mod)
-    assignment = _c4k2_assignment(g, h, pairing, split, k)
+    columns = _c4k2_columns(g, h, pairing, split, k)
     predicted = split.from_pair((-2 * m * k) % mod, split.complement.zero())
-    return ConstructionReport(FactoredProduct("dir", g, h), group,
-                              tuple(assignment), "c4k2-dir", predicted,
-                              {"k": k, "m": m})
+    return _product_report(g, h, "dir", group, columns, "c4k2-dir",
+                           predicted, {"k": k, "m": m})
 
 
 # ---------------------------------------------------------------------------
@@ -339,10 +375,10 @@ def _balanced_host(g: Graph, h: Graph, group: GroupSpec, s: int
     return k, r, pairing, _split_or_error(group, 1 << s)
 
 
-def _pow2_assignment(g: Graph, h: Graph,
-                     pairing: tuple[tuple[int, int], ...],
-                     split: CyclicFactorSplit, k: int,
-                     s: int) -> list[GroupElement]:
+def _pow2_columns(g: Graph, h: Graph,
+                  pairing: tuple[tuple[int, int], ...],
+                  split: CyclicFactorSplit, k: int,
+                  s: int) -> list[list[int]]:
     # block i, pair t: primary label, for s <= k-1,
     #   (t // 2^{k-s}, a_{(t mod 2^{k-s}) + 2^{k-s} i}),
     # and otherwise ((2^{k-1} i + t) mod 2^{s-1}, a_{i // 2^{s-k}})
@@ -360,8 +396,8 @@ def _pow2_assignment(g: Graph, h: Graph,
         halfmod, shift = 1 << (s - 1), 1 << (s - k)
         blocks = ((i, [(pairs * i + t) % halfmod for t in range(pairs)],
                    [comp[i // shift]] * pairs) for i in range(g.n))
-    return _twin_pair_labels([split.group.zero()] * (g.n * h.n), h.n,
-                             pairing, split, (1 << s) - 1, blocks)
+    return _twin_pair_labels([[0] * (g.n * h.n) for _ in split.group.factors],
+                             h.n, pairing, split, (1 << s) - 1, blocks)
 
 
 def _label_lex_balanced_pow2(g: Graph, h: Graph, group: GroupSpec,
@@ -375,18 +411,18 @@ def _label_lex_balanced_pow2(g: Graph, h: Graph, group: GroupSpec,
     """
     k, r, pairing, split = _balanced_host(g, h, group, s)
     if s <= k - 1:
-        assignment = _pow2_assignment(g, h, pairing, split, k, s)
+        columns = _pow2_columns(g, h, pairing, split, k, s)
         predicted = split.from_pair((-r) % (1 << s), split.complement.zero())
-        return ConstructionReport(FactoredProduct("lex", g, h), group,
-                                  tuple(assignment), "balanced-lex-small-s",
-                                  predicted, {"k": k, "s": s, "r": r})
+        return _product_report(g, h, "lex", group, columns,
+                               "balanced-lex-small-s", predicted,
+                               {"k": k, "s": s, "r": r})
     m = _common_residue(g, 1 << (s - 1))
-    assignment = _pow2_assignment(g, h, pairing, split, k, s)
+    columns = _pow2_columns(g, h, pairing, split, k, s)
     predicted = split.from_pair((-r - (1 << (k - 1)) * m) % (1 << s),
                                 split.complement.zero())
-    return ConstructionReport(FactoredProduct("lex", g, h), group,
-                              tuple(assignment), "balanced-lex-large-s",
-                              predicted, {"k": k, "s": s, "r": r, "m": m})
+    return _product_report(g, h, "lex", group, columns,
+                           "balanced-lex-large-s", predicted,
+                           {"k": k, "s": s, "r": r, "m": m})
 
 
 def _label_dir_balanced_pow2(g: Graph, h: Graph, group: GroupSpec,
@@ -395,12 +431,12 @@ def _label_dir_balanced_pow2(g: Graph, h: Graph, group: GroupSpec,
     congruent to a common m mod 2^s and the constant is (-mr, 0)."""
     k, r, pairing, split = _balanced_host(g, h, group, s)
     m = _common_residue(g, 1 << s)
-    assignment = _pow2_assignment(g, h, pairing, split, k, s)
+    columns = _pow2_columns(g, h, pairing, split, k, s)
     predicted = split.from_pair((-m * r) % (1 << s), split.complement.zero())
     size = "small" if s <= k - 1 else "large"
-    return ConstructionReport(FactoredProduct("dir", g, h), group,
-                              tuple(assignment), f"balanced-dir-{size}-s",
-                              predicted, {"k": k, "s": s, "r": r, "m": m})
+    return _product_report(g, h, "dir", group, columns,
+                           f"balanced-dir-{size}-s", predicted,
+                           {"k": k, "s": s, "r": r, "m": m})
 
 
 def _label_lex_even_degrees(g: Graph, h: Graph,
@@ -422,13 +458,13 @@ def _label_lex_even_degrees(g: Graph, h: Graph,
             f"small-s labeler with s <= {k - 1}")
     comp = split.complement
     zs = list(range(0, 1 << k, 2))
-    assignment = _twin_pair_labels(
-        [group.zero()] * (g.n * h.n), h.n, pairing, split, (1 << k) - 1,
+    columns = _twin_pair_labels(
+        [[0] * (g.n * h.n) for _ in group.factors], h.n, pairing, split,
+        (1 << k) - 1,
         ((i, zs, [a] * len(zs)) for i, a in enumerate(comp.elements())))
     predicted = split.from_pair((-r) % (1 << k), comp.zero())
-    return ConstructionReport(FactoredProduct("lex", g, h), group,
-                              tuple(assignment), "even-degrees-lex",
-                              predicted, {"k": k, "r": r})
+    return _product_report(g, h, "lex", group, columns, "even-degrees-lex",
+                           predicted, {"k": k, "r": r})
 
 
 def _label_lex_kmn_mixed(g: Graph, h: Graph,
@@ -466,16 +502,15 @@ def _label_lex_kmn_mixed(g: Graph, h: Graph,
     pairs = 1 << (k - 1)
     x_zs = [(pairs + 1) * t % (1 << k) for t in range(pairs)]
     y_zs = list(range(0, 1 << k, 2))
-    assignment = [group.zero()] * (g.n * h.n)
-    _twin_pair_labels(assignment, h.n, pairing, split, pairs - 1,
+    columns = [[0] * (g.n * h.n) for _ in group.factors]
+    _twin_pair_labels(columns, h.n, pairing, split, pairs - 1,
                       ((i, x_zs, [a] * pairs) for i, a in zip(xs, x_vals)))
-    _twin_pair_labels(assignment, h.n, pairing, split, (1 << k) - 1,
+    _twin_pair_labels(columns, h.n, pairing, split, (1 << k) - 1,
                       ((i, y_zs, [a] * pairs) for i, a in zip(ys, y_vals)))
     predicted = split.from_pair((-r) % (1 << k), comp.zero())
-    return ConstructionReport(FactoredProduct("lex", g, h), group,
-                              tuple(assignment), "kmn-mixed-lex", predicted,
-                              {"k": k, "r": r, "m": len(xs), "n": len(ys),
-                               "t": (r - 1) // 2})
+    return _product_report(g, h, "lex", group, columns, "kmn-mixed-lex",
+                           predicted, {"k": k, "r": r, "m": len(xs),
+                                       "n": len(ys), "t": (r - 1) // 2})
 
 
 # ---------------------------------------------------------------------------

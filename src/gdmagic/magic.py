@@ -14,7 +14,7 @@ import itertools
 import operator
 import sys
 from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator, Optional, Sequence, Union
+from typing import Iterable, Iterator, Optional, Sequence, Union
 
 from .abelian import GroupElement, GroupError, GroupSpec, parse_group_spec
 from .graphs import Graph, is_tree, matching_join_pairs, parse_expression
@@ -92,11 +92,29 @@ def _reduced(group: GroupSpec, labels) -> bool:
         return False
     if not {group.arity}.issuperset(map(len, labels)):
         return False
-    for column, f in zip(zip(*labels), group.factors):
-        if (not {int}.issuperset(map(type, column))
-                or min(column) < 0 or max(column) >= f):
-            return False
-    return True
+    return all(map(_reduced_column, zip(*labels), group.factors))
+
+
+def _reduced_column(column: Sequence, f: int) -> bool:
+    """Whether every entry of ``column`` is a plain int 0 <= c < f."""
+    return ({int}.issuperset(map(type, column))
+            and min(column, default=0) >= 0 and max(column, default=0) < f)
+
+
+def _check_injective(group: GroupSpec, columns: Sequence[Sequence[int]]
+                     ) -> None:
+    """Raise as ``Labeling`` does unless the labels given as ``columns``
+    (one per cyclic factor, of one length, reduced) are group.order labels,
+    no two alike: each label's coordinates make one mixed-radix code, its
+    position in ``GroupSpec.elements()``, and the codes go into one set."""
+    codes = columns[0]
+    if len(codes) != group.order:
+        raise LabelingError(f"{len(codes)} labels for a group of order "
+                            f"{group.order_text()}")
+    for column, f in zip(columns[1:], group.factors[1:]):
+        codes = [code * f + c for code, c in zip(codes, column)]
+    if len(set(codes)) != len(codes):
+        raise LabelingError("assignment is not injective")
 
 
 def _check_sizes(g: Union[Graph, FactoredProduct],
@@ -125,17 +143,17 @@ def _common_weight(neighbourhoods: Sequence[Iterable[int]],
     neighbourhood the scan stopped at, whose weight differs from the first
     one's.
 
-    This is the per-factor weight kernel of ``verify`` and
-    ``verify_certificate``, which also confirms every hit of
+    This is the weight kernel of a Graph in ``verify`` and
+    ``verify_certificate`` (``_weights``), which also confirms every hit of
     ``magic_permutations``. ``neighbourhoods`` lists the neighbourhoods to
-    sum, twins' once, vertex 0's first (``_kernel_terms``); ``columns``
-    gives, per cyclic factor, coordinate k of every vertex's label.
-    Coordinate k of a weight is the plain-int sum of coordinate k of the
-    neighbours' labels, reduced mod the k-th factor; no group addition
-    runs. Per factor, the first neighbourhood's coordinate is the target
-    and the scan stops at the first neighbourhood whose coordinate differs,
-    so a later factor's column is never asked for. ``weight`` is the
-    per-vertex definition this agrees with.
+    sum, twins' once, vertex 0's first; ``columns`` gives, per cyclic
+    factor, coordinate k of every vertex's label. Coordinate k of a weight
+    is the plain-int sum of coordinate k of the neighbours' labels, reduced
+    mod the k-th factor; no group addition runs. Per factor, the first
+    neighbourhood's coordinate is the target and the scan stops at the first
+    neighbourhood whose coordinate differs, so a later factor's column is
+    never asked for. ``weight`` is the per-vertex definition this agrees
+    with.
     """
     mu = []
     for f, column in zip(factors, columns):
@@ -149,78 +167,101 @@ def _common_weight(neighbourhoods: Sequence[Iterable[int]],
     return tuple(mu), None
 
 
-def _kernel_terms(g: Union[Graph, FactoredProduct]
-                  ) -> tuple[Sequence, Callable[[list[int]], list[int]],
-                             Callable[[int], int]]:
-    """What the weight kernel sums on g: (neighbourhoods, extend, first).
-    The neighbourhoods come in order of their first vertices, each as
-    indices into a label column that ``extend`` lengthens, and ``first(k)``
-    is the first vertex with the k-th. Every vertex has its weight in one
-    list, so the first list whose sum differs names the first vertex whose
-    weight differs.
+def _level_weights(g: FactoredProduct, factors: Sequence[int],
+                   columns: Iterable[Sequence[int]]
+                   ) -> tuple[GroupElement,
+                              Optional[tuple[int, GroupElement]]]:
+    """``_weights`` of a lex or dir product, summed one level at a time
+    from its factors, which builds neither the product nor an index list
+    per vertex.
 
-    A Graph's neighbourhoods are its distinct ones (``Graph.twin_classes``)
-    and index the column itself. A lex or dir product is summed from its
-    factors, never built. Write S(i, c) for the sum of the labels of block
-    i (vertices i·|V(H)| + j) over the c-th distinct neighbourhood of H,
-    and B(i) for the whole block's sum. Vertex (i, j), with j in class c
-    of H, weighs S(i, c) plus B(i') for each i' ∈ N_G(i) in G ∘ H, and
-    S(i', c) for each i' ∈ N_G(i) in G × H. ``extend`` appends every
-    S(i, c) to the column, then (lex) every B(i), so a list holds
-    deg_G + 1 indices (lex) or deg_G (dir). The vertices of block i in
-    class c of H share one list, and in dir so do those of all blocks of
-    one twin class of G.
+    Per cyclic factor: S_c(i) sums block i (vertices i·|V(H)| + j) over the
+    c-th distinct neighbourhood of H, from one slice per vertex of H, and
+    B(i) sums the whole block. Vertex (i, j), j in class c of H, weighs
+    S_c(i) + T(i) in G ∘ H, T(i) the sum of B over N_G(i) (one sum per
+    distinct neighbourhood of G, spread by G's twin index), and the sum of
+    S_c over N_G(i) in G × H (one per distinct neighbourhood of G). Each
+    class of H gets one list of reduced weights, over the vertices (lex) or
+    distinct neighbourhoods (dir) of G, that ``list.count`` compares with
+    vertex 0's. An entry's first vertex pairs its row's first vertex of G
+    with its class's first vertex of H, so the first vertex whose weight
+    differs is the least such pair over the mismatches of every factor.
     """
-    if isinstance(g, Graph):
-        distinct, _, classes = g.twin_classes
-        return distinct, lambda column: column, lambda k: classes[k][0]
-    left, h, n = g.g, g.h, g.n
+    left, h, lex = g.g, g.h, g.kind == "lex"
     gn, hn = left.n, h.n
-    h_distinct, _, h_classes = h.twin_classes
-    h_firsts = [members[0] for members in h_classes]
-    # S(i, c) is at n + c·|V(G)| + i, and B(i) after them
-    blocks = n + len(h_distinct) * gn
-    neighbourhoods, firsts = [], []
-    if g.kind == "lex":
-        summed = [*h_distinct, range(hn)]
-        for i, g_nbrs in enumerate(left.adj):
-            outer = [blocks + ip for ip in g_nbrs]
-            neighbourhoods += [[*outer, s] for s in range(n + i, blocks, gn)]
-            firsts += [i * hn + j for j in h_firsts]
-    else:
-        summed = h_distinct
-        g_distinct, _, g_classes = left.twin_classes
-        for members, g_nbrs in zip(g_classes, g_distinct):
-            i = members[0]
-            neighbourhoods += [[s + ip for ip in g_nbrs]
-                               for s in range(n, blocks, gn)]
-            firsts += [i * hn + j for j in h_firsts]
+    g_distinct, g_index, g_classes = left.twin_classes
+    h_distinct, h_index, h_classes = h.twin_classes
 
-    def extend(column):
-        sums = []
-        for js in summed:
-            sums += (map(sum, zip(*[column[j::hn] for j in js])) if js
-                     else [0] * gn)
-        return column + sums
-    return neighbourhoods, extend, firsts.__getitem__
+    def over_g(values):
+        """One sum of ``values`` per distinct neighbourhood of G."""
+        return map(sum, map(map, itertools.repeat(values.__getitem__),
+                            g_distinct))
+    tables, mu = [], []
+    for f, column in zip(factors, columns):
+        blocks = [column[j::hn] for j in range(hn)]  # vertex j of each block
+        sums = [list(map(sum, zip(*map(blocks.__getitem__, js)))) if js
+                else [0] * gn for js in h_distinct]
+        if lex:
+            outer = list(over_g(list(map(sum, zip(*blocks)))))
+            outer = list(map(outer.__getitem__, g_index))
+            sums = [map(operator.add, s, outer) for s in sums]
+        else:
+            sums = map(over_g, sums)
+        tables.append([list(map(f.__rmod__, s)) for s in sums])
+        mu.append(tables[-1][0][0])
+    row_first = range(gn) if lex else [members[0] for members in g_classes]
+    first = min((row_first[list(map(target.__ne__, ws)).index(True)] * hn
+                 + h_classes[c][0]
+                 for weights, target in zip(tables, mu)
+                 for c, ws in enumerate(weights)
+                 if ws.count(target) != len(ws)), default=None)
+    if first is None:
+        return tuple(mu), None
+    i, j = divmod(first, hn)
+    row, c = (i if lex else g_index[i]), h_index[j]
+    return tuple(mu), (first, tuple(weights[c][row] for weights in tables))
+
+
+def _weights(g: Union[Graph, FactoredProduct], factors: Sequence[int],
+             columns: Sequence[Sequence[int]]
+             ) -> tuple[GroupElement, Optional[tuple[int, GroupElement]]]:
+    """Vertex 0's weight, and None when every vertex of g has it, else the
+    first vertex whose weight differs and its weight; ``columns`` holds,
+    per cyclic factor, coordinate k of every label. A lex or dir product
+    held as its factors is summed by ``_level_weights``. A Graph's distinct
+    neighbourhoods go through ``_common_weight``, which stops at the first
+    that differs on the first factor that differs; one before it may
+    differ on a later factor only, so the prefix before it is scanned again
+    until it agrees.
+    """
+    if not isinstance(g, Graph):
+        return _level_weights(g, factors, columns)
+    distinct, _, classes = g.twin_classes
+    mu, stop = _common_weight(distinct, factors, columns)
+    if stop is None:
+        return mu, None
+    while stop is not None:
+        differs = distinct.index(stop)
+        mu, stop = _common_weight(distinct[:differs], factors, columns)
+    # neighbourhoods come in order of first occurrence, so the first vertex
+    # with this one is the first whose weight differs
+    return mu, (classes[differs][0], _common_weight(
+        distinct[differs:differs + 1], factors, columns)[0])
 
 
 def verify(g: Union[Graph, FactoredProduct],
            labeling: Labeling) -> Optional[GroupElement]:
-    """The magic constant when all vertex weights agree, else None: one call
-    of the per-factor weight kernel (``_common_weight``), which
-    ``verify_certificate`` calls too and ``magic_permutations`` confirms
-    its hits with. g is a Graph, or a lex or dir product
-    held as its factors, whose weights are summed without building it.
+    """The magic constant when all vertex weights agree, else None: the
+    weight kernel that ``verify_certificate`` runs too (``_weights``). g is
+    a Graph, or a lex or dir product held as its factors, whose weights are
+    summed from the factors without building it.
 
     Edgeless graphs verify with the identity (all weights are empty sums).
     """
     _check_sizes(g, labeling)
-    neighbourhoods, extend, _ = _kernel_terms(g)
-    labels = labeling.assignment
-    return _common_weight(neighbourhoods, labeling.group.factors,
-                          (extend([x[k] for x in labels])
-                           for k in range(labeling.group.arity)))[0]
+    mu, differs = _weights(g, labeling.group.factors,
+                           list(zip(*labeling.assignment)))
+    return mu if differs is None else None
 
 
 def magic_permutations(g: Graph, labeling: Labeling) -> Iterator[Labeling]:
@@ -343,7 +384,8 @@ def obstruction_shared_neighborhood(g: Graph) -> Optional[Obstruction]:
     a witness, and a witness (u, v) gives one made of the first vertex of
     u's neighbourhood and the first of v's, which is no later in pair
     order: only the first vertex of each distinct neighbourhood is
-    bucketed.
+    bucketed. Nothing is bucketed when the degree-one vertices give a
+    witness (0, v): no pair comes before it.
     """
     adj, degrees = g.adj, g.degrees
     best = None
@@ -352,33 +394,35 @@ def obstruction_shared_neighborhood(g: Graph) -> Optional[Obstruction]:
         if adj[v] != adj[ones[0]]:
             best = (ones[0], v)
             break
-    distinct, _, classes = g.twin_classes
-    firsts = [members[0] for members in classes]
-    buckets: dict[tuple[int, int, int], list[int]] = {}
-    slots = []  # slots[k]: (bucket, position of firsts[k] in it) per key
-    for u, nbrs in zip(firsts, distinct):
-        d, mine = len(nbrs), []
-        if d >= 2:
-            s = sorted(nbrs)
-            for key in {(d, s[0], s[-1]), (d, s[0], s[-2]), (d, s[1], s[-1])}:
-                bucket = buckets.setdefault(key, [])
-                mine.append((bucket, len(bucket)))
-                bucket.append(u)
-        slots.append(mine)
-    for u, mine in zip(firsts, slots):
-        if best is not None and best[0] <= u:
-            break
-        nbrs, shared = adj[u], degrees[u] - 1
-        later = [bucket[pos + 1:] for bucket, pos in mine
-                 if len(bucket) > pos + 1]
-        if len(later) > 1:
-            later = [sorted(set().union(*later))]
-        for v in itertools.chain(*later):
-            if best is not None and (u, v) >= best:
+    if best is None or best[0] != 0:  # no pair comes before a witness (0, v)
+        distinct, _, classes = g.twin_classes
+        firsts = [members[0] for members in classes]
+        buckets: dict[tuple[int, int, int], list[int]] = {}
+        slots = []  # slots[k]: (bucket, position of firsts[k] in it) per key
+        for u, nbrs in zip(firsts, distinct):
+            d, mine = len(nbrs), []
+            if d >= 2:
+                s = sorted(nbrs)
+                for key in {(d, s[0], s[-1]), (d, s[0], s[-2]),
+                            (d, s[1], s[-1])}:
+                    bucket = buckets.setdefault(key, [])
+                    mine.append((bucket, len(bucket)))
+                    bucket.append(u)
+            slots.append(mine)
+        for u, mine in zip(firsts, slots):
+            if best is not None and best[0] <= u:
                 break
-            if len(nbrs & adj[v]) == shared:
-                best = (u, v)
-                break
+            nbrs, shared = adj[u], degrees[u] - 1
+            later = [bucket[pos + 1:] for bucket, pos in mine
+                     if len(bucket) > pos + 1]
+            if len(later) > 1:
+                later = [sorted(set().union(*later))]
+            for v in itertools.chain(*later):
+                if best is not None and (u, v) >= best:
+                    break
+                if len(nbrs & adj[v]) == shared:
+                    best = (u, v)
+                    break
     if best is None:
         return None
     u, v = best
@@ -465,13 +509,57 @@ def all_obstructions(g: Graph) -> list[Obstruction]:
 @dataclass(frozen=True)
 class Certificate:
     """Self-contained record of a labeling: graph expression, group, claimed
-    magic constant, per-vertex labels, and an optional construction tag."""
+    magic constant, per-vertex labels, and an optional construction tag.
+
+    A certificate made by ``from_columns``, or read from text laid out as
+    ``format_certificate`` writes it, holds its labels as one integer column
+    per cyclic factor, and its ``labels`` rows are built on their first
+    read."""
 
     graph_expr: str
     group: GroupSpec
     mu: GroupElement
     labels: tuple[GroupElement, ...]
     theorem: Optional[str] = None
+
+    @classmethod
+    def from_columns(cls, graph_expr: str, group: GroupSpec,
+                     mu: GroupElement, columns: Iterable[Iterable[int]],
+                     theorem: Optional[str] = None) -> Certificate:
+        """The certificate whose label of vertex v has coordinate k
+        ``columns[k][v]``; each column is copied. Raises LabelingError
+        unless there is one column per cyclic factor of the group (at least
+        one), all of one length, of plain ints 0 <= c < factor."""
+        columns = [list(column) for column in columns]
+        if (not 0 < len(columns) == group.arity
+                or len(set(map(len, columns))) != 1
+                or not all(map(_reduced_column, columns, group.factors))):
+            raise LabelingError(
+                f"label columns must be one list of plain ints 0 <= c < f "
+                f"per cyclic factor f of group {group}, all of one length")
+        return _column_certificate(graph_expr, group, mu, columns, theorem)
+
+    def __getattr__(self, name: str):
+        # reached only for an attribute the instance lacks: the rows of a
+        # certificate that holds its labels as columns
+        columns = self.__dict__.get("_columns")
+        if name != "labels" or columns is None:
+            raise AttributeError(
+                f"{type(self).__name__!r} object has no attribute {name!r}")
+        labels = tuple(zip(*columns))
+        object.__setattr__(self, "labels", labels)
+        return labels
+
+
+def _column_certificate(graph_expr: str, group: GroupSpec, mu: GroupElement,
+                        columns: list[list[int]],
+                        theorem: Optional[str]) -> Certificate:
+    """A Certificate holding ``columns``, already checked: one list of
+    reduced plain ints per cyclic factor, all of one length."""
+    cert = object.__new__(Certificate)
+    cert.__dict__.update(graph_expr=graph_expr, group=group, mu=mu,
+                         theorem=theorem, _columns=columns)
+    return cert
 
 
 def check_graph_line(graph_expr: str) -> None:
@@ -495,7 +583,9 @@ def format_certificate(cert: Certificate) -> str:
     lines.append(f"graph: {cert.graph_expr}")
     lines.append(f"group: {grp}")
     lines.append(f"mu: {grp.format_element(cert.mu)}")
-    lines += grp.format_elements(cert.labels, "v %d ")
+    columns = cert.__dict__.get("_columns")
+    lines += (grp.format_elements(cert.labels, "v %d ") if columns is None
+              else grp.format_columns(columns, "v %d "))
     return "\n".join(lines) + "\n"
 
 
@@ -597,7 +687,7 @@ def _read_canonical(text: str) -> Optional[Certificate]:
     if any(max(column) >= f for column, f in zip(columns, group.factors)):
         return None
     mu = tuple(column.pop(0) for column in columns)
-    return Certificate(graph, group, mu, tuple(zip(*columns)), theorem)
+    return _column_certificate(graph, group, mu, columns, theorem)
 
 
 def parse_certificate(text: str) -> Certificate:
@@ -649,10 +739,11 @@ def save_certificate(cert: Certificate, filename: str) -> None:
 
 def verify_certificate(cert: Certificate) -> tuple[bool, str, Optional[GroupElement]]:
     """Recompute the certificate from scratch: parse the graph expression,
-    rebuild the labeling, and check every weight against the claimed mu. A
-    top-level lex or dir product is summed from its factors, unbuilt, so
-    its size is compared with the group order before anything that large
-    is built.
+    compare its size with the group order, check the labels, and check
+    every weight against the claimed mu. A top-level lex or dir product is
+    summed from its factors, unbuilt, so its size is compared with the group
+    order before anything that large is built. Labels held as columns are
+    checked and summed as columns, with no row built.
 
     Returns (ok, detail, actual_mu).
     """
@@ -664,29 +755,20 @@ def verify_certificate(cert: Certificate) -> tuple[bool, str, Optional[GroupElem
     if g.n != group.order:
         return False, (f"graph has {g.n} vertices but group {group} "
                        f"has order {group.order_text()}"), None
+    columns = cert.__dict__.get("_columns")
     try:
-        labeling = Labeling(group, cert.labels)
+        if columns is None:  # rows: checked and coerced as a Labeling
+            columns = list(zip(*Labeling(group, cert.labels).assignment))
+        else:  # reduced ints of one length: count and injectivity left
+            _check_injective(group, columns)
     except LabelingError as exc:
         return False, str(exc), None
-    neighbourhoods, extend, first = _kernel_terms(g)
-    labels, factors = labeling.assignment, group.factors
-    columns = [extend([x[k] for x in labels]) for k in range(group.arity)]
-    mu, stop = _common_weight(neighbourhoods, factors, columns)
-    if stop is not None:
-        # a neighbourhood before the one found may differ on a later factor
-        # only: scan the prefix before it again until the prefix agrees
-        while stop is not None:
-            differs = neighbourhoods.index(stop)
-            mu, stop = _common_weight(neighbourhoods[:differs], factors,
-                                      columns)
-        # neighbourhoods come in order of first occurrence, so the first
-        # vertex with this one is the first whose weight differs
-        wb = _common_weight(neighbourhoods[differs:differs + 1], factors,
-                            columns)[0]
+    mu, differs = _weights(g, group.factors, columns)
+    if differs is not None:
+        v, wv = differs
         return False, (f"weights differ: vertex 0 has "
-                       f"{group.format_element(mu)}, vertex "
-                       f"{first(differs)} has "
-                       f"{group.format_element(wb)}"), None
+                       f"{group.format_element(mu)}, vertex {v} has "
+                       f"{group.format_element(wv)}"), None
     if mu != cert.mu:
         return False, (f"magic constant is {group.format_element(mu)} but "
                        f"certificate claims {group.format_element(cert.mu)}"),\

@@ -911,20 +911,33 @@ def test_label_writes_no_certificate_for_a_wrong_construction(
 def test_label_and_verify_check_a_certificate_once(monkeypatch, tmp_path):
     import re
 
-    from gdmagic import magic
+    from gdmagic import constructors, magic
 
-    calls = {"_common_weight": 0, "_reduced": 0}
+    calls = {"_level_weights": 0, "_check_injective": 0}
     for name in calls:
         def counted(*args, _real=getattr(magic, name), _name=name):
             calls[_name] += 1
             return _real(*args)
         monkeypatch.setattr(magic, name, counted)
+
+    def no_rows(self, name):
+        if name == "labels":
+            raise AssertionError(f"a {type(self).__name__} built label rows")
+        raise AttributeError(name)
+
+    # the labels go as columns from the labeler to the kernel and the text
+    for cls in (magic.Certificate, constructors.ConstructionReport):
+        monkeypatch.setattr(cls, "__getattr__", no_rows)
+    monkeypatch.setattr(magic, "_reduced", None)
     cert_path = str(tmp_path / "cert.txt")
     assert _run(["label", "--graph", "C(500)", "--h", "KmM(8)", "--product",
                  "lex", "--group", "Z8xZ500", "--out", cert_path])[0] == 0
     # one weight pass and one scan of the labels, both in the check of
-    # the certificate written (two of each before)
-    assert calls == {"_common_weight": 1, "_reduced": 1}
+    # the certificate written
+    assert calls == {"_level_weights": 1, "_check_injective": 1}
+    code, out, _ = _run(["label", "--graph", "C(500)", "--h", "KmM(8)",
+                         "--group", "Z8xZ500", "--json"])
+    assert code == 0 and len(json.loads(out)["labels"]) == 4000
 
     def refused(*args, **kwargs):
         raise AssertionError("a regular expression was used")
@@ -933,7 +946,7 @@ def test_label_and_verify_check_a_certificate_once(monkeypatch, tmp_path):
         monkeypatch.setattr(re, name, refused)
     calls.update(dict.fromkeys(calls, 0))
     assert _run(["verify", "--cert", cert_path]) == (0, "ok: mu (5,0)\n", "")
-    assert calls == {"_common_weight": 1, "_reduced": 1}
+    assert calls == {"_level_weights": 1, "_check_injective": 1}
 
 
 # one valid argv per verb, after the verb itself

@@ -1,3 +1,5 @@
+import itertools
+
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
@@ -438,6 +440,78 @@ def test_label_reports_a_construction_its_verifier_rejects(monkeypatch):
     assert str(info.value) == ("even-degrees-lex: construction produced no "
                                "constant instead of (3,0); please report "
                                "this input")
+
+
+# the public labeler of each METHODS entry, as (labeler of a product,
+# labeler of a bare graph); the product labelers take s when the entry does
+PUBLIC_LABELERS = {
+    "auto": (lambda g, h, product, group, s: auto_label(g, h, product, group),
+             auto_label_bare),
+    "balanced-dir": (lambda g, h, product, group, s:
+                     label_dir_balanced_pow2(g, h, group, s), None),
+    "balanced-lex": (lambda g, h, product, group, s:
+                     label_lex_balanced_pow2(g, h, group, s), None),
+    "c4k2-dir": (lambda g, h, product, group, s: label_dir_c4k2(g, h, group),
+                 None),
+    "c4k2-lex": (lambda g, h, product, group, s: label_lex_c4k2(g, h, group),
+                 None),
+    "even-degrees-lex": (lambda g, h, product, group, s:
+                         label_lex_even_degrees(g, h, group), None),
+    "kmn-mixed-lex": (lambda g, h, product, group, s:
+                      label_lex_kmn_mixed(g, h, group), None),
+    "matching-join": (None, label_matching_join_graph),
+    "star": (None, label_star_graph),
+}
+
+# G, H (None: a bare G); K(2,3) also with its parts interleaved, {0, 2} and
+# {1, 3, 4}, so that its blocks are filled in runs of one
+COLUMN_CORPUS = [
+    (cycle(3), cycle(4)), (complete_bipartite(2, 3), cycle(4)),
+    (Graph.from_edges(5, [(u, v) for u in (0, 2) for v in (1, 3, 4)]),
+     cycle(4)),
+    (complete_bipartite(3, 2), complete_minus_matching(8)),
+    (cycle(4), complete_minus_matching(6)), (path(3), cycle(4)),
+    (complete(4), cycle(4)), (star(3), None), (star(4), None),
+    (join(complete_minus_matching(4), complete(1)), None),
+]
+
+
+def test_label_with_method_columns_are_the_public_labelers_labels():
+    labeled = set()
+    for method, entry in METHODS.items():
+        on_product, on_bare = PUBLIC_LABELERS[method]
+        for g, h in COLUMN_CORPUS:
+            if (h is None) != (on_product is None):
+                continue
+            for group in enumerate_abelian_groups(g.n * (h.n if h else 1)):
+                products = ((None,) if h is None else
+                            (entry.product,) if entry.product else
+                            ("lex", "dir"))
+                exponents = (range(1, group.order.bit_length())
+                             if entry.needs_s else (None,))
+                for product, s in itertools.product(products, exponents):
+                    try:
+                        report = label_with_method(method, g, h, product,
+                                                   group, s)
+                    except ConstructionError as exc:
+                        with pytest.raises(ConstructionError) as info:
+                            if h is None:
+                                on_bare(g, group)
+                            else:
+                                on_product(g, h, product, group, s)
+                        assert str(info.value) == str(exc)
+                        continue
+                    public = (on_bare(g, group) if h is None
+                              else on_product(g, h, product, group, s))
+                    if report is None:  # a star with no center label
+                        assert public is None
+                        continue
+                    assigned = public.labeling.assignment
+                    assert report.columns == [list(column) for column in
+                                              zip(*assigned)]
+                    assert report.labels == assigned
+                    labeled.add(method)
+    assert labeled == set(METHODS)
 
 
 def test_every_report_verifies_and_is_bijective():

@@ -382,12 +382,22 @@ def test_verify_certificate_matches_per_vertex_weight(case):
 
 
 # Factors of the products verified unbuilt below: with isolated vertices
-# (K(1), P(1), and dir(K(2),K(1)), which is edgeless), with twins that a dir
-# product merges across blocks (P(3), Kb(1,2)), twin-rich (KmM, Kb) and
-# nested products. H = KmM(4) or Kb(2,2) gives auto_label magic labelings.
+# (K(1), P(1), and dir(K(2),K(1)) and Km(3), which are edgeless), with twins
+# that a dir product merges across blocks (P(3), Kb(1,2)), twin-rich (KmM,
+# Kb) and nested products. H = KmM(4) or Kb(2,2) gives auto_label magic
+# labelings.
 PRODUCT_FACTORS = ["K(1)", "P(1)", "K(2)", "P(3)", "C(3)", "Kb(1,2)",
                    "KmM(4)", "Kb(2,2)", "KmM(6)", "dir(K(2),K(1))",
-                   "lex(K(2),K(1))", "dir(P(3),K(2))"]
+                   "lex(K(2),K(1))", "dir(P(3),K(2))", "Km(3)"]
+
+
+def _groups_of_order(n):
+    """Every group of order n as enumerated, and each of three or more
+    cyclic factors once more with its factors in reverse, an order the
+    enumeration never gives."""
+    groups = list(enumerate_abelian_groups(n))
+    return groups + [GroupSpec(spec.factors[::-1]) for spec in groups
+                     if spec.arity >= 3 and spec.factors[::-1] != spec.factors]
 
 
 @st.composite
@@ -404,7 +414,7 @@ def product_certificates(draw):
     factored = FactoredProduct(kind, construct_graph(g), construct_graph(h))
     built = factored.build()
     claims = []
-    for grp in enumerate_abelian_groups(built.n):
+    for grp in _groups_of_order(built.n):
         labels = draw(st.permutations(list(grp.elements())))
         how = draw(st.sampled_from(["random", "magic", "swapped"]))
         if how != "random":
@@ -433,6 +443,101 @@ def test_unbuilt_product_verification_matches_the_built_product(case):
         assert verify_certificate(cert) == reference_verdict(built, lab,
                                                              claimed)
         assert verify(factored, lab) == verify(built, lab)
+
+
+# edgeless factors (every neighbourhood of G, or of H, empty) and groups of
+# three and four cyclic factors, in both factor orders
+LEVEL_CASES = [("lex", "Km(3)", "KmM(4)", "Z2xZ2xZ3"),
+               ("lex", "Km(3)", "KmM(4)", "Z3xZ2xZ2"),
+               ("dir", "Km(3)", "Kb(2,2)", "Z2xZ2xZ3"),
+               ("lex", "C(3)", "Km(3)", "Z3xZ3"),
+               ("dir", "KmM(4)", "Km(3)", "Z2xZ3xZ2"),
+               ("lex", "Kb(2,2)", "KmM(4)", "Z2xZ2xZ2xZ2"),
+               ("dir", "C(3)", "Kb(2,2)", "Z2xZ3xZ2"),
+               ("lex", "lex(K(2),Km(2))", "C(4)", "Z2xZ2xZ4")]
+
+
+@pytest.mark.parametrize("product, g, h, spec", LEVEL_CASES)
+def test_level_kernel_matches_the_built_product(product, g, h, spec):
+    from gdmagic.constructors import ConstructionError, auto_label
+
+    group = parse_group_spec(spec)
+    factored = FactoredProduct(product, construct_graph(g), construct_graph(h))
+    built = factored.build()
+    rng = random.Random(spec + g + h)
+    labelings = [list(group.elements()) for _ in range(40)]
+    for labels in labelings:
+        rng.shuffle(labels)
+    try:
+        magic_labels = list(auto_label(factored.g, factored.h, product,
+                                       group).labeling.assignment)
+    except ConstructionError:
+        magic_labels = None
+    if magic_labels is not None:
+        labelings.append(magic_labels)
+        for _ in range(20):
+            x, y = rng.sample(range(built.n), 2)
+            swapped = list(magic_labels)
+            swapped[x], swapped[y] = swapped[y], swapped[x]
+            labelings.append(swapped)
+    expr = f"{product}({g},{h})"
+    for labels in labelings:
+        lab = Labeling(group, tuple(labels))
+        claimed = weight(built, lab, 0)
+        expected = reference_verdict(built, lab, claimed)
+        rows = Certificate(expr, group, claimed, lab.assignment)
+        columns = Certificate.from_columns(expr, group, claimed,
+                                           zip(*lab.assignment))
+        assert verify_certificate(rows) == expected
+        assert verify_certificate(columns) == expected
+        assert verify(factored, lab) == verify(built, lab)
+
+
+def test_certificate_from_columns_builds_its_rows_on_first_read():
+    labels = ((1, 0), (0, 2), (1, 1), (0, 3), (1, 3), (1, 2), (0, 1), (0, 0))
+    cert = Certificate.from_columns("C(8)", Z24, (0, 2), zip(*labels), "t")
+    assert "labels" not in vars(cert)
+    assert cert == Certificate("C(8)", Z24, (0, 2), labels, "t")
+    assert cert.labels == labels and "labels" in vars(cert)
+    assert format_certificate(cert) == format_certificate(
+        Certificate("C(8)", Z24, (0, 2), labels, "t"))
+    with pytest.raises(AttributeError):
+        cert.columns
+    text = format_certificate(cert)
+    assert "labels" not in vars(parse_certificate(text))
+    assert parse_certificate(text) == cert
+
+
+@pytest.mark.parametrize("columns", [
+    [],  # no column for a group of one factor
+    [[0, 1, 2, 3], [0, 0, 0, 0]],  # a column too many
+    [[0, 1, 2, 4]],  # a coordinate equal to its factor
+    [[0, 1, -1, 3]],
+    [[0, 1, 2.0, 3]],  # not a plain int
+    [[0, 1, True, 3]],
+])
+def test_certificate_from_columns_refuses_columns_that_are_not_labels(
+        columns):
+    with pytest.raises(LabelingError, match="label columns must be"):
+        Certificate.from_columns("C(4)", Z4, (0,), columns)
+
+
+def test_certificate_from_columns_refuses_columns_of_two_lengths():
+    with pytest.raises(LabelingError, match="all of one length"):
+        Certificate.from_columns("C(4)", Z22, (0, 0), [[0, 0, 1, 1], [0, 1]])
+    with pytest.raises(LabelingError, match="label columns must be"):
+        Certificate.from_columns("K(1)", GroupSpec(()), (), [])
+
+
+def test_a_canonical_certificate_with_a_repeated_label_is_not_injective():
+    text = _CANONICAL.replace("v 5 (1,2)", "v 5 (1,1)")
+    cert = parse_certificate(text)
+    # read in one pass into columns, whose only check left is injectivity
+    assert "labels" not in vars(cert)
+    per_line = _parse_certificate_per_line(text)
+    assert cert == per_line
+    assert verify_certificate(cert) == verify_certificate(per_line) == (
+        False, "assignment is not injective", None)
 
 
 def test_verify_certificate_names_an_earlier_vertex_than_the_first_factor():
@@ -798,6 +903,34 @@ def test_shared_neighborhood_tests_each_pair_once_and_no_twins():
     assert not [(u, v) for u, v in tested if g.adj[u] == g.adj[v]]
 
 
+@pytest.mark.parametrize("g, witness, tests_pairs", [
+    (path(400), (0, 399), False),  # vertex 0 of degree 1: no pair before it
+    (lex_product(cycle(10), complete_minus_matching(4)), None, True),
+    # degree-one witness (1, 4), but (0, 2) of degree 2 comes first
+    (Graph.from_edges(7, [(0, 3), (0, 4), (2, 3), (2, 6), (1, 3), (5, 6)]),
+     (0, 2), True),
+])
+def test_shared_neighborhood_buckets_only_when_a_pair_may_come_first(
+        g, witness, tests_pairs):
+    class Counting(frozenset):
+        def __and__(self, other):
+            tested.append((self.vertex, other.vertex))
+            return frozenset.__and__(self, other)
+
+    tested = []
+    adj = []
+    for v, nbrs in enumerate(g.adj):
+        adj.append(Counting(nbrs))
+        adj[-1].vertex = v
+    counted = Graph(g.n, tuple(adj))
+    found = obstruction_shared_neighborhood(counted)
+    assert found == _shared_neighborhood_all_pairs(g)
+    assert (found and found.witness) == witness
+    assert bool(tested) == tests_pairs
+    assert len(set(tested)) == len(tested)
+    assert ("twin_classes" in vars(counted)) == tests_pairs
+
+
 def test_shared_neighborhood_on_a_large_twin_rich_product():
     # 3444 vertices, 608 distinct neighbourhoods, no witness
     g = construct_graph("dir(lex(KmM(4),dir(P(3),S(6))),"
@@ -894,9 +1027,11 @@ def test_certificate_verification():
 
 def test_verify_certificate_makes_one_weight_pass(monkeypatch):
     calls = []
-    real = magic._common_weight
-    monkeypatch.setattr(magic, "_common_weight",
-                        lambda *args: calls.append(args) or real(*args))
+    for name in ("_common_weight", "_level_weights"):
+        def counted(*args, _real=getattr(magic, name), _name=name):
+            calls.append(_name)
+            return _real(*args)
+        monkeypatch.setattr(magic, name, counted)
     monkeypatch.setattr(magic, "weight", None)  # the reference is not used
     good = Certificate("C(4)", Z4, (3,), ((1,), (0,), (2,), (3,)))
     assert verify_certificate(good) == (True, "ok", (3,))
@@ -909,7 +1044,9 @@ def test_verify_certificate_makes_one_weight_pass(monkeypatch):
     not_magic = Certificate("C(4)", Z4, (0,), ((0,), (1,), (2,), (3,)))
     assert not verify_certificate(not_magic)[0]
     assert len(calls) == 5
-    # so do a lex and a dir product, summed from their factors
+    # a lex and a dir product are summed from their factors level by
+    # level, in one pass to accept and one pass to name the vertex that
+    # differs
     from gdmagic.constructors import auto_label
 
     for product, g, h, spec, x, y in [("lex", "C(3)", "C(4)", "Z4xZ3", 0, 4),
@@ -922,12 +1059,12 @@ def test_verify_certificate_makes_one_weight_pass(monkeypatch):
         calls.clear()
         good = Certificate(expr, group, report.predicted_mu, tuple(labels))
         assert verify_certificate(good) == (True, "ok", report.predicted_mu)
-        assert len(calls) == 1
+        assert calls == ["_level_weights"]
         labels[x], labels[y] = labels[y], labels[x]
         calls.clear()
         swapped = Certificate(expr, group, report.predicted_mu, tuple(labels))
         assert verify_certificate(swapped)[1].startswith("weights differ")
-        assert 3 <= len(calls) <= group.arity + 2
+        assert calls == ["_level_weights"]
 
 
 def _count_calls(monkeypatch, cls, *names):
@@ -949,21 +1086,24 @@ def test_labels_and_certificates_go_by_the_column(monkeypatch):
     from gdmagic.constructors import auto_label, label_lex_kmn_mixed
     from gdmagic.graphs import construct_graph
 
-    split_calls = _count_calls(monkeypatch, CyclicFactorSplit,
-                               "from_pair", "from_pairs")
+    split_calls = _count_calls(monkeypatch, CyclicFactorSplit, "from_pair",
+                               "from_pairs", "from_pair_columns")
     group = parse_group_spec("Z8xZ500")
     report = auto_label(construct_graph("C(500)"), construct_graph("KmM(8)"),
                         "lex", group)
     assert report.theorem == "even-degrees-lex"
     # from_pair only for constants, (pair sum, 0) and the magic constant
     assert [a for _, a in split_calls["from_pair"]] == [(0, 0), (0, 0)]
-    # one column map for the one twin-pair fill; the others are from_pair's
-    bulk = [len(zs) for zs, _ in split_calls["from_pairs"] if len(zs) > 1]
+    # one column map for the one twin-pair fill, straight to columns; the
+    # others are from_pair's
+    bulk = [len(zs) for zs, _ in split_calls["from_pair_columns"]
+            if len(zs) > 1]
     assert bulk == [500 * 4]
-    split_calls["from_pairs"].clear()
+    assert all(len(zs) == 1 for zs, _ in split_calls["from_pairs"])
+    split_calls["from_pair_columns"].clear()
     label_lex_kmn_mixed(complete_bipartite(2, 3), complete_minus_matching(4),
                         parse_group_spec("Z4xZ5"))
-    assert [len(zs) for zs, _ in split_calls["from_pairs"]
+    assert [len(zs) for zs, _ in split_calls["from_pair_columns"]
             if len(zs) > 1] == [2 * 2, 3 * 2]  # two fills: even side, odd
 
     text = format_certificate(Certificate(
