@@ -268,21 +268,14 @@ def magic_permutations(g: Graph, labeling: Labeling) -> Iterator[Labeling]:
     """Every rearrangement of ``labeling``'s labels that is magic on g, in
     ``itertools.permutations`` order, each carrying its magic constant.
 
-    The scan scores the permutations of one integer column that serves
-    every group. Each label is packed in mixed radix with base
-    b_k = d·(f_k - 1) + 1 for the k-th cyclic factor f_k, where d is the
-    size of g's largest distinct neighbourhood (at least 1, so that labels
-    pack to distinct ints): a neighbourhood's plain-int sum of packed
-    labels then holds each coordinate's sum in its own digit, and a lookup
-    maps it to its weight. Each distinct neighbourhood of g's twin-class
-    record (``Graph.twin_classes``) after vertex 0's is one stage of
-    C-level ``itertools``/``operator`` calls that keeps a candidate only
-    when its weight there equals its weight on vertex 0's neighbourhood, so
-    no bytecode runs for a candidate a stage drops. The stream stays lazy:
-    a permutation is made when the next hit is asked for. Each hit is
-    confirmed by the per-factor kernel of ``verify`` (``_common_weight``),
-    a second and independent arithmetic that also gives the hit its
-    constant, and a hit it rejects raises LabelingError.
+    Labels are packed into one integer column, base b_k = d·(f_k - 1) + 1
+    per cyclic factor f_k, d the largest distinct neighbourhood's size (at
+    least 1). Each edge (a, b) of a cheapest spanning tree of the distinct
+    neighbourhoods (``Graph.twin_classes``), cheapest first, is a lazy
+    C-level stage keeping a candidate whose sums over N_a∖N_b and N_b∖N_a
+    weigh the same (README, "the naive permutation scan"). Each hit is
+    confirmed, and given its constant, by ``verify``'s per-factor kernel
+    (``_common_weight``); a hit it rejects raises LabelingError.
     """
     _check_sizes(g, labeling)
     group, rows = labeling.group, labeling.assignment
@@ -300,10 +293,8 @@ def magic_permutations(g: Graph, labeling: Labeling) -> Iterator[Labeling]:
 
     @functools.cache
     def code(total):
-        """The weight of a sum of packed labels as an element code, its
-        position in ``GroupSpec.elements()``. The cache is the lookup: it
-        grows with the sums the scan meets, never to the product of the
-        bases, and a sum met again is answered in C."""
+        """The weight of a sum of packed labels as an element code; the
+        cache is the lookup, filled with the sums the scan meets."""
         weight, place = 0, 1
         for base, f in radix:
             total, digit = divmod(total, base)
@@ -311,18 +302,27 @@ def magic_permutations(g: Graph, labeling: Labeling) -> Iterator[Labeling]:
             place *= f
         return weight
 
-    stages = []  # a getter of a candidate's labels on each neighbourhood
-    for nbrs in neighbourhoods:
-        v = min(nbrs, default=0)  # one neighbour or none: a slice's tuple
-        stages.append(operator.itemgetter(*nbrs) if len(nbrs) > 1 else
-                      operator.itemgetter(slice(v, v + len(nbrs))))
-    first, *rest = stages
+    # Prim's tree: best[j] is the cheapest (|N_a Δ N_j|, a) into the tree
+    best = dict.fromkeys(range(1, len(neighbourhoods)), (sys.maxsize, 0))
+    edges, b = [], 0
+    while best:
+        for j in best:
+            best[j] = min(best[j], (len(neighbourhoods[b] ^ neighbourhoods[j]),
+                                    b))
+        b = min(best, key=best.__getitem__)
+        edges.append((*best.pop(b), b))
     stream = itertools.permutations(packed)
-    for pick in rest:
-        at_first, at_pick, kept = itertools.tee(stream, 3)
-        stream = itertools.compress(kept, map(
-            operator.eq, map(code, map(sum, map(first, at_first))),
-            map(code, map(sum, map(pick, at_pick)))))
+    for _, a, b in sorted(edges):
+        # an empty side weighs the identity, code 0; one label needs no sum
+        one, other = neighbourhoods[a], neighbourhoods[b]
+        sides = list(filter(None, (one - other, other - one)))
+        *copies, kept = itertools.tee(stream, len(sides) + 1)
+        codes = [itertools.repeat(0)] * 2
+        for k, (side, copy) in enumerate(zip(sides, copies)):
+            picked = map(operator.itemgetter(*side), copy)
+            codes[k] = map(code, picked if len(side) == 1 else
+                           map(sum, picked))
+        stream = itertools.compress(kept, map(operator.eq, *codes))
     for candidate in stream:
         hit = tuple(map(row_of, candidate))
         mu, _ = _common_weight(neighbourhoods, group.factors, zip(*hit))

@@ -8,10 +8,10 @@ Two engines share nothing but the definition of a weight:
   and first mode, and in count mode a closed-form count of the free tail;
 * a deliberately naive permutation scan, used as the independent oracle:
   every one of the n! permutations of the group's elements, unpruned, is
-  scored stage by stage, one stage per distinct neighbourhood, on one
-  column of packed integer labels (``magic.magic_permutations``), and
-  every labeling it reports is confirmed by the verifier's per-factor
-  weight kernel.
+  scored on packed integer labels, one stage per edge of a cheapest
+  spanning tree of the distinct neighbourhoods
+  (``magic.magic_permutations``), and every labeling it reports is
+  confirmed by the verifier's per-factor weight kernel.
 """
 
 from __future__ import annotations

@@ -578,21 +578,33 @@ def _counting_permutations(monkeypatch):
     return read
 
 
+# K(1,3) with two isolated vertices: the spanning tree's cheapest edge joins
+# the isolated vertices' empty neighbourhood to the leaves' {0}, away from
+# vertex 0's {3, 4, 5}
+STAR_AND_TWO_ISOLATED = Graph.from_edges(6, [(0, 3), (0, 4), (0, 5)])
+
+
 def test_naive_scan_reads_each_permutation_as_its_hit_is_asked_for(
         monkeypatch):
-    g = construct_graph("KmM(6)")
-    lab = _lab(parse_group_spec("Z6"), 4, 1, 5, 0, 3, 2)
-    positions = [k for k, rows in
-                 enumerate(itertools.permutations(lab.assignment))
-                 if verify(g, Labeling(lab.group, rows)) is not None]
-    assert 0 < len(positions) < 720
+    cases = [(construct_graph("KmM(6)"),
+              _lab(parse_group_spec("Z6"), 4, 1, 5, 0, 3, 2)),
+             (STAR_AND_TWO_ISOLATED,
+              _lab(parse_group_spec("Z2xZ3"), (1, 2), (0, 0), (1, 0), (0, 2),
+                   (1, 1), (0, 1)))]
+    hit_positions = [[k for k, rows in
+                      enumerate(itertools.permutations(lab.assignment))
+                      if verify(g, Labeling(lab.group, rows)) is not None]
+                     for g, lab in cases]
     read = _counting_permutations(monkeypatch)
-    hits = magic.magic_permutations(g, lab)
-    for position in positions:
-        next(hits)
-        assert len(read) == position + 1
-    assert next(hits, None) is None
-    assert len(read) == 720
+    for (g, lab), positions in zip(cases, hit_positions):
+        assert 0 < len(positions) < 720
+        read.clear()
+        hits = magic.magic_permutations(g, lab)
+        for position in positions:
+            next(hits)
+            assert len(read) == position + 1
+        assert next(hits, None) is None
+        assert len(read) == 720
 
 
 @pytest.mark.parametrize("expr, group", [("KmM(6)", "Z6"), ("C(4)", "Z2xZ2"),
@@ -727,6 +739,15 @@ def small_labelled_graphs(draw):
 @example((construct_graph("C(8)"), [_shuffled(Z24, 8)]))
 @example((construct_graph("Kb(2,6)"), [_shuffled(Z8, 26)]))
 @example((construct_graph("Kb(4,4)"), [_shuffled(Z222, 44)]))
+# the spanning tree's edge shapes: nested neighbourhoods, whose difference
+# has one empty side (∅ ⊂ {3}, 2 hits); a cheapest edge away from vertex 0's
+# neighbourhood (24 hits); and a tree of four edges over five distinct
+# neighbourhoods whose sides hold none to three vertices (4 hits)
+@example((Graph.from_edges(4, [(1, 3), (2, 3)]), [_shuffled(Z4, 13)]))
+@example((STAR_AND_TWO_ISOLATED, [_shuffled(parse_group_spec("Z2xZ3"), 6)]))
+@example((Graph.from_edges(6, [(0, 2), (1, 2), (1, 3), (1, 4), (2, 3), (2, 5),
+                               (3, 4), (3, 5), (4, 5)]),
+          [_shuffled(parse_group_spec("Z2xZ3"), 9)]))
 def test_naive_scan_matches_the_parent_oracle(case):
     g, labelings = case
     for lab in labelings:
@@ -734,6 +755,27 @@ def test_naive_scan_matches_the_parent_oracle(case):
         hits = list(magic.magic_permutations(g, lab))
         assert [(hit.assignment, hit.magic_constant) for hit in hits] == \
             oracle_permutations(g, lab)
+
+
+def test_naive_scan_keeps_its_hits_on_the_atlas():
+    import hashlib
+
+    nx = pytest.importorskip("networkx")
+    # every graph of 1-7 vertices, over every group of its order: the hits
+    # and their constants, in order, whatever stages the scan is made of
+    sha, cases, hits = hashlib.sha256(), 0, 0
+    for h in nx.graph_atlas_g()[1:]:
+        g = Graph.from_edges(h.number_of_nodes(), h.edges())
+        for group in enumerate_abelian_groups(g.n):
+            cases += 1
+            for hit in magic.magic_permutations(
+                    g, Labeling(group, tuple(group.elements()))):
+                hits += 1
+                sha.update(repr((hit.assignment,
+                                 hit.magic_constant)).encode())
+    assert (cases, hits, sha.hexdigest()) == (
+        1263, 10361,
+        "87dec2defca07ae826b96386a213567d569d42695ef0f885e8a732797b84fb33")
 
 
 # the instances of at most 8 vertices that perfbench's search workload runs
