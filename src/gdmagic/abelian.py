@@ -111,12 +111,12 @@ class GroupSpec:
 
     def element(self, coords) -> GroupElement:
         """Coerce a coordinate sequence to a reduced element of this group."""
-        g = tuple(int(c) for c in coords)
+        g = tuple(map(int, coords))
         if len(g) != len(self.factors):
             raise GroupError(
                 f"element arity {len(g)} does not match group {self} "
                 f"(arity {self.arity})")
-        return tuple(c % f for c, f in zip(g, self.factors))
+        return tuple(map(int.__mod__, g, self.factors))
 
     def zero(self) -> GroupElement:
         return (0,) * len(self.factors)
@@ -164,10 +164,13 @@ class GroupSpec:
 
     def format_columns(self, columns, head: str = "") -> list[str]:
         """``format_elements`` of the elements given as one sequence per
-        coordinate, ``columns[k][i]`` coordinate k of element i, for a group
-        of one or more factors; no element is built as a tuple."""
-        if not 0 < len(columns) == self.arity:
+        coordinate, ``columns[k][i]`` coordinate k of element i; no element
+        is built as a tuple. For the trivial group, no column gives its one
+        element."""
+        if len(columns) != self.arity:
             raise GroupError(f"{len(columns)} label columns for group {self}")
+        if not columns:
+            return self.format_elements([()], head)
         template = head + "(" + ",".join(["%s"] * self.arity) + ")"
         return list(map(template.__mod__, zip(itertools.count(), *columns)
                         if head else zip(*columns)))

@@ -70,15 +70,13 @@ class ConstructionReport:
     """A labeled graph, its labels over ``group`` and the constant the
     labeler promised. ``labeled`` is the graph, or the product held as its
     factors; ``graph`` is the graph itself, a product built on its first
-    read. ``labels`` are the labels as the construction made them, and
-    ``columns`` the same labels as one list per cyclic factor, list k
-    holding coordinate k of every label. A product labeler makes the
-    columns, and the rows of ``labels`` are built on their first read;
-    ``labeling`` is the labels checked as a Labeling, on its first read."""
+    read. ``columns`` holds the labels as the labeler made them, list k
+    holding coordinate k of every label; the rows ``labels`` and the
+    checked ``labeling`` are made from them on their first read."""
 
     labeled: Union[Graph, FactoredProduct]
     group: GroupSpec
-    labels: tuple[GroupElement, ...]
+    columns: list[list[int]]
     theorem: str
     predicted_mu: GroupElement
     parameters: dict = field(default_factory=dict)
@@ -90,33 +88,12 @@ class ConstructionReport:
 
     @functools.cached_property
     def labeling(self) -> Labeling:
-        return Labeling(self.group, self.labels, self.predicted_mu)
+        return Labeling(self.group, columns=self.columns,
+                        magic_constant=self.predicted_mu)
 
     @functools.cached_property
-    def columns(self) -> list[list[int]]:
-        return list(map(list, zip(*self.labels)))
-
-    def __getattr__(self, name: str):
-        # reached only for an attribute the instance lacks: the rows of a
-        # report made from its columns
-        if name != "labels" or "columns" not in self.__dict__:
-            raise AttributeError(
-                f"{type(self).__name__!r} object has no attribute {name!r}")
-        self.labels = tuple(zip(*self.columns))
-        return self.labels
-
-
-def _product_report(g: Graph, h: Graph, kind: str, group: GroupSpec,
-                    columns: list[list[int]], theorem: str,
-                    predicted_mu: GroupElement,
-                    parameters: dict) -> ConstructionReport:
-    """The report of a product labeler, which makes its labels as columns:
-    the rows are built only if ``labels`` is read."""
-    report = object.__new__(ConstructionReport)
-    report.__dict__.update(labeled=FactoredProduct(kind, g, h), group=group,
-                           columns=columns, theorem=theorem,
-                           predicted_mu=predicted_mu, parameters=parameters)
-    return report
+    def labels(self) -> tuple[GroupElement, ...]:
+        return tuple(zip(*self.columns))
 
 
 def _verifying(core: Callable[..., Optional[ConstructionReport]]
@@ -228,10 +205,11 @@ def _label_matching_join_graph(g: Graph,
             "non-hub vertices must form a complete graph minus a perfect "
             "matching")
     _check_order(group, n)
-    assignment = [group.zero()] * n
+    columns = [[0] * n for _ in group.factors]
     for (a, b), (x, neg_x) in zip(pairs, _inverse_pair_values(group)):
-        assignment[a], assignment[b] = x, neg_x
-    return ConstructionReport(g, group, tuple(assignment), "matching-join",
+        for column, xk, nk in zip(columns, x, neg_x):
+            column[a], column[b] = xk, nk
+    return ConstructionReport(g, group, columns, "matching-join",
                               group.zero(), {"n": n})
 
 
@@ -254,10 +232,10 @@ def _label_star_graph(g: Graph,
     x = next((e for e in group.elements() if group.add(e, e) == target), None)
     if x is None:
         return None
-    rest = iter(e for e in group.elements() if e != x)
-    assignment = [x if v == center else next(rest) for v in range(n)]
-    return ConstructionReport(g, group, tuple(assignment), "star", x,
-                              {"n": n - 1})
+    rest = [e for e in group.elements() if e != x]
+    rest.insert(center, x)
+    return ConstructionReport(g, group, list(map(list, zip(*rest))), "star",
+                              x, {"n": n - 1})
 
 
 # ---------------------------------------------------------------------------
@@ -307,8 +285,8 @@ def _label_lex_c4k2(g: Graph, h: Graph,
     columns = _c4k2_columns(g, h, pairing, split, k)
     z = (2 * k + 2) % (4 * k + 2) if parities == {0} else 1
     predicted = split.from_pair(z, split.complement.zero())
-    return _product_report(g, h, "lex", group, columns, "c4k2-lex",
-                           predicted, {"k": k})
+    return ConstructionReport(FactoredProduct("lex", g, h), group, columns,
+                              "c4k2-lex", predicted, {"k": k})
 
 
 def _label_dir_c4k2(g: Graph, h: Graph,
@@ -322,8 +300,8 @@ def _label_dir_c4k2(g: Graph, h: Graph,
     split = _split_or_error(group, mod)
     columns = _c4k2_columns(g, h, pairing, split, k)
     predicted = split.from_pair((-2 * m * k) % mod, split.complement.zero())
-    return _product_report(g, h, "dir", group, columns, "c4k2-dir",
-                           predicted, {"k": k, "m": m})
+    return ConstructionReport(FactoredProduct("dir", g, h), group, columns,
+                              "c4k2-dir", predicted, {"k": k, "m": m})
 
 
 # ---------------------------------------------------------------------------
@@ -413,16 +391,16 @@ def _label_lex_balanced_pow2(g: Graph, h: Graph, group: GroupSpec,
     if s <= k - 1:
         columns = _pow2_columns(g, h, pairing, split, k, s)
         predicted = split.from_pair((-r) % (1 << s), split.complement.zero())
-        return _product_report(g, h, "lex", group, columns,
-                               "balanced-lex-small-s", predicted,
-                               {"k": k, "s": s, "r": r})
+        return ConstructionReport(FactoredProduct("lex", g, h), group,
+                                  columns, "balanced-lex-small-s", predicted,
+                                  {"k": k, "s": s, "r": r})
     m = _common_residue(g, 1 << (s - 1))
     columns = _pow2_columns(g, h, pairing, split, k, s)
     predicted = split.from_pair((-r - (1 << (k - 1)) * m) % (1 << s),
                                 split.complement.zero())
-    return _product_report(g, h, "lex", group, columns,
-                           "balanced-lex-large-s", predicted,
-                           {"k": k, "s": s, "r": r, "m": m})
+    return ConstructionReport(FactoredProduct("lex", g, h), group, columns,
+                              "balanced-lex-large-s", predicted,
+                              {"k": k, "s": s, "r": r, "m": m})
 
 
 def _label_dir_balanced_pow2(g: Graph, h: Graph, group: GroupSpec,
@@ -434,9 +412,9 @@ def _label_dir_balanced_pow2(g: Graph, h: Graph, group: GroupSpec,
     columns = _pow2_columns(g, h, pairing, split, k, s)
     predicted = split.from_pair((-m * r) % (1 << s), split.complement.zero())
     size = "small" if s <= k - 1 else "large"
-    return _product_report(g, h, "dir", group, columns,
-                           f"balanced-dir-{size}-s", predicted,
-                           {"k": k, "s": s, "r": r, "m": m})
+    return ConstructionReport(FactoredProduct("dir", g, h), group, columns,
+                              f"balanced-dir-{size}-s", predicted,
+                              {"k": k, "s": s, "r": r, "m": m})
 
 
 def _label_lex_even_degrees(g: Graph, h: Graph,
@@ -463,8 +441,8 @@ def _label_lex_even_degrees(g: Graph, h: Graph,
         (1 << k) - 1,
         ((i, zs, [a] * len(zs)) for i, a in enumerate(comp.elements())))
     predicted = split.from_pair((-r) % (1 << k), comp.zero())
-    return _product_report(g, h, "lex", group, columns, "even-degrees-lex",
-                           predicted, {"k": k, "r": r})
+    return ConstructionReport(FactoredProduct("lex", g, h), group, columns,
+                              "even-degrees-lex", predicted, {"k": k, "r": r})
 
 
 def _label_lex_kmn_mixed(g: Graph, h: Graph,
@@ -508,9 +486,10 @@ def _label_lex_kmn_mixed(g: Graph, h: Graph,
     _twin_pair_labels(columns, h.n, pairing, split, (1 << k) - 1,
                       ((i, y_zs, [a] * pairs) for i, a in zip(ys, y_vals)))
     predicted = split.from_pair((-r) % (1 << k), comp.zero())
-    return _product_report(g, h, "lex", group, columns, "kmn-mixed-lex",
-                           predicted, {"k": k, "r": r, "m": len(xs),
-                                       "n": len(ys), "t": (r - 1) // 2})
+    return ConstructionReport(FactoredProduct("lex", g, h), group, columns,
+                              "kmn-mixed-lex", predicted,
+                              {"k": k, "r": r, "m": len(xs), "n": len(ys),
+                               "t": (r - 1) // 2})
 
 
 # ---------------------------------------------------------------------------

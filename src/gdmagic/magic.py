@@ -56,57 +56,87 @@ class CertificateError(LabelingError):
     """Malformed certificate text."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class Labeling:
-    """A bijection from vertex ids to group elements.
-
-    ``assignment[v]`` is the label of vertex v; ``magic_constant`` is the
-    claimed common weight, when known.
-    """
+    """A bijection from vertex ids to group elements, held as one tuple of
+    plain ints per cyclic factor, ``columns[k][v]`` coordinate k of vertex
+    v's label; the rows ``assignment`` are built on their first read.
+    Given as rows (coerced) or as ``columns=``, the labels are checked once,
+    by ``_check_injective``. ``magic_constant`` is the claimed weight."""
 
     group: GroupSpec
-    assignment: tuple[GroupElement, ...]
+    columns: tuple[tuple[int, ...], ...]
     magic_constant: Optional[GroupElement] = None
 
-    def __post_init__(self):
-        elems = self.assignment
-        if not _reduced(self.group, elems):
-            elems = tuple(self.group.element(g) for g in elems)
-            object.__setattr__(self, "assignment", elems)
-        if len(elems) != self.group.order:
-            raise LabelingError(
-                f"{len(elems)} labels for a group of order "
-                f"{self.group.order_text()}")
-        if len(set(elems)) != len(elems):
-            raise LabelingError("assignment is not injective")
-        if self.magic_constant is not None:
-            object.__setattr__(self, "magic_constant",
-                               self.group.element(self.magic_constant))
+    def __init__(self, group: GroupSpec, assignment=None,
+                 magic_constant=None, *, columns=None):
+        columns = (_label_columns(group, assignment) if columns is None
+                   else _checked_columns(group, columns))
+        _check_injective(group, columns)
+        if magic_constant is not None:
+            magic_constant = group.element(magic_constant)
+        for field, value in zip(self.__dataclass_fields__,
+                                (group, columns, magic_constant)):
+            object.__setattr__(self, field, value)
+
+    @functools.cached_property
+    def assignment(self) -> tuple[GroupElement, ...]:
+        return tuple(zip(*self.columns)) or ((),) * self.group.order
 
 
-def _reduced(group: GroupSpec, labels) -> bool:
-    """Whether ``labels`` is already what coercing it through
-    ``group.element`` would give: a tuple of tuples of plain ints of the
-    group's arity, each coordinate in 0 <= c < its factor."""
-    if type(labels) is not tuple or not {tuple}.issuperset(map(type, labels)):
-        return False
-    if not {group.arity}.issuperset(map(len, labels)):
-        return False
-    return all(map(_reduced_column, zip(*labels), group.factors))
+def _label_columns(group: GroupSpec, labels) -> tuple[tuple[int, ...], ...]:
+    """The rows ``labels`` as one tuple per cyclic factor, coerced through
+    ``group.element`` unless all are reduced elements already; the count of
+    the trivial group's labels, which no column carries, is checked here."""
+    try:
+        rows = tuple(labels)
+        if not ({tuple}.issuperset(map(type, rows))
+                and {group.arity}.issuperset(map(len, rows))):
+            rows = tuple(map(group.element, rows))
+        columns = tuple(zip(*rows)) or ((),) * group.arity
+        if not _reduced(columns, group.factors):
+            columns = tuple(zip(*map(group.element, rows)))
+    except GroupError:
+        raise
+    except (TypeError, ValueError) as exc:
+        raise LabelingError(f"labels must be sequences of integer "
+                            f"coordinates, one per vertex ({exc})") from None
+    if not columns and len(rows) != group.order:
+        raise LabelingError(f"{len(rows)} labels for a group of order "
+                            f"{group.order_text()}")
+    return columns
 
 
-def _reduced_column(column: Sequence, f: int) -> bool:
-    """Whether every entry of ``column`` is a plain int 0 <= c < f."""
-    return ({int}.issuperset(map(type, column))
-            and min(column, default=0) >= 0 and max(column, default=0) < f)
+def _checked_columns(group: GroupSpec, columns: Iterable[Iterable[int]],
+                     least: int = 0) -> tuple[tuple[int, ...], ...]:
+    """``columns`` as tuples; raises unless they are ``least`` or more, one
+    per factor f, of one length, of plain ints 0 <= c < f."""
+    columns = tuple(map(tuple, columns))
+    if (not least <= len(columns) == group.arity
+            or len(set(map(len, columns))) > 1
+            or not _reduced(columns, group.factors)):
+        raise LabelingError(
+            f"label columns must be one list of plain ints 0 <= c < f per "
+            f"cyclic factor f of group {group}, all of one length")
+    return columns
+
+
+def _reduced(columns: Sequence[Sequence[int]], factors: Sequence[int]) -> bool:
+    """Whether every entry of ``columns`` is a plain int 0 <= c < factor."""
+    return (not columns or not columns[0]
+            or {int}.issuperset(map(type, itertools.chain(*columns)))
+            and min(map(min, columns)) >= 0
+            and all(map(operator.gt, factors, map(max, columns))))
 
 
 def _check_injective(group: GroupSpec, columns: Sequence[Sequence[int]]
                      ) -> None:
-    """Raise as ``Labeling`` does unless the labels given as ``columns``
-    (one per cyclic factor, of one length, reduced) are group.order labels,
-    no two alike: each label's coordinates make one mixed-radix code, its
-    position in ``GroupSpec.elements()``, and the codes go into one set."""
+    """Raise LabelingError unless the labels given as ``columns`` (one per
+    cyclic factor, of one length, reduced; none: the trivial group's one
+    label) are group.order labels, no two alike: each label's mixed-radix
+    code, its position in ``GroupSpec.elements()``, goes into one set."""
+    if not columns:
+        return
     codes = columns[0]
     if len(codes) != group.order:
         raise LabelingError(f"{len(codes)} labels for a group of order "
@@ -117,12 +147,19 @@ def _check_injective(group: GroupSpec, columns: Sequence[Sequence[int]]
         raise LabelingError("assignment is not injective")
 
 
+def _is_element(group: GroupSpec, x) -> bool:
+    try:  # a reduced element of the group's arity
+        return tuple(x) == group.element(x)
+    except (TypeError, ValueError):  # GroupError is a ValueError
+        return False
+
+
 def _check_sizes(g: Union[Graph, FactoredProduct],
                  labeling: Labeling) -> None:
-    if g.n != len(labeling.assignment):
+    if g.n != labeling.group.order:  # a Labeling labels every element once
         raise LabelingError(
             f"graph has {g.n} vertices but labeling covers "
-            f"{len(labeling.assignment)}")
+            f"{labeling.group.order}")
 
 
 def weight(g: Graph, labeling: Labeling, v: int) -> GroupElement:
@@ -259,8 +296,7 @@ def verify(g: Union[Graph, FactoredProduct],
     Edgeless graphs verify with the identity (all weights are empty sums).
     """
     _check_sizes(g, labeling)
-    mu, differs = _weights(g, labeling.group.factors,
-                           list(zip(*labeling.assignment)))
+    mu, differs = _weights(g, labeling.group.factors, labeling.columns)
     return mu if differs is None else None
 
 
@@ -273,8 +309,8 @@ def magic_permutations(g: Graph, labeling: Labeling) -> Iterator[Labeling]:
     least 1). Each edge (a, b) of a cheapest spanning tree of the distinct
     neighbourhoods (``Graph.twin_classes``), cheapest first, is a lazy
     C-level stage keeping a candidate whose sums over N_a∖N_b and N_b∖N_a
-    weigh the same (README, "the naive permutation scan"). Each hit is
-    confirmed, and given its constant, by ``verify``'s per-factor kernel
+    weigh the same (README, "the naive permutation scan"). Each hit's label
+    columns are confirmed, and given their constant, by ``verify``'s kernel
     (``_common_weight``); a hit it rejects raises LabelingError.
     """
     _check_sizes(g, labeling)
@@ -289,7 +325,7 @@ def magic_permutations(g: Graph, labeling: Labeling) -> Iterator[Labeling]:
     # each label's coordinates times their places, summed
     packed = list(map(sum, map(map, itertools.repeat(operator.mul), rows,
                                itertools.repeat(places))))
-    row_of = dict(zip(packed, rows)).__getitem__
+    coordinates = [dict(zip(packed, c)).__getitem__ for c in labeling.columns]
 
     @functools.cache
     def code(total):
@@ -324,17 +360,12 @@ def magic_permutations(g: Graph, labeling: Labeling) -> Iterator[Labeling]:
                            map(sum, picked))
         stream = itertools.compress(kept, map(operator.eq, *codes))
     for candidate in stream:
-        hit = tuple(map(row_of, candidate))
-        mu, _ = _common_weight(neighbourhoods, group.factors, zip(*hit))
+        columns = [tuple(map(get, candidate)) for get in coordinates]
+        mu, _ = _common_weight(neighbourhoods, group.factors, columns)
         if mu is None:  # never expected: the lookup or the packing is wrong
-            raise LabelingError(
-                f"the weight kernel finds {hit!r} not magic, which the "
-                f"packed scan kept")
-        # a rearrangement of a checked bijection is one, and the kernel's mu
-        # is reduced: Labeling.__post_init__ need not scan it again
-        found = object.__new__(Labeling)
-        found.__dict__.update(group=group, assignment=hit, magic_constant=mu)
-        yield found
+            raise LabelingError(f"the packed scan kept {columns!r}, which "
+                                f"the weight kernel finds not magic")
+        yield Labeling(group, columns=columns, magic_constant=mu)
 
 
 # obstructions ----------------------------------------------------------------
@@ -506,60 +537,48 @@ def all_obstructions(g: Graph) -> list[Obstruction]:
 
 # certificates ----------------------------------------------------------------
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class Certificate:
     """Self-contained record of a labeling: graph expression, group, claimed
     magic constant, per-vertex labels, and an optional construction tag.
 
-    A certificate made by ``from_columns``, or read from text laid out as
-    ``format_certificate`` writes it, holds its labels as one integer column
-    per cyclic factor, and its ``labels`` rows are built on their first
-    read."""
+    The labels are held as a Labeling holds them, but unchecked, until
+    ``verify_certificate``. Rows given are coerced as a Labeling's; rows
+    the group cannot hold are kept as given, for ``verify_certificate`` to
+    reject. The ``labels`` rows are built on their first read."""
 
     graph_expr: str
     group: GroupSpec
     mu: GroupElement
-    labels: tuple[GroupElement, ...]
+    _columns: Optional[tuple[tuple[int, ...], ...]]
     theorem: Optional[str] = None
+
+    def __init__(self, graph_expr: str, group: GroupSpec, mu: GroupElement,
+                 labels=None, theorem: Optional[str] = None, *, columns=None):
+        if columns is None:
+            try:
+                columns = _label_columns(group, labels)
+            except (GroupError, LabelingError):  # kept to name the fault
+                object.__setattr__(self, "labels", labels)
+        elif _is_element(group, mu):
+            columns, mu = _checked_columns(group, columns, 1), group.element(mu)
+        else:
+            raise LabelingError(f"mu {mu!r} is not an element of {group}")
+        for field, value in zip(self.__dataclass_fields__,
+                                (graph_expr, group, mu, columns, theorem)):
+            object.__setattr__(self, field, value)
 
     @classmethod
     def from_columns(cls, graph_expr: str, group: GroupSpec,
                      mu: GroupElement, columns: Iterable[Iterable[int]],
                      theorem: Optional[str] = None) -> Certificate:
         """The certificate whose label of vertex v has coordinate k
-        ``columns[k][v]``; each column is copied. Raises LabelingError
-        unless there is one column per cyclic factor of the group (at least
-        one), all of one length, of plain ints 0 <= c < factor."""
-        columns = [list(column) for column in columns]
-        if (not 0 < len(columns) == group.arity
-                or len(set(map(len, columns))) != 1
-                or not all(map(_reduced_column, columns, group.factors))):
-            raise LabelingError(
-                f"label columns must be one list of plain ints 0 <= c < f "
-                f"per cyclic factor f of group {group}, all of one length")
-        return _column_certificate(graph_expr, group, mu, columns, theorem)
+        ``columns[k][v]``; raises unless mu and the columns are reduced."""
+        return cls(graph_expr, group, mu, theorem=theorem, columns=columns)
 
-    def __getattr__(self, name: str):
-        # reached only for an attribute the instance lacks: the rows of a
-        # certificate that holds its labels as columns
-        columns = self.__dict__.get("_columns")
-        if name != "labels" or columns is None:
-            raise AttributeError(
-                f"{type(self).__name__!r} object has no attribute {name!r}")
-        labels = tuple(zip(*columns))
-        object.__setattr__(self, "labels", labels)
-        return labels
-
-
-def _column_certificate(graph_expr: str, group: GroupSpec, mu: GroupElement,
-                        columns: list[list[int]],
-                        theorem: Optional[str]) -> Certificate:
-    """A Certificate holding ``columns``, already checked: one list of
-    reduced plain ints per cyclic factor, all of one length."""
-    cert = object.__new__(Certificate)
-    cert.__dict__.update(graph_expr=graph_expr, group=group, mu=mu,
-                         theorem=theorem, _columns=columns)
-    return cert
+    @functools.cached_property
+    def labels(self) -> tuple[GroupElement, ...]:
+        return tuple(zip(*self._columns)) or ((),) * self.group.order
 
 
 def check_graph_line(graph_expr: str) -> None:
@@ -583,9 +602,9 @@ def format_certificate(cert: Certificate) -> str:
     lines.append(f"graph: {cert.graph_expr}")
     lines.append(f"group: {grp}")
     lines.append(f"mu: {grp.format_element(cert.mu)}")
-    columns = cert.__dict__.get("_columns")
-    lines += (grp.format_elements(cert.labels, "v %d ") if columns is None
-              else grp.format_columns(columns, "v %d "))
+    # rows the group cannot hold, kept with no columns, raise here
+    lines += grp.format_columns(cert._columns
+                                or _label_columns(grp, cert.labels), "v %d ")
     return "\n".join(lines) + "\n"
 
 
@@ -672,22 +691,22 @@ def _read_canonical(text: str) -> Optional[Certificate]:
             != "mu: " + numbers + ("v  " + numbers) * n):
         return None
     # the words are mu's k numbers, then per label its index and its k
-    # numbers: in steps of k + 1, the slice from j < k is column j, mu's
-    # number first, and the slice from k the indices
+    # numbers: in steps of k + 1, the slice from k is the indices, and the
+    # slice from k + 1 + j column j
     words = block.translate(str.maketrans("mu:v(),", "       ")).split()
-    step = arity + 1
+    step = arity + 1  # the indices 0..n-1 are compared as one string
     if (len(words) != arity + n * step
-            or words[arity::step] != list(map(str, range(n)))):
+            or " ".join(words[arity::step]) != " ".join(["%d"] * n) % (
+                *range(n),)):
         return None
     try:
-        columns = [list(map(int, words[k::step])) for k in range(arity)]
-    except ValueError:  # more digits than int() converts
+        mu = tuple(map(int, words[:arity]))
+        columns = [tuple(map(int, words[k::step]))
+                   for k in range(step, step + arity)]
+        # refuses a coordinate, or one of mu's, not below its factor
+        return Certificate.from_columns(graph, group, mu, columns, theorem)
+    except ValueError:  # a LabelingError, or more digits than int() reads
         return None
-    del words
-    if any(max(column) >= f for column, f in zip(columns, group.factors)):
-        return None
-    mu = tuple(column.pop(0) for column in columns)
-    return _column_certificate(graph, group, mu, columns, theorem)
 
 
 def parse_certificate(text: str) -> Certificate:
@@ -739,13 +758,11 @@ def save_certificate(cert: Certificate, filename: str) -> None:
 
 def verify_certificate(cert: Certificate) -> tuple[bool, str, Optional[GroupElement]]:
     """Recompute the certificate from scratch: parse the graph expression,
-    compare its size with the group order, check the labels, and check
-    every weight against the claimed mu. A top-level lex or dir product is
-    summed from its factors, unbuilt, so its size is compared with the group
-    order before anything that large is built. Labels held as columns are
-    checked and summed as columns, with no row built.
-
-    Returns (ok, detail, actual_mu).
+    compare its size with the group order, check the labels (as columns,
+    with no row built) and that mu is a group element, and check every
+    weight against mu. A top-level lex or dir product is summed from its
+    factors, unbuilt, so its size is compared with the group order before
+    anything that large is built. Returns (ok, detail, actual_mu).
     """
     try:
         g = parse_expression(cert.graph_expr)
@@ -755,14 +772,14 @@ def verify_certificate(cert: Certificate) -> tuple[bool, str, Optional[GroupElem
     if g.n != group.order:
         return False, (f"graph has {g.n} vertices but group {group} "
                        f"has order {group.order_text()}"), None
-    columns = cert.__dict__.get("_columns")
     try:
-        if columns is None:  # rows: checked and coerced as a Labeling
-            columns = list(zip(*Labeling(group, cert.labels).assignment))
-        else:  # reduced ints of one length: count and injectivity left
-            _check_injective(group, columns)
-    except LabelingError as exc:
+        # rows the group cannot hold, kept with no columns, raise here
+        columns = cert._columns or _label_columns(group, cert.labels)
+        _check_injective(group, columns)
+    except (GroupError, LabelingError) as exc:
         return False, str(exc), None
+    if not _is_element(group, cert.mu):
+        return False, f"mu {cert.mu!r} is not an element of {group}", None
     mu, differs = _weights(g, group.factors, columns)
     if differs is not None:
         v, wv = differs

@@ -893,9 +893,10 @@ def test_label_writes_no_certificate_for_a_wrong_construction(
 
     def swapped(*args):
         report = core(*args)
-        labels = list(report.labels)
-        labels[0], labels[5] = labels[5], labels[0]
-        return dataclasses.replace(report, labels=tuple(labels))
+        columns = [list(column) for column in report.columns]
+        for column in columns:  # labels 0 and 5 swapped
+            column[0], column[5] = column[5], column[0]
+        return dataclasses.replace(report, columns=columns)
 
     monkeypatch.setattr(constructors, "_label_lex_even_degrees", swapped)
     cert_path = tmp_path / "cert.txt"
@@ -920,15 +921,14 @@ def test_label_and_verify_check_a_certificate_once(monkeypatch, tmp_path):
             return _real(*args)
         monkeypatch.setattr(magic, name, counted)
 
-    def no_rows(self, name):
-        if name == "labels":
-            raise AssertionError(f"a {type(self).__name__} built label rows")
-        raise AttributeError(name)
+    def no_rows(self):
+        raise AssertionError(f"a {type(self).__name__} built label rows")
 
     # the labels go as columns from the labeler to the kernel and the text
-    for cls in (magic.Certificate, constructors.ConstructionReport):
-        monkeypatch.setattr(cls, "__getattr__", no_rows)
-    monkeypatch.setattr(magic, "_reduced", None)
+    for cls, rows in ((magic.Certificate, "labels"),
+                      (constructors.ConstructionReport, "labels"),
+                      (magic.Labeling, "assignment")):
+        monkeypatch.setattr(cls, rows, property(no_rows))
     cert_path = str(tmp_path / "cert.txt")
     assert _run(["label", "--graph", "C(500)", "--h", "KmM(8)", "--product",
                  "lex", "--group", "Z8xZ500", "--out", cert_path])[0] == 0

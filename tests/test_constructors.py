@@ -514,6 +514,50 @@ def test_label_with_method_columns_are_the_public_labelers_labels():
     assert labeled == set(METHODS)
 
 
+# one call per public labeler that labels its input
+VERIFIED_LABELERS = [
+    lambda: auto_label(cycle(3), cycle(4), "lex", P("Z4xZ3")),
+    lambda: auto_label_bare(star(3), P("Z4")),
+    lambda: label_dir_balanced_pow2(cycle(3), cycle(4), P("Z4xZ3"), 2),
+    lambda: label_lex_balanced_pow2(cycle(3), cycle(4), P("Z4xZ3"), 2),
+    lambda: label_dir_c4k2(cycle(4), complete_minus_matching(6),
+                           P("Z4xZ2xZ3")),
+    lambda: label_lex_c4k2(cycle(4), complete_minus_matching(6),
+                           P("Z4xZ2xZ3")),
+    lambda: label_lex_even_degrees(cycle(3), cycle(4), P("Z4xZ3")),
+    lambda: label_lex_kmn_mixed(complete_bipartite(2, 3), cycle(4),
+                                P("Z4xZ5")),
+    lambda: label_matching_join_graph(
+        join(complete_minus_matching(4), complete(1)), P("Z5")),
+    lambda: label_star_graph(star(3), P("Z4")),
+]
+
+
+@pytest.mark.parametrize("labeler", VERIFIED_LABELERS)
+def test_a_public_labeler_checks_its_columns_once_and_builds_no_rows(
+        monkeypatch, labeler):
+    from gdmagic import constructors, magic
+
+    calls = {"_check_injective": 0, "_weights": 0}
+    for name in calls:
+        def counted(*args, _real=getattr(magic, name), _name=name):
+            calls[_name] += 1
+            return _real(*args)
+        monkeypatch.setattr(magic, name, counted)
+
+    def no_rows(self):
+        raise AssertionError(f"a {type(self).__name__} built label rows")
+
+    for cls, rows in ((magic.Labeling, "assignment"),
+                      (constructors.ConstructionReport, "labels")):
+        monkeypatch.setattr(cls, rows, property(no_rows))
+    report = labeler()
+    # the labeler's columns go unchanged into the Labeling that verify
+    # sums: one scan of the labels and one weight pass
+    assert calls == {"_check_injective": 1, "_weights": 1}
+    assert report.labeling.columns == tuple(map(tuple, report.columns))
+
+
 def test_every_report_verifies_and_is_bijective():
     for rep, _ in _sample_reports():
         group = rep.labeling.group

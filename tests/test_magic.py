@@ -529,6 +529,57 @@ def test_certificate_from_columns_refuses_columns_of_two_lengths():
         Certificate.from_columns("K(1)", GroupSpec(()), (), [])
 
 
+def _lex_c3_c4_columns():
+    """lex(C(3),C(4)) over Z4xZ3 (order 12), its label columns and mu."""
+    from gdmagic.constructors import label_with_method
+
+    group = parse_group_spec("Z4xZ3")
+    report = label_with_method("auto", cycle(3), cycle(4), "lex", group, None)
+    return group, report.columns, report.predicted_mu
+
+
+def test_certificate_from_columns_refuses_a_mu_the_group_cannot_hold():
+    group, columns, mu = _lex_c3_c4_columns()
+    assert mu == (3, 0)
+    cert = Certificate.from_columns("lex(C(3),C(4))", group, mu, columns)
+    assert parse_certificate(format_certificate(cert)) == cert
+    # (7,0) would be written as "mu: (7,0)", which the reader refuses
+    for bad in ((7, 0), (3,), (3, 0, 0), (3, -3), (3.5, 0), "30", 3):
+        with pytest.raises(LabelingError, match=r"^mu .* is not an element"):
+            Certificate.from_columns("lex(C(3),C(4))", group, bad, columns)
+
+
+def test_verify_certificate_rejects_a_mu_of_the_wrong_arity():
+    group, columns, _ = _lex_c3_c4_columns()
+    cert = Certificate("lex(C(3),C(4))", group, (3,), tuple(zip(*columns)))
+    assert verify_certificate(cert) == (
+        False, "mu (3,) is not an element of Z4xZ3", None)
+
+
+def test_verify_certificate_rejects_rows_of_the_wrong_arity():
+    group, columns, mu = _lex_c3_c4_columns()
+    rows = list(zip(*columns))
+    rows[5] = rows[5][:1]
+    cert = Certificate("lex(C(3),C(4))", group, mu, rows)
+    assert cert.labels == rows  # kept as given
+    assert verify_certificate(cert) == (
+        False, "element arity 1 does not match group Z4xZ3 (arity 2)", None)
+    with pytest.raises(GroupError, match="element arity 1"):
+        format_certificate(cert)
+    for labels in ((0, 1, 2, 3), (("0",), ("1",), ("2",), ("x",))):
+        ok, detail, _ = verify_certificate(Certificate("C(4)", Z4, (0,), labels))
+        assert not ok and detail.startswith("labels must be sequences of "
+                                            "integer coordinates")
+
+
+def test_a_labeling_of_rows_that_are_not_sequences_names_them():
+    with pytest.raises(LabelingError, match="labels must be sequences of "
+                       "integer coordinates.*'int' object is not iterable"):
+        Labeling(Z4, (0, 1, 2, 3))
+    with pytest.raises(LabelingError, match="labels must be sequences"):
+        Labeling(Z4, 5)
+
+
 def test_a_canonical_certificate_with_a_repeated_label_is_not_injective():
     text = _CANONICAL.replace("v 5 (1,2)", "v 5 (1,1)")
     cert = parse_certificate(text)
@@ -650,10 +701,14 @@ def test_naive_hits_are_labelings_whose_invariants_hold(expr, group):
     assert hits
     for hit in hits:
         assert type(hit) is Labeling
-        # built again through __post_init__, which checks and coerces it
+        # built again from its rows, which are checked and coerced
         again = Labeling(group, hit.assignment, hit.magic_constant)
         assert again == hit and hash(again) == hash(hit)
-        assert magic._reduced(group, hit.assignment)
+        # its labels are reduced elements, held as tuples of plain ints
+        assert all(type(label) is tuple and group.element(label) == label
+                   and {int}.issuperset(map(type, label))
+                   for label in hit.assignment)
+        assert hit.columns == tuple(zip(*hit.assignment))
         assert hit.magic_constant == verify(g, hit)
 
 

@@ -46,6 +46,42 @@ def test_private_import_scan_sees_nested_imports(tmp_path):
                                          "_pow2_host")]
 
 
+def _constructor_bypasses(path):
+    """(line, text) for every place the module makes an instance without
+    its constructor: a call of ``object.__new__`` (or of any ``__new__``),
+    and any use of an object's ``__dict__``, directly or through ``vars``,
+    through which an instance is filled unchecked."""
+    found = []
+    for node in ast.walk(ast.parse(path.read_text(), str(path))):
+        call = isinstance(node, ast.Call)
+        if (call and isinstance(node.func, ast.Attribute)
+                and node.func.attr == "__new__"
+                or call and isinstance(node.func, ast.Name)
+                and node.func.id == "vars" and node.args
+                or isinstance(node, ast.Attribute) and node.attr == "__dict__"):
+            found.append((node.lineno, ast.unparse(node)))
+    return sorted(found)
+
+
+def test_modules_make_no_instance_without_its_constructor():
+    offenders = {path.name: _constructor_bypasses(path)
+                 for path in sorted(PACKAGE.glob("*.py"))}
+    assert {name: hits for name, hits in offenders.items() if hits} == {}
+
+
+def test_constructor_bypass_scan_sees_new_and_dict(tmp_path):
+    module = tmp_path / "m.py"
+    module.write_text("import functools\n"
+                      "def f(cls, x):\n"
+                      "    made = object.__new__(cls)\n"
+                      "    made.__dict__.update(x=x)\n"
+                      "    vars(made)['y'] = cls.__new__(cls)\n"
+                      "    return functools.partial(cls, x)\n")
+    assert _constructor_bypasses(module) == [
+        (3, "object.__new__(cls)"), (4, "made.__dict__"),
+        (5, "cls.__new__(cls)"), (5, "vars(made)")]
+
+
 def _unused_imports(path):
     """(line, name) for every name the module imports but never reads,
     neither as a name nor through ``__all__``; ``__future__`` imports are

@@ -311,13 +311,13 @@ def test_naive_count_builds_a_labeling_only_per_hit(monkeypatch, expr, spec,
     from gdmagic.magic import Labeling
 
     built = []
-    real = Labeling.__post_init__
+    real = Labeling.__init__
 
-    def counting(self):
-        built.append(self.assignment)
-        real(self)
+    def counting(self, *args, **kwargs):
+        real(self, *args, **kwargs)
+        built.append(self)
 
-    monkeypatch.setattr(Labeling, "__post_init__", counting)
+    monkeypatch.setattr(Labeling, "__init__", counting)
     g = construct_graph(expr)
     assert search_labelings(g, P(spec), COUNT_NAIVE) == hits
     # one to check the group's elements, then one per hit
