@@ -31,7 +31,6 @@ from .magic import (
     load_certificate,
     save_certificate,
     verify_certificate,
-    FORCED_IDENTITY,
 )
 from .solver import (
     SearchOptions,
@@ -186,8 +185,7 @@ def _cmd_obstructions(args, out: TextIO, err: TextIO) -> int:
               {"kind": o.kind, "witness": list(o.witness), "detail": o.detail}
               for o in findings]},
           lambda: "\n".join(map(line, findings)) if findings else "none")
-    negative = any(o.kind != FORCED_IDENTITY for o in findings)
-    return _NEGATIVE if negative else 0
+    return _NEGATIVE if any(o.blocks for o in findings) else 0
 
 
 # The options of each verb as (flag, add_argument keywords) rows, in the

@@ -380,14 +380,19 @@ FORCED_IDENTITY = "forced-identity"
 class Obstruction:
     """A structural finding about a graph's magic labelings.
 
-    ``two-universal``, ``shared-neighborhood`` and ``tree-shape`` rule out a
-    magic labeling over every group of matching order; ``forced-identity``
-    only pins the label of one vertex to the identity.
+    ``two-universal``, ``shared-neighborhood`` and ``tree-shape`` block: they
+    rule out a magic labeling over every group of matching order.
+    ``forced-identity`` only pins the label of one vertex to the identity.
     """
 
     kind: str
     witness: tuple[int, ...]
     detail: str
+
+    @property
+    def blocks(self) -> bool:
+        """Whether no group of the graph's order has a magic labeling."""
+        return self.kind != FORCED_IDENTITY
 
 
 def obstruction_two_universal(g: Graph) -> Optional[Obstruction]:

@@ -25,7 +25,7 @@ from typing import NamedTuple
 
 from .abelian import GroupSpec, cayley_tables, enumerate_abelian_groups
 from .graphs import Graph
-from .magic import Labeling, magic_permutations
+from .magic import Labeling, all_obstructions, magic_permutations
 
 __all__ = [
     "SolverError",
@@ -96,12 +96,6 @@ def _constraints(g: Graph) -> list[tuple[frozenset[int], bool]]:
     everyone = frozenset(range(g.n))
     return [(nbrs, True) if 2 * len(nbrs) <= g.n else (everyone - nbrs, False)
             for nbrs in g.twin_classes[0]]
-
-
-def _has_closed_twins(g: Graph) -> bool:
-    """Whether two vertices u, v have N(u) + u = N(v) + v. Such twins are
-    adjacent, so w(u) - w(v) = l(v) - l(u): no labeling is magic."""
-    return len({nbrs | {v} for v, nbrs in enumerate(g.adj)}) < g.n
 
 
 def _search(g: Graph, group: GroupSpec, order: list[int], mode: str,
@@ -338,6 +332,21 @@ def _run(g: Graph, group: GroupSpec, mode: str, plan: _Plan, pool):
     return result * g.n if prefix and mode == "count" else result
 
 
+def _answers(g: Graph, specs: list[GroupSpec], opts: SearchOptions) -> list:
+    """The answer of ``opts`` for g over each group of ``specs``: every
+    request is checked first, the naive oracle scans every graph, and a
+    blocking obstruction answers before any plan, table or pool."""
+    for spec in specs:
+        _check_request(g, spec, opts)
+    if not opts.use_pruning:
+        return [_naive(g, spec, opts.mode) for spec in specs]
+    if any(o.blocks for o in all_obstructions(g)):
+        return [0 if opts.mode == "count" else [] for _ in specs]
+    plan = _plan(g, opts)
+    with _branch_pool(opts.jobs, len(plan.branches)) as pool:
+        return [_run(g, spec, opts.mode, plan, pool) for spec in specs]
+
+
 def search_labelings(g: Graph, group: GroupSpec,
                      opts: SearchOptions = SearchOptions()):
     """All magic labelings of g over the group, in a deterministic order.
@@ -345,20 +354,14 @@ def search_labelings(g: Graph, group: GroupSpec,
     Returns a list of labelings for modes "first" and "all", or an int for
     mode "count". The naive path accepts at most 8 vertices, the pruned path
     at most 12, and mode "all" lists at most ALL_MODE_CAP labelings. The
-    pruned path does not search a graph with closed twins, which has none.
-    With jobs > 1 the pruned search splits into one branch per label of the
+    pruned path does not search a graph with a blocking obstruction
+    (``Obstruction.blocks``), which has none; the naive path scans it. With
+    jobs > 1 the pruned search splits into one branch per label of the
     first vertex that is not pinned, and runs them on at most min(jobs, cpu
     count, branches) worker processes; the results are the same as with
     jobs = 1.
     """
-    _check_request(g, group, opts)
-    if not opts.use_pruning:
-        return _naive(g, group, opts.mode)
-    if _has_closed_twins(g):
-        return 0 if opts.mode == "count" else []
-    plan = _plan(g, opts)
-    with _branch_pool(opts.jobs, len(plan.branches)) as pool:
-        return _run(g, group, opts.mode, plan, pool)
+    return _answers(g, [group], opts)[0]
 
 
 def classify_over_all_groups(g: Graph,
@@ -367,18 +370,9 @@ def classify_over_all_groups(g: Graph,
     """For each isomorphism class of abelian groups of order |V(g)|, whether
     g admits a magic labeling; g is group distance magic when all do.
 
-    With jobs > 1 every group's search runs on one shared process pool.
+    ``search_labelings``'s first mode, over all groups at once: one
+    obstruction scan, and with jobs > 1 one shared process pool.
     """
-    first = replace(opts, mode="first")
     specs = enumerate_abelian_groups(g.n)
-    for spec in specs:
-        _check_request(g, spec, first)
-    if not first.use_pruning:
-        return {spec: bool(_naive(g, spec, "first")) for spec in specs}
-    if _has_closed_twins(g):
-        return dict.fromkeys(specs, False)
-    plan = _plan(g, first)
-    with _branch_pool(first.jobs, len(plan.branches)) as pool:
-        return {spec: bool(_run(g, spec, "first", plan, pool))
-                for spec in specs}
-
+    found = _answers(g, specs, replace(opts, mode="first"))
+    return {spec: bool(labelings) for spec, labelings in zip(specs, found)}

@@ -817,20 +817,26 @@ def test_naive_scan_keeps_its_hits_on_the_atlas():
 
     nx = pytest.importorskip("networkx")
     # every graph of 1-7 vertices, over every group of its order: the hits
-    # and their constants, in order, whatever stages the scan is made of
-    sha, cases, hits = hashlib.sha256(), 0, 0
+    # and their constants, in order, whatever stages the scan is made of;
+    # and none on a graph with a blocking obstruction, which the pruned
+    # search answers without searching
+    sha, cases, hits, blocked = hashlib.sha256(), 0, 0, 0
     for h in nx.graph_atlas_g()[1:]:
         g = Graph.from_edges(h.number_of_nodes(), h.edges())
+        blocks = any(o.blocks for o in all_obstructions(g))
+        blocked += blocks
         for group in enumerate_abelian_groups(g.n):
             cases += 1
             for hit in magic.magic_permutations(
                     g, Labeling(group, tuple(group.elements()))):
+                assert not blocks, list(h.edges())
                 hits += 1
                 sha.update(repr((hit.assignment,
                                  hit.magic_constant)).encode())
     assert (cases, hits, sha.hexdigest()) == (
         1263, 10361,
         "87dec2defca07ae826b96386a213567d569d42695ef0f885e8a732797b84fb33")
+    assert blocked == 1077
 
 
 # the instances of at most 8 vertices that perfbench's search workload runs

@@ -184,7 +184,7 @@ def test_classify_starts_one_pool(monkeypatch):
     outputs = []
     for jobs in ("1", "2"):
         out = io.StringIO()
-        assert run(["classify", "--graph", "C(8)", "--jobs", jobs], out) == 1
+        assert run(["classify", "--graph", "KmM(8)", "--jobs", jobs], out) == 0
         outputs.append(out.getvalue())
     assert made == [{"processes": 2}]
     assert outputs[0] == outputs[1]
@@ -569,6 +569,56 @@ def test_naive_first_reads_the_permutations_no_further_than_the_first_hit(
     read.clear()
     code, out, _ = _cli(["classify", "--graph", "Kb(2,6)", "--naive"])
     assert code == 0 and len(read) == 721 + 1 + 1
+
+
+def _recipe_graph(i):
+    """Graph i of a fixed recipe of random 12-vertex graphs: one
+    random.Random(12) draws them in turn, and graph k takes each pair
+    u < v, in order, as an edge with probability (0.3, 0.5, 0.7)[k % 3]."""
+    rnd = random.Random(12)
+    for k in range(i + 1):
+        p = (0.3, 0.5, 0.7)[k % 3]
+        edges = [e for e in itertools.combinations(range(12), 2)
+                 if rnd.random() < p]
+    return Graph.from_edges(12, edges)
+
+
+def test_blocking_obstructions_are_answered_without_searching(monkeypatch):
+    """Graphs with no closed twins but a shared-neighborhood witness, on
+    which the pruned search took 0.3 s (the prism) and 7-10 s per group
+    (graphs 2 and 11 of the recipe); the naive oracle still scans them."""
+    from gdmagic import solver
+    from gdmagic.magic import all_obstructions
+
+    def refuse(*args):
+        raise AssertionError("searched a graph with a blocking obstruction")
+
+    monkeypatch.setattr(solver, "_search", refuse)
+    for g, witness in ((construct_graph("cart(K(2),C(6))"), (0, 7)),
+                       (_recipe_graph(2), (4, 9)),
+                       (_recipe_graph(11), (4, 11))):
+        assert len({nbrs | {v} for v, nbrs in enumerate(g.adj)}) == g.n
+        assert [(o.kind, o.witness) for o in all_obstructions(g)] == \
+            [("shared-neighborhood", witness)]
+        for group in enumerate_abelian_groups(g.n):
+            assert search_labelings(g, group, SearchOptions()) == []
+            assert search_labelings(g, group, ALL) == []
+            assert search_labelings(g, group, COUNT) == 0
+        assert set(classify_over_all_groups(g).values()) == {False}
+    assert _cli(["search", "--graph", "cart(K(2),C(6))", "--group", "Z12",
+                 "--json"]) == \
+        (1, '{"mode": "first", "count": 0, "labelings": []}\n', "")
+    # C(8) has a shared-neighborhood witness too, but --naive is not gated
+    real, read = itertools.permutations, []
+
+    def source(labels):
+        for candidate in real(labels):
+            read.append(candidate)
+            yield candidate
+    monkeypatch.setattr(itertools, "permutations", source)
+    assert _cli(["search", "--graph", "C(8)", "--group", "Z8", "--mode",
+                 "count", "--naive"])[0] == 1
+    assert len(read) == math.factorial(8)
 
 
 def test_closed_twins_start_no_pool_and_keep_the_exit_codes(monkeypatch):
