@@ -25,7 +25,6 @@ __all__ = [
     "parse_group_spec",
     "involutions",
     "sum_of_elements",
-    "cayley_tables",
     "MAX_GROUP_ORDER",
     "enumerate_abelian_groups",
     "find_cyclic_factor",
@@ -243,29 +242,6 @@ def sum_of_elements(spec: GroupSpec) -> GroupElement:
     if len(invs) == 1:
         return next(iter(invs))
     return spec.zero()
-
-
-def cayley_tables(spec: GroupSpec) -> tuple[list[list[int]], list[int], int]:
-    """The group coded by element index, its position in ``elements()``:
-    ``add[a][b]`` is the code of a + b, ``neg[a]`` the code of -a, and the
-    third value the code of s(spec).
-
-    Built one cyclic factor at a time on the codes alone: a code is a
-    mixed-radix number, last factor least significant, so appending a
-    factor f takes (code a, digit y) to a·f + y. The table has order**2
-    entries; build it only for small groups.
-    """
-    add, neg = [[0]], [0]
-    for f in spec.factors:
-        shifts = [[(y + z) % f for z in range(f)] for y in range(f)]
-        add = [[c + w for c in scaled for w in shift]
-               for scaled in ([a * f for a in row] for row in add)
-               for shift in shifts]
-        neg = [a * f + (-y) % f for a in neg for y in range(f)]
-    s = 0
-    for x, f in zip(sum_of_elements(spec), spec.factors):
-        s = s * f + x
-    return add, neg, s
 
 
 def _partitions_desc(n: int):

@@ -38,6 +38,7 @@ __all__ = [
     "tree_group_magic",
     "kmn_group_magic",
     "detect_biregular_universal",
+    "blocking_obstruction",
     "all_obstructions",
     "check_graph_line",
     "format_certificate",
@@ -515,21 +516,31 @@ def detect_biregular_universal(g: Graph) -> Optional[tuple[int, int]]:
     return None
 
 
-def all_obstructions(g: Graph) -> list[Obstruction]:
-    """Run every structural check and collect the findings."""
-    out = []
+def _blocking_findings(g: Graph) -> Iterator[Obstruction]:
+    """The findings that block, in the order ``all_obstructions`` reports
+    them, each check run only when the one before it has been read."""
     for check in (obstruction_two_universal, obstruction_shared_neighborhood):
         found = check(g)
         if found:
-            out.append(found)
+            yield found
     try:
         tree_shape = not tree_group_magic(g)
     except LabelingError:  # not a tree on two or more vertices
         tree_shape = False
     if tree_shape:
-        out.append(Obstruction(
-            TREE_SHAPE, (),
-            "tree is not a star K(1,m) with m mod 4 != 1"))
+        yield Obstruction(TREE_SHAPE, (),
+                          "tree is not a star K(1,m) with m mod 4 != 1")
+
+
+def blocking_obstruction(g: Graph) -> Optional[Obstruction]:
+    """The first finding of ``all_obstructions`` that blocks, or None; no
+    check runs after it, and no check that cannot block runs at all."""
+    return next(_blocking_findings(g), None)
+
+
+def all_obstructions(g: Graph) -> list[Obstruction]:
+    """Run every structural check and collect the findings."""
+    out = list(_blocking_findings(g))
     det = detect_biregular_universal(g)
     if det is not None:
         v, r2 = det

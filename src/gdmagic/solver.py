@@ -2,10 +2,12 @@
 
 Two engines share nothing but the definition of a weight:
 
-* a pruned backtracking search over integer element codes (the group's
-  Cayley table from ``abelian.cayley_tables``): one sum constraint per
-  vertex, forward checking, translation and open-twin symmetry in count
-  and first mode, and in count mode a closed-form count of the free tail;
+* a pruned search that reads the magic system's own linear algebra: per
+  cyclic factor of the group, one Howell form of the system tells each
+  vertex exactly which labels still extend to a solution, so the only
+  dead ends are repeated labels; translation and open-twin symmetry in
+  count and first mode, and in count mode a closed-form count of the free
+  tail;
 * a deliberately naive permutation scan, used as the independent oracle:
   every one of the n! permutations of the group's elements, unpruned, is
   scored on packed integer labels, one stage per edge of a cheapest
@@ -18,14 +20,12 @@ from __future__ import annotations
 
 import itertools
 import math
-import os
-from contextlib import contextmanager
 from dataclasses import dataclass, replace
-from typing import NamedTuple
+from typing import NamedTuple, Optional
 
-from .abelian import GroupSpec, cayley_tables, enumerate_abelian_groups
+from .abelian import GroupSpec, enumerate_abelian_groups, sum_of_elements
 from .graphs import Graph
-from .magic import Labeling, all_obstructions, magic_permutations
+from .magic import Labeling, blocking_obstruction, magic_permutations
 
 __all__ = [
     "SolverError",
@@ -56,8 +56,8 @@ class SearchSizeError(SolverError):
 @dataclass(frozen=True)
 class SearchOptions:
     """mode: first | all | count; vertex_order: degree_desc | input;
-    use_pruning=False selects the naive oracle path; jobs: the most worker
-    processes a pruned search runs its branches on (1: none)."""
+    use_pruning=False selects the naive oracle path; jobs: checked to be at
+    least 1 and otherwise ignored, since every search runs in one process."""
 
     mode: str = "first"
     vertex_order: str = "degree_desc"
@@ -82,182 +82,242 @@ def _naive(g: Graph, group: GroupSpec, mode: str):
     return list(itertools.islice(hits, 1 if mode == "first" else None))
 
 
-def _constraints(g: Graph) -> list[tuple[frozenset[int], bool]]:
-    """One weight constraint per distinct neighbourhood, in order of first
-    occurrence (``Graph.twin_classes``), in the smaller of two equivalent
-    forms: twins have one constraint.
+def _howell(rows: list[list[int]], f: int) -> list[Optional[list[int]]]:
+    """A Howell form over Z_f of ``rows``, lists of one length with entries
+    in [0, f): per column c, the one row that leads there, as its entries
+    from c on, or None. Rows combine two at a time by unimodular steps,
+    which keep their span, and after each pivot its multiple by
+    f / gcd(pivot, f), zero in the pivot's column, joins the rows left. So
+    for every c the rows that lead at c or later span every vector of the
+    row module that is zero before c (J. A. Howell, "Spans in the module
+    (Z_m)^s", 1986; A. Storjohann, "Algorithms for Matrix Canonical Forms",
+    2000)."""
+    inverse = {a: pow(a, -1, f) for a in range(1, f) if math.gcd(a, f) == 1}
+    leads: list[Optional[list[int]]] = []
+    for _ in range(len(rows[0]) if rows else 0):
+        pivot, rest = None, []
+        for row in rows:
+            if row[0]:
+                if pivot is None:
+                    pivot = row
+                    continue
+                if pivot[0] in inverse:
+                    q = row[0] * inverse[pivot[0]]
+                    row = [(y - q * x) % f for x, y in zip(pivot, row)]
+                else:  # Euclid on the leading entries, swapping the rows
+                    while row[0]:
+                        q = pivot[0] // row[0]
+                        pivot, row = row, [(x - q * y) % f
+                                           for x, y in zip(pivot, row)]
+                if not any(row):
+                    continue
+            rest.append(row[1:])
+        if pivot is not None:
+            annihilator = f // math.gcd(pivot[0], f)
+            if annihilator < f:
+                rest.append([x * annihilator % f for x in pivot[1:]])
+        leads.append(pivot)
+        rows = rest
+    return leads
 
-    w(v) = mu is a sum over N(v); since all labels sum to s(group), it is
-    also s - (sum over V - N(v)) = mu, whose members include v itself.
-    A constraint is (members, plus): its running value starts at 0 and
-    adds each member's label (plus), or starts at s and subtracts them, and
-    it holds when the closed value equals mu.
-    """
-    everyone = frozenset(range(g.n))
-    return [(nbrs, True) if 2 * len(nbrs) <= g.n else (everyone - nbrs, False)
-            for nbrs in g.twin_classes[0]]
+
+class _FactorSystem(NamedTuple):
+    """The magic system over one cyclic factor Z_f as the search reads it:
+    each Howell row, and then mu, keeps its constant plus its coefficients
+    times the labels so far in a field of ``width`` bits of one integer,
+    which starts at ``constant`` and gains x times ``weights[j]`` when
+    depth j takes residue x. ``reads``: per row, (its depth, its field's
+    shift, h = gcd(its leading coefficient, f)); x solves it when
+    h·x + field = 0. ``free``: the least depth whose labels on are free."""
+
+    width: int
+    reads: list[tuple[int, int, int]]
+    weights: list[int]
+    constant: int
+    free: int
+
+
+def _factor_system(g: Graph, order: list[int], f: int,
+                   s: int) -> Optional[_FactorSystem]:
+    """The magic system of g over Z_f in Howell form, or None when it has no
+    solution. The unknowns are the labels along ``order`` and mu: one
+    equation sum over N of l = mu per distinct neighbourhood N
+    (``Graph.twin_classes``), less the first one's to eliminate mu, and
+    sum of all l = s, the coordinate of s(group). The columns run through
+    the labels in reverse order, then the constant, so the rows that lead at
+    depth d or before span every equation on the labels up to d: a prefix
+    extends to a solution exactly when each label solves the row that leads
+    at its depth.
+
+    Depth d starts a free tail when no row leads after d but the last
+    depth's, and that row's coefficients from d on are all its unit leading
+    one: every equation on the labels from d on is then a multiple of their
+    sum, which a labeling by all the group's elements fixes."""
+    n = g.n
+    column = [0] * n
+    for d, v in enumerate(order):
+        column[v] = n - 1 - d
+    first, *others = g.twin_classes[0]
+    rows = []
+    for nbrs in others:
+        row = [0] * (n + 1)
+        for v in nbrs - first:
+            row[column[v]] = 1
+        for v in first - nbrs:
+            row[column[v]] = f - 1
+        rows.append(row)
+    rows.append([1] * n + [-s % f])
+    leads = _howell(rows, f)
+    if leads[n] is not None:  # a row 0 = c with c != 0
+        return None
+    width = (f + n * (f - 1) ** 2).bit_length()
+    reads, weights, constant = [], [0] * n, 0
+    for depth in range(n):
+        lead = leads[n - 1 - depth]
+        if lead is not None:
+            h, at = math.gcd(lead[0], f), len(reads) * width
+            # a unit u with u·lead[0] = h, which keeps the row's solutions
+            u = pow(lead[0], -1, f) if h == 1 else next(
+                u for u in range(1, f)
+                if u * lead[0] % f == h and math.gcd(u, f) == 1)
+            reads.append((depth, at, h))
+            weights[:depth] = [w + (u * b % f << at) for w, b in
+                               zip(weights, reversed(lead[1:-1]))]
+            constant += u * lead[-1] % f << at
+    for v in first:  # mu, the weight of vertex 0
+        weights[n - 1 - column[v]] += 1 << len(reads) * width
+    free, last = n, leads[0]
+    if last is not None and math.gcd(last[0], f) == 1:
+        free = n - 1  # last[n - d]: the coefficient at depth d - 1
+        while free and leads[n - free] is None and last[n - free] == last[0]:
+            free -= 1
+    return _FactorSystem(width, reads, weights, constant, free)
 
 
 def _search(g: Graph, group: GroupSpec, order: list[int], mode: str,
-            prefix: tuple[int, ...] = (), pinned: bool = False):
-    """Backtracking over integer element codes with forward checking.
+            pinned: bool, systems: dict):
+    """Label the vertices in ``order``, each with the element codes (indices
+    in ``group.elements()``) that extend the labels before it to a solution
+    of the magic system, in element order: results come in lexicographic
+    order of the label sequence along ``order``. Per cyclic factor, the
+    Howell rows of ``_factor_system`` (kept in ``systems`` by (f, s) for
+    the request's next group) say which residues those are, as bit masks
+    of codes, so a candidate fails only by repeating a label.
 
-    Vertices are labeled in ``order``, each trying the unused codes in
-    element order, so results come in lexicographic order of the label
-    sequence along ``order``. The first closed constraint fixes mu; a later
-    one that disagrees cuts the branch. Once mu is known, a constraint with
-    one unlabeled member left forces that member's label, and the branch is
-    cut when the forced label is taken. ``prefix`` fixes the codes of the
-    first vertices of ``order``; ``pinned`` says that the first of them is
-    pinned by translation symmetry rather than chosen by a branch.
+    ``pinned``, on a regular graph in count and first mode: l -> l + c keeps
+    all weights equal (the all-ones direction lies in the solution module)
+    and moves every labeling when c != 0, so order[0] takes code 0 and
+    count mode multiplies by n; the least labeling has code 0 there anyway.
 
-    In first and count mode the members of each open twin class (``order[0]``
-    left out when pinned) take increasing codes along ``order``: swapping
-    twins maps a magic labeling to one with the same mu, so this keeps one
-    labeling per orbit, and the least of each orbit, which holds the first
-    witness. A vertex stops trying codes once too few unused codes above
-    the candidate are left for its class members after it. In count mode,
-    once every constraint is closed the vertices left take the labels left
-    in every twin-ordered way, counted in closed form, and the count is
-    multiplied by k! per class of k members.
-    Returns the count of labelings that extend ``prefix``, or their list.
+    In first and count mode the members of each open twin class (order[0]
+    left out when pinned) take increasing codes along ``order``: a twin
+    swap keeps mu, so this keeps the least labeling of each orbit, and a
+    vertex stops once too few unused codes above its candidate are left for
+    the members after it. In count mode the free tail, when it is one
+    class, takes the unused codes above the member before it in one way or
+    none, and the count is multiplied by k! per class of k members.
+    Returns the count, or the list of labelings.
     """
     n = g.n
-    add, neg, s = cayley_tables(group)
-    sub = [[row[b] for b in neg] for row in add]
-    # column b of sub holds a - b = -b + a: row -b of add (the group is abelian)
-    sub_t = [add[b] for b in neg]
     elements = list(group.elements())
-    cons = _constraints(g)
-    step = [add if plus else sub for _, plus in cons]
-    unstep = [sub if plus else add for _, plus in cons]
-    # force[c][mu][value]: the last member's label that closes c at mu
-    force = [sub if plus else sub_t for _, plus in cons]
-    value = [0 if plus else s for _, plus in cons]
-    left = [len(members) for members, _ in cons]
-    cons_of = [[c for c, (members, _) in enumerate(cons) if v in members]
-               for v in range(n)]
-    used = [False] * n
-    # label[n] = -1 stands for the code before v's when v is first in its
-    # class, so that v's least code is always label[prev[v]] + 1
-    label = [0] * n + [-1]
-    prev = [n] * n
-    later = [0] * n
+    # every factor's fields, one after another in one integer
+    reads: list[list] = [[] for _ in range(n)]  # (shift, mask, f, solving)
+    adds = [[0] * n] * n  # adds[j][e]: what depth j taking code e adds
+    accumulator = shift = 0
+    frees, mu_fields = [], []
+    for f, s, digit in zip(group.factors, sum_of_elements(group),
+                           zip(*elements)):  # digit[e]: e's residue mod f
+        if (f, s) not in systems:
+            systems[f, s] = _factor_system(g, order, f, s)
+        system = systems[f, s]
+        if system is None:
+            return 0 if mode == "count" else []
+        field = (1 << system.width) - 1
+        having = [0] * f  # having[x]: the codes of residue x
+        for e, x in enumerate(digit):
+            having[x] |= 1 << e
+        solving: dict[int, list[int]] = {}  # [h][t]: codes with h·x + t = 0
+        for depth, at, h in system.reads:
+            if h not in solving:
+                solving[h] = [0] * f
+                for x in range(f):
+                    solving[h][-h * x % f] |= having[x]
+            reads[depth].append((shift + at, field, f, solving[h]))
+        accumulator += system.constant << shift
+        for j, w in enumerate(system.weights):
+            if w:
+                w <<= shift
+                adds[j] = (range(0, n * w, w) if len(digit) == f  # x = e
+                           else [u + x * w for u, x in zip(adds[j], digit)])
+        shift += system.width * len(system.reads)
+        mu_fields.append((shift, field, f))
+        shift += system.width
+        frees.append(system.free)
+    # path[d]: the code at depth d; path[n] = -1 is the code before a class's
+    # first member, so a member's least code is path[before] + 1
+    path, before, later = [0] * n + [-1], [n] * n, [0] * n
+    position = g.twin_classes[1]
     classes: list[list[int]] = [[] for _ in g.twin_classes[2]]
     if mode != "all":
-        for v in order[1:] if pinned else order:
-            classes[g.twin_classes[1][v]].append(v)
+        for depth in range(int(pinned), n):
+            classes[position[order[depth]]].append(depth)
     for members in classes:
-        for k, v in enumerate(members):
-            prev[v] = members[k - 1] if k else n
-            later[v] = len(members) - 1 - k
-    counting = mode == "count"
-    fixed = len(prefix)
+        for k, depth in enumerate(members):
+            before[depth] = members[k - 1] if k else n
+            later[depth] = len(members) - 1 - k
+    steps = list(zip(before, later, reads, adds))
+    depth_of = sorted(range(n), key=order.__getitem__)
+    free = n + 1
+    if mode == "count":
+        free = n
+        while free and position[order[free - 1]] == position[order[-1]]:
+            free -= 1
+        free = max([free, *frees])
     found: list[Labeling] = []
     tally = 0
-    # a constraint with no members (an isolated vertex) is closed at 0
-    mu0 = 0 if 0 in left else -1
 
-    def dfs(depth: int, mu: int, open_: int) -> bool:
+    def dfs(depth: int, unused: int, sums: int) -> bool:
         nonlocal tally
-        if counting and open_ == 0 and depth >= fixed:
-            # The vertices left are in no constraint, so they are the
-            # vertices of degree at most n/2 adjacent to exactly those of
-            # degree above n/2 (see _constraints): open twins, the last
-            # members of one class, which take any n - depth of the unused
-            # codes above the label of the member before them.
-            low = label[prev[order[depth]]] if depth < n else -1
-            tally += 1 if low < 0 else math.comb(
-                n - 1 - low - sum(used[low + 1:]), n - depth)
+        if depth >= free:
+            low = path[before[depth]] if depth < n else -1
+            tally += math.comb((unused >> low + 1).bit_count(), n - depth)
             return True
         if depth == n:
             if len(found) == ALL_MODE_CAP:
-                raise _over_all_mode_cap()
-            assignment = tuple(elements[label[v]] for v in range(n))
-            found.append(Labeling(group, assignment, elements[mu]))
+                raise SearchSizeError(
+                    f"more than {ALL_MODE_CAP} labelings, over the cap of all "
+                    f"mode (ALL_MODE_CAP); --mode count counts them")
+            mu = 0
+            for at, field, f in mu_fields:
+                mu = mu * f + (sums >> at & field) % f
+            found.append(Labeling(group, tuple(map(
+                elements.__getitem__, map(path.__getitem__, depth_of))),
+                elements[mu]))
             return mode != "first"
-        v = order[depth]
-        mine = cons_of[v]
-        lo, hi = label[prev[v]] + 1, n
-        room = later[v]
-        while room:  # v's code is below the room-th largest unused one
-            hi -= 1
-            room -= not used[hi]
-        if depth < fixed:
-            # the first in its class, or pinned and in none: lo is 0
-            candidates = prefix[depth:depth + 1] if prefix[depth] < hi else ()
-        else:
-            candidates = range(lo, hi)
-            if mu >= 0:
-                for c in mine:
-                    if left[c] == 1:
-                        e = force[c][mu][value[c]]
-                        candidates = (e,) if lo <= e < hi else ()
-                        break
-        for e in candidates:
-            if used[e]:
-                continue
-            new_mu, ok, closed = mu, True, 0
-            for c in mine:
-                w = step[c][value[c]][e]
-                value[c] = w
-                left[c] -= 1
-                if left[c] == 0:
-                    closed += 1
-                    if new_mu < 0:
-                        new_mu = w
-                    elif w != new_mu:
-                        ok = False
-            used[e] = True
-            if ok and new_mu >= 0:
-                # forward check; when mu is new, every constraint can force
-                for c in (range(len(cons)) if mu < 0 else mine):
-                    if left[c] == 1 and used[force[c][new_mu][value[c]]]:
-                        ok = False
-                        break
-            keep_going = True
-            if ok:
-                label[v] = e
-                keep_going = dfs(depth + 1, new_mu, open_ - closed)
-            used[e] = False
-            for c in mine:
-                value[c] = unstep[c][value[c]][e]
-                left[c] += 1
-            if not keep_going:
+        prior, room, rows, add = steps[depth]
+        candidates = unused
+        for _ in range(room):  # leave the largest unused codes to the class
+            candidates ^= 1 << candidates.bit_length() - 1
+        least = path[prior] + 1
+        candidates = candidates >> least << least
+        for at, field, f, solving in rows:
+            candidates &= solving[(sums >> at & field) % f]
+        while candidates:
+            bit = candidates & -candidates
+            candidates ^= bit
+            e = path[depth] = bit.bit_length() - 1
+            if not dfs(depth + 1, unused ^ bit, sums + add[e]):
                 return False
         return True
 
-    dfs(0, mu0, sum(1 for k in left if k))
-    if not counting:
+    # pinned, order[0] keeps code 0, all of whose residues are 0; no row
+    # leads at depth 0 when the solutions are closed under translation
+    dfs(int(pinned), (1 << n) - 1 - pinned, accumulator)
+    if mode != "count":
         return found
     for members in classes:
         tally *= math.factorial(len(members))
-    return tally
-
-
-def _branch_worker(args):
-    return _search(*args)
-
-
-def _over_all_mode_cap() -> SearchSizeError:
-    return SearchSizeError(
-        f"more than {ALL_MODE_CAP} labelings, over the cap of all mode "
-        f"(ALL_MODE_CAP); --mode count counts them")
-
-
-def _merge(mode: str, results):
-    """The branches' results, read in branch order and only as far as the
-    answer needs them."""
-    if mode == "count":
-        return sum(results)
-    merged: list[Labeling] = []
-    for labelings in results:
-        merged.extend(labelings)
-        if mode == "first" and merged:
-            return merged[:1]
-        if len(merged) > ALL_MODE_CAP:
-            raise _over_all_mode_cap()
-    return merged
+    return tally * n if pinned else tally
 
 
 def _check_request(g: Graph, group: GroupSpec, opts: SearchOptions) -> None:
@@ -278,73 +338,23 @@ def _check_request(g: Graph, group: GroupSpec, opts: SearchOptions) -> None:
             f"most {cap} vertices, got {g.n}")
 
 
-class _Plan(NamedTuple):
-    """How a pruned search runs: its vertex order, the codes fixed on the
-    first vertices of that order, and its branches, one per label of the
-    first vertex not fixed."""
-
-    order: list[int]
-    prefix: tuple[int, ...]
-    branches: list[tuple[int, ...]]
-
-
-def _plan(g: Graph, opts: SearchOptions) -> _Plan:
-    """Translation symmetry: on a regular graph l -> l + c keeps every weight
-    equal and moves every labeling when c != 0, so in count and first mode
-    the first vertex may be pinned to code 0. Count mode multiplies the
-    count by n. First mode keeps its witness: l - l(order[0]) is magic and
-    labels order[0] with code 0, the least code, so the first labeling in
-    lexicographic order already has it there."""
-    pinned = (opts.mode in ("count", "first") and g.n > 1
-              and len(set(g.degrees)) == 1)
-    prefix = (0,) if pinned else ()
-    return _Plan(_vertex_order(g, opts.vertex_order), prefix,
-                 [prefix + (e,) for e in range(g.n) if e not in prefix])
-
-
-@contextmanager
-def _branch_pool(jobs: int, branches: int):
-    """A process pool of min(jobs, cpu count, branches) workers, or None
-    when that is one worker. Leaving the block terminates and joins the
-    workers, so a refusal or an early answer does not wait for the branches
-    still running."""
-    workers = min(jobs, os.cpu_count() or 1, branches)
-    if workers < 2:
-        yield None
-        return
-    # imported here: only this path needs it, and it pulls in
-    # multiprocessing, about a third of the time of importing gdmagic
-    from multiprocessing.pool import Pool
-    with Pool(processes=workers) as pool:
-        yield pool
-
-
-def _run(g: Graph, group: GroupSpec, mode: str, plan: _Plan, pool):
-    """Answer a pruned request that passed ``_check_request`` by ``plan``,
-    running its branches on ``pool`` when one is given."""
-    order, prefix, branches = plan
-    if pool is not None:
-        result = _merge(mode, pool.imap(
-            _branch_worker,
-            [(g, group, order, mode, b, bool(prefix)) for b in branches]))
-    else:
-        result = _search(g, group, order, mode, prefix, bool(prefix))
-    return result * g.n if prefix and mode == "count" else result
-
-
 def _answers(g: Graph, specs: list[GroupSpec], opts: SearchOptions) -> list:
     """The answer of ``opts`` for g over each group of ``specs``: every
-    request is checked first, the naive oracle scans every graph, and a
-    blocking obstruction answers before any plan, table or pool."""
+    request is checked first, the naive oracle scans every graph, a
+    blocking obstruction answers before any linear algebra, and the groups
+    share one Howell form per (cyclic factor, coordinate of s(group))."""
     for spec in specs:
         _check_request(g, spec, opts)
     if not opts.use_pruning:
         return [_naive(g, spec, opts.mode) for spec in specs]
-    if any(o.blocks for o in all_obstructions(g)):
+    if blocking_obstruction(g) is not None:
         return [0 if opts.mode == "count" else [] for _ in specs]
-    plan = _plan(g, opts)
-    with _branch_pool(opts.jobs, len(plan.branches)) as pool:
-        return [_run(g, spec, opts.mode, plan, pool) for spec in specs]
+    order = _vertex_order(g, opts.vertex_order)
+    pinned = (opts.mode in ("count", "first") and g.n > 1
+              and len(set(g.degrees)) == 1)
+    systems: dict = {}
+    return [_search(g, spec, order, opts.mode, pinned, systems)
+            for spec in specs]
 
 
 def search_labelings(g: Graph, group: GroupSpec,
@@ -355,11 +365,7 @@ def search_labelings(g: Graph, group: GroupSpec,
     mode "count". The naive path accepts at most 8 vertices, the pruned path
     at most 12, and mode "all" lists at most ALL_MODE_CAP labelings. The
     pruned path does not search a graph with a blocking obstruction
-    (``Obstruction.blocks``), which has none; the naive path scans it. With
-    jobs > 1 the pruned search splits into one branch per label of the
-    first vertex that is not pinned, and runs them on at most min(jobs, cpu
-    count, branches) worker processes; the results are the same as with
-    jobs = 1.
+    (``Obstruction.blocks``), which has none; the naive path scans it.
     """
     return _answers(g, [group], opts)[0]
 
@@ -371,7 +377,8 @@ def classify_over_all_groups(g: Graph,
     g admits a magic labeling; g is group distance magic when all do.
 
     ``search_labelings``'s first mode, over all groups at once: one
-    obstruction scan, and with jobs > 1 one shared process pool.
+    obstruction scan, and one Howell form per cyclic factor and
+    coordinate of s(group) that the groups have in common.
     """
     specs = enumerate_abelian_groups(g.n)
     found = _answers(g, specs, replace(opts, mode="first"))

@@ -7,7 +7,6 @@ from hypothesis import example, given, settings, strategies as st
 from gdmagic.abelian import (
     GroupError,
     GroupSpec,
-    cayley_tables,
     enumerate_abelian_groups,
     find_cyclic_factor,
     involutions,
@@ -85,7 +84,10 @@ def test_parse_element_rejects_unreduced_coordinates(text):
     + [str(g) for n in range(1, 17) for g in enumerate_abelian_groups(n)])))
 def test_cayley_tables_match_arithmetic(spec):
     """Every group of order at most 16, and some with their factors in
-    other orders."""
+    other orders. The tables are the reference arithmetic of the parent
+    search in test_solver, which checks the pruned search against it."""
+    from test_solver import cayley_tables
+
     g = parse_group_spec(spec)
     elems = list(g.elements())
     add, neg, s = cayley_tables(g)

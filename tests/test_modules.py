@@ -46,6 +46,20 @@ def test_private_import_scan_sees_nested_imports(tmp_path):
                                          "_pow2_host")]
 
 
+def test_no_module_imports_multiprocessing():
+    """Every search runs in the calling process, so nothing in the package
+    needs worker processes."""
+    importers = sorted(
+        path.name for path in PACKAGE.glob("*.py")
+        for node in ast.walk(ast.parse(path.read_text(), str(path)))
+        if isinstance(node, ast.Import)
+        and any(alias.name.split(".")[0] == "multiprocessing"
+                for alias in node.names)
+        or isinstance(node, ast.ImportFrom)
+        and (node.module or "").split(".")[0] == "multiprocessing")
+    assert importers == []
+
+
 def _constructor_bypasses(path):
     """(line, text) for every place the module makes an instance without
     its constructor: a call of ``object.__new__`` (or of any ``__new__``),

@@ -1,18 +1,18 @@
 import io
 import itertools
 import math
+import pathlib
 import random
 import time
-from types import SimpleNamespace
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from gdmagic.abelian import (
     GroupSpec,
-    cayley_tables,
     enumerate_abelian_groups,
     parse_group_spec,
+    sum_of_elements,
 )
 from gdmagic.graphs import (
     Graph,
@@ -24,14 +24,11 @@ from gdmagic.graphs import (
     path,
     star,
 )
-from gdmagic.magic import Labeling, verify
+from gdmagic.magic import Labeling, blocking_obstruction, verify
 from gdmagic.solver import (
     SearchOptions,
     SearchSizeError,
     SolverError,
-    _constraints,
-    _plan,
-    _run,
     classify_over_all_groups,
     search_labelings,
 )
@@ -151,8 +148,7 @@ def test_parallel_matches_sequential():
     first_seq = search_labelings(cycle(4), group, SearchOptions(mode="first"))
     assert [lab.assignment for lab in first_par] == \
         [lab.assignment for lab in first_seq]
-    # KmM(8) is regular, so count mode pins the first vertex and the
-    # branches split on the second vertex's label
+    # jobs is checked and ignored: every search runs in this process
     g = complete_minus_matching(8)
     assert search_labelings(g, P("Z8"), SearchOptions(mode="count", jobs=2)) \
         == search_labelings(g, P("Z8"), COUNT) == 1536
@@ -164,31 +160,6 @@ def test_parallel_classify_matches_sequential(expr):
     g = construct_graph(expr)
     assert classify_over_all_groups(g, SearchOptions(jobs=2)) == \
         classify_over_all_groups(g)
-
-
-def test_classify_starts_one_pool(monkeypatch):
-    import multiprocessing.pool
-    import os
-
-    from gdmagic.cli import run
-
-    made = []
-
-    class CountingPool(multiprocessing.pool.Pool):
-        def __init__(self, *args, **kwargs):
-            made.append(kwargs)
-            super().__init__(*args, **kwargs)
-
-    monkeypatch.setattr(multiprocessing.pool, "Pool", CountingPool)
-    monkeypatch.setattr(os, "cpu_count", lambda: 2)
-    outputs = []
-    for jobs in ("1", "2"):
-        out = io.StringIO()
-        assert run(["classify", "--graph", "KmM(8)", "--jobs", jobs], out) == 0
-        outputs.append(out.getvalue())
-    assert made == [{"processes": 2}]
-    assert outputs[0] == outputs[1]
-    assert multiprocessing.active_children() == []
 
 
 # counts of the engine this one replaced; KmM(10) took it about 6 minutes
@@ -281,7 +252,6 @@ def test_pinned_first_is_the_first_of_all():
     first = SearchOptions(mode="first")
     checked, magic = 0, 0
     for g in _atlas_regular_graphs():
-        assert _plan(g, first).prefix == (0,)
         for group in enumerate_abelian_groups(g.n):
             pinned = search_labelings(g, group, first)
             everything = search_labelings(g, group, ALL)
@@ -335,6 +305,40 @@ def test_naive_labelings_carry_the_verified_constant(expr, spec):
         for lab in found:
             assert lab.magic_constant is not None
             assert verify(g, lab) == lab.magic_constant
+
+
+def cayley_tables(spec: GroupSpec) -> tuple[list[list[int]], list[int], int]:
+    """The group coded by element index, its position in ``elements()``:
+    ``add[a][b]`` is the code of a + b, ``neg[a]`` the code of -a, and the
+    third value the code of s(spec); the reference arithmetic of
+    ``_parent_search``.
+
+    Built one cyclic factor at a time on the codes alone: a code is a
+    mixed-radix number, last factor least significant, so appending a
+    factor f takes (code a, digit y) to a·f + y.
+    """
+    add, neg = [[0]], [0]
+    for f in spec.factors:
+        shifts = [[(y + z) % f for z in range(f)] for y in range(f)]
+        add = [[c + w for c in scaled for w in shift]
+               for scaled in ([a * f for a in row] for row in add)
+               for shift in shifts]
+        neg = [a * f + (-y) % f for a in neg for y in range(f)]
+    s = 0
+    for x, f in zip(sum_of_elements(spec), spec.factors):
+        s = s * f + x
+    return add, neg, s
+
+
+def _constraints(g: Graph) -> list[tuple[frozenset[int], bool]]:
+    """One weight constraint per distinct neighbourhood, in the smaller of
+    two equivalent forms: w(v) = mu is a sum over N(v), and since all
+    labels sum to s(group), also s - (sum over V - N(v)) = mu. A constraint
+    is (members, plus): its running value starts at 0 and adds each
+    member's label (plus), or starts at s and subtracts them."""
+    everyone = frozenset(range(g.n))
+    return [(nbrs, True) if 2 * len(nbrs) <= g.n else (everyone - nbrs, False)
+            for nbrs in g.twin_classes[0]]
 
 
 def _parent_search(g: Graph, group: GroupSpec, order: list[int], mode: str,
@@ -424,10 +428,6 @@ def _parent_search(g: Graph, group: GroupSpec, order: list[int], mode: str,
     return tally if counting else found
 
 
-# runs the branches of a --jobs search one after another in this process
-IN_PROCESS = SimpleNamespace(imap=map)
-
-
 def _answers(result, mode):
     if mode == "count":
         return result
@@ -435,12 +435,15 @@ def _answers(result, mode):
 
 
 def _parent_answers(g, group, opts):
-    """What the search answered before twin classes, by the same plan."""
-    order, prefix, _ = _plan(g, opts)
-    result = _parent_search(g, group, order, opts.mode, prefix)
-    if opts.mode == "count" and prefix:
-        result *= g.n
-    return _answers(result, opts.mode)
+    """What the search answered before twin classes: the vertices in
+    ``opts.vertex_order``, and in count and first mode on a regular graph
+    the first of them pinned to code 0, the count then multiplied by n."""
+    order = (list(range(g.n)) if opts.vertex_order == "input"
+             else sorted(range(g.n), key=lambda v: (-g.degree(v), v)))
+    pinned = opts.mode != "all" and g.n > 1 and len(set(g.degrees)) == 1
+    result = _parent_search(g, group, order, opts.mode, (0,) if pinned else ())
+    return _answers(result * g.n if pinned and opts.mode == "count"
+                    else result, opts.mode)
 
 
 def test_twin_ordered_search_matches_the_parent_on_the_atlas():
@@ -449,12 +452,12 @@ def test_twin_ordered_search_matches_the_parent_on_the_atlas():
     for h in nx.graph_atlas_g()[1:]:
         g = Graph.from_edges(h.number_of_nodes(), list(h.edges()))
         for group in enumerate_abelian_groups(g.n):
-            for mode in ("first", "count"):
+            for mode in ("first", "count", "all"):
                 opts = SearchOptions(mode=mode)
                 assert _answers(search_labelings(g, group, opts), mode) == \
                     _parent_answers(g, group, opts), (list(h.edges()), mode)
                 cases += 1
-    assert cases == 2526
+    assert cases == 3789
 
 
 @st.composite
@@ -496,13 +499,9 @@ def test_twin_ordered_search_matches_the_parent_and_the_naive_oracle(g):
         for opts in (COUNT, SearchOptions(mode="count", vertex_order="input"),
                      SearchOptions(mode="first"),
                      SearchOptions(mode="first", vertex_order="input")):
-            mode, plan = opts.mode, _plan(g, opts)
+            mode = opts.mode
             expected = _parent_answers(g, group, opts)
-            assert _answers(_run(g, group, mode, plan, None), mode) \
-                == expected
-            # the branches of --jobs 2, one per label of the first
-            # vertex that is not pinned
-            assert _answers(_run(g, group, mode, plan, IN_PROCESS), mode) \
+            assert _answers(search_labelings(g, group, opts), mode) \
                 == expected
             if mode == "count":
                 assert expected == len(naive)
@@ -621,26 +620,54 @@ def test_blocking_obstructions_are_answered_without_searching(monkeypatch):
     assert len(read) == math.factorial(8)
 
 
+RECIPE_GRAPH_10 = pathlib.Path(__file__).parent / "recipe-graph-10.edges"
+
+
+def test_the_recipe_graphs_are_answered_at_once():
+    """The 17 graphs of the recipe with no blocking finding, on which the
+    search took up to 45 s per group before it read the magic system's
+    Howell form (graph 10, kept as an edge list, over Z4xZ3 `first`). None
+    has a labeling over either group; the reference search of the parent
+    engine still answers graphs 7, 24, 25, 28 and 33 within 0.5 s."""
+    assert construct_graph(f"file({RECIPE_GRAPH_10})") == _recipe_graph(10)
+    graphs = {i: _recipe_graph(i) for i in range(36)}
+    graphs = {i: g for i, g in graphs.items() if blocking_obstruction(g) is None}
+    assert list(graphs) == [5, 7, 8, 9, 10, 17, 19, 20, 21, 23, 24, 25, 28,
+                            29, 31, 33, 35]
+    started = time.perf_counter()
+    answers = {(i, str(group), mode): search_labelings(
+                   g, group, SearchOptions(mode=mode))
+               for i, g in graphs.items()
+               for group in (P("Z4xZ3"), P("Z2xZ2xZ3"))
+               for mode in ("first", "count")}
+    assert time.perf_counter() - started < 2
+    for (i, spec, mode), answer in answers.items():
+        if mode == "first":
+            for lab in answer:
+                assert verify(graphs[i], lab) == lab.magic_constant
+    assert set(map(len, (answers[key] for key in answers
+                         if key[2] == "first"))) == {0}
+    for i in (7, 24, 25, 28, 33):
+        for spec in ("Z4xZ3", "Z2xZ2xZ3"):
+            # no labeling, so first mode's answer follows from the count
+            assert _parent_answers(graphs[i], P(spec), COUNT) == \
+                answers[i, spec, "count"] == 0
+
+
+def _refuse_fork():
+    raise AssertionError("forked a process")
+
+
 def test_closed_twins_start_no_pool_and_keep_the_exit_codes(monkeypatch):
-    import multiprocessing.pool
     import os
 
-    made = []
-
-    class CountingPool(multiprocessing.pool.Pool):
-        def __init__(self, *args, **kwargs):
-            made.append(kwargs)
-            super().__init__(*args, **kwargs)
-
-    monkeypatch.setattr(multiprocessing.pool, "Pool", CountingPool)
-    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(os, "fork", _refuse_fork)
     graph = ["--graph", "lex(C(4),K(3))"]
     for argv in (["search", *graph, "--group", "Z12", "--mode", "count"],
                  ["classify", *graph]):
         answers = [_cli(argv + ["--jobs", jobs]) for jobs in ("1", "2")]
         assert answers[0] == answers[1]
         assert answers[0][0] == 1 and answers[0][1]
-    assert made == []
     # the request is checked before the rule: K(13) has closed twins
     over = (2, "", "error: pruned search supports at most 12 vertices, "
                    "got 13\n")
@@ -653,65 +680,40 @@ def test_closed_twins_start_no_pool_and_keep_the_exit_codes(monkeypatch):
 def test_all_mode_lists_at_most_the_cap(monkeypatch):
     from gdmagic import solver
 
-    # C(4) has 16 labelings over Z4, four per label of its first vertex
+    # C(4) has 16 labelings over Z4
     monkeypatch.setattr(solver, "ALL_MODE_CAP", 10)
     refusal = ("error: more than 10 labelings, over the cap of all mode "
                "(ALL_MODE_CAP); --mode count counts them\n")
     for jobs in ("1", "2"):
         assert _cli(["search", "--graph", "C(4)", "--group", "Z4",
                      "--mode", "all", "--jobs", jobs]) == (2, "", refusal)
-    g, group, opts = cycle(4), P("Z4"), SearchOptions(mode="all")
-    plan = _plan(g, opts)
-    # every branch is under the cap, and their union over it
-    for pool in (None, IN_PROCESS):
-        with pytest.raises(SearchSizeError) as refused:
-            _run(g, group, "all", plan, pool)
-        assert f"error: {refused.value}\n" == refusal
+    g, group = cycle(4), P("Z4")
+    with pytest.raises(SearchSizeError) as refused:
+        search_labelings(g, group, ALL)
+    assert f"error: {refused.value}\n" == refusal
     monkeypatch.setattr(solver, "ALL_MODE_CAP", 16)
-    assert len(_run(g, group, "all", plan, IN_PROCESS)) == 16
+    assert len(search_labelings(g, group, ALL)) == 16
     assert search_labelings(g, group, COUNT) == 16
 
 
-def _later_branches_sleep(args):
-    """The branch worker, but a branch other than the first of its plan
-    ((0,) unpinned, (0, 1) pinned) sleeps 30 s before it searches."""
-    from gdmagic import solver
-
-    if args[4] not in ((0,), (0, 1)):
-        time.sleep(30)
-    return solver._search(*args)
-
-
-def test_an_answer_or_a_refusal_ends_the_workers(monkeypatch):
-    import multiprocessing.pool
+def test_jobs_is_checked_and_starts_no_process(monkeypatch):
+    """--jobs is accepted and checked, and changes no byte of the output:
+    every search runs in the one process."""
     import os
 
-    from gdmagic import solver
-
-    ended = []
-
-    class SpyPool(multiprocessing.pool.Pool):
-        def terminate(self):
-            ended.append(True)
-            super().terminate()
-
-    monkeypatch.setattr(multiprocessing.pool, "Pool", SpyPool)
-    monkeypatch.setattr(os, "cpu_count", lambda: 2)
-    # the workers are forked after these, so they run the sleeping worker
-    # and see the lower cap
-    monkeypatch.setattr(solver, "_branch_worker", _later_branches_sleep)
-    monkeypatch.setattr(solver, "ALL_MODE_CAP", 2)
-    refusal = ("error: more than 2 labelings, over the cap of all mode "
-               "(ALL_MODE_CAP); --mode count counts them\n")
-    search = ["search", "--graph", "C(4)", "--group", "Z4", "--jobs", "2"]
-    first = _cli(search[:-2])
-    assert first[0] == 0
-    # the first branch holds the first witness and, unpinned, more
-    # labelings than the cap: neither answer waits for a later branch
-    for argv, answer in ((search, first),
-                         (search + ["--mode", "all"], (2, "", refusal))):
-        started = time.perf_counter()
-        assert _cli(argv) == answer
-        assert time.perf_counter() - started < 15
-        assert multiprocessing.active_children() == []
-    assert ended == [True, True]
+    monkeypatch.setattr(os, "fork", _refuse_fork)
+    for argv in (["search", "--graph", "pow(C(12),2)", "--group", "Z12",
+                  "--mode", "count"],
+                 ["search", "--graph", "KmM(8)", "--group", "Z2xZ4",
+                  "--mode", "all", "--json"],
+                 ["search", "--graph", "Kb(3,3)", "--group", "Z6"],
+                 ["search", "--graph", "C(9)", "--group", "Z3xZ3"],
+                 ["classify", "--graph", "KmM(8)"],
+                 ["classify", "--graph", "join(KmM(6),K(1))", "--json"]):
+        one = _cli(argv + ["--jobs", "1"])
+        assert one[0] in (0, 1) and one[1] and not one[2]
+        assert _cli(argv + ["--jobs", "2"]) == one
+    for argv in (["search", "--graph", "C(4)", "--group", "Z4"],
+                 ["classify", "--graph", "C(4)"]):
+        assert _cli(argv + ["--jobs", "0"]) == \
+            (2, "", "error: --jobs must be at least 1, got 0\n")
