@@ -83,8 +83,8 @@ def _naive(g: Graph, group: GroupSpec, mode: str):
 
 
 def _howell(rows: list[list[int]], f: int) -> list[Optional[list[int]]]:
-    """A Howell form over Z_f of ``rows``, lists of one length with entries
-    in [0, f): per column c, the one row that leads there, as its entries
+    """A Howell form over Z_f of ``rows``, one or more lists of one length
+    with entries in [0, f): per column c, the one row that leads there, as its entries
     from c on, or None. Rows combine two at a time by unimodular steps,
     which keep their span, and after each pivot its multiple by
     f / gcd(pivot, f), zero in the pivot's column, joins the rows left. So
@@ -94,7 +94,7 @@ def _howell(rows: list[list[int]], f: int) -> list[Optional[list[int]]]:
     2000)."""
     inverse = {a: pow(a, -1, f) for a in range(1, f) if math.gcd(a, f) == 1}
     leads: list[Optional[list[int]]] = []
-    for _ in range(len(rows[0]) if rows else 0):
+    for _ in range(len(rows[0])):
         pivot, rest = None, []
         for row in rows:
             if row[0]:
@@ -222,7 +222,7 @@ def _search(g: Graph, group: GroupSpec, order: list[int], mode: str,
     elements = list(group.elements())
     # every factor's fields, one after another in one integer
     reads: list[list] = [[] for _ in range(n)]  # (shift, mask, f, solving)
-    adds = [[0] * n] * n  # adds[j][e]: what depth j taking code e adds
+    adds = [[0] * n for _ in range(n)]  # [j][e]: what code e at depth j adds
     accumulator = shift = 0
     frees, mu_fields = [], []
     for f, s, digit in zip(group.factors, sum_of_elements(group),
