@@ -247,8 +247,7 @@ def _search(g: Graph, group: GroupSpec, order: list[int], mode: str,
         for j, w in enumerate(system.weights):
             if w:
                 w <<= shift
-                adds[j] = (range(0, n * w, w) if len(digit) == f  # x = e
-                           else [u + x * w for u, x in zip(adds[j], digit)])
+                adds[j] = [u + x * w for u, x in zip(adds[j], digit)]
         shift += system.width * len(system.reads)
         mu_fields.append((shift, field, f))
         shift += system.width

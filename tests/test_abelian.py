@@ -79,6 +79,29 @@ def test_parse_element_rejects_unreduced_coordinates(text):
         parse_group_spec("Z4xZ3").parse_element(text)
 
 
+def cayley_tables(spec: GroupSpec) -> tuple[list[list[int]], list[int], int]:
+    """The group coded by element index, its position in ``elements()``:
+    ``add[a][b]`` is the code of a + b, ``neg[a]`` the code of -a, and the
+    third value the code of s(spec); the reference arithmetic of
+    ``_parent_search`` in test_solver.
+
+    Built one cyclic factor at a time on the codes alone: a code is a
+    mixed-radix number, last factor least significant, so appending a
+    factor f takes (code a, digit y) to a·f + y.
+    """
+    add, neg = [[0]], [0]
+    for f in spec.factors:
+        shifts = [[(y + z) % f for z in range(f)] for y in range(f)]
+        add = [[c + w for c in scaled for w in shift]
+               for scaled in ([a * f for a in row] for row in add)
+               for shift in shifts]
+        neg = [a * f + (-y) % f for a in neg for y in range(f)]
+    s = 0
+    for x, f in zip(sum_of_elements(spec), spec.factors):
+        s = s * f + x
+    return add, neg, s
+
+
 @pytest.mark.parametrize("spec", list(dict.fromkeys(
     ["Z4xZ3", "Z2xZ6", "Z3xZ2xZ2", "Z2xZ4xZ2"]
     + [str(g) for n in range(1, 17) for g in enumerate_abelian_groups(n)])))
@@ -86,8 +109,6 @@ def test_cayley_tables_match_arithmetic(spec):
     """Every group of order at most 16, and some with their factors in
     other orders. The tables are the reference arithmetic of the parent
     search in test_solver, which checks the pruned search against it."""
-    from test_solver import cayley_tables
-
     g = parse_group_spec(spec)
     elems = list(g.elements())
     add, neg, s = cayley_tables(g)

@@ -12,7 +12,6 @@ from gdmagic.abelian import (
     GroupSpec,
     enumerate_abelian_groups,
     parse_group_spec,
-    sum_of_elements,
 )
 from gdmagic.graphs import (
     Graph,
@@ -32,6 +31,7 @@ from gdmagic.solver import (
     classify_over_all_groups,
     search_labelings,
 )
+from test_abelian import cayley_tables
 
 P = parse_group_spec
 
@@ -133,7 +133,13 @@ def test_classify_examples():
     assert classify_over_all_groups(star(4)) == {P("Z5"): True}
 
 
-def test_parallel_matches_sequential():
+def test_parallel_matches_sequential(monkeypatch):
+    """The library's jobs=2 answers as jobs=1 and starts no process; the
+    command line's --jobs is checked in
+    test_jobs_is_checked_and_starts_no_process."""
+    import os
+
+    monkeypatch.setattr(os, "fork", _refuse_fork)
     group = P("Z4")
     seq_count = search_labelings(cycle(4), group, COUNT)
     par_count = search_labelings(cycle(4), group,
@@ -156,7 +162,10 @@ def test_parallel_matches_sequential():
 
 @pytest.mark.parametrize("expr", ["C(4)", "S(5)", "C(8)", "KmM(6)",
                                   "join(KmM(6),K(1))", "lex(C(4),K(2))"])
-def test_parallel_classify_matches_sequential(expr):
+def test_parallel_classify_matches_sequential(monkeypatch, expr):
+    import os
+
+    monkeypatch.setattr(os, "fork", _refuse_fork)
     g = construct_graph(expr)
     assert classify_over_all_groups(g, SearchOptions(jobs=2)) == \
         classify_over_all_groups(g)
@@ -248,24 +257,47 @@ def _atlas_regular_graphs():
             yield Graph.from_edges(n, list(h.edges()))
 
 
-def test_pinned_first_is_the_first_of_all():
+def test_pinned_first_is_the_first_of_all(monkeypatch):
+    """On a regular graph first and count mode pin the first vertex of the
+    order to code 0 and all mode does not; the pinned first answer is still
+    the first of all mode's list."""
+    from gdmagic import solver
+
+    pins = []
+    real = solver._search
+
+    def recording(g, group, order, mode, pinned, systems):
+        pins.append((mode, pinned))
+        return real(g, group, order, mode, pinned, systems)
+
+    monkeypatch.setattr(solver, "_search", recording)
     first = SearchOptions(mode="first")
-    checked, magic = 0, 0
+    checked = magic = searched = 0
     for g in _atlas_regular_graphs():
         for group in enumerate_abelian_groups(g.n):
+            pins.clear()
             pinned = search_labelings(g, group, first)
             everything = search_labelings(g, group, ALL)
+            assert search_labelings(g, group, COUNT) == len(everything)
+            # a blocking obstruction answers before any search
+            assert pins in ([], [("first", True), ("all", False),
+                                 ("count", True)])
             assert len(pinned) <= 1
             assert [(lab.assignment, lab.magic_constant) for lab in pinned] \
                 == [(lab.assignment, lab.magic_constant)
                     for lab in everything[:1]]
             checked += 1
             magic += bool(pinned)
+            searched += bool(pins)
     assert (checked, magic) == (29, 10)
+    assert searched > magic
 
 
 @pytest.mark.parametrize("expr, spec", [("Kb(3,3)", "Z6"), ("C(6)", "Z6")])
-def test_parallel_pinned_first_matches_sequential(expr, spec):
+def test_parallel_pinned_first_matches_sequential(monkeypatch, expr, spec):
+    import os
+
+    monkeypatch.setattr(os, "fork", _refuse_fork)
     g, group = construct_graph(expr), P(spec)
     seq = search_labelings(g, group, SearchOptions(mode="first"))
     par = search_labelings(g, group, SearchOptions(mode="first", jobs=2))
@@ -305,29 +337,6 @@ def test_naive_labelings_carry_the_verified_constant(expr, spec):
         for lab in found:
             assert lab.magic_constant is not None
             assert verify(g, lab) == lab.magic_constant
-
-
-def cayley_tables(spec: GroupSpec) -> tuple[list[list[int]], list[int], int]:
-    """The group coded by element index, its position in ``elements()``:
-    ``add[a][b]`` is the code of a + b, ``neg[a]`` the code of -a, and the
-    third value the code of s(spec); the reference arithmetic of
-    ``_parent_search``.
-
-    Built one cyclic factor at a time on the codes alone: a code is a
-    mixed-radix number, last factor least significant, so appending a
-    factor f takes (code a, digit y) to a·f + y.
-    """
-    add, neg = [[0]], [0]
-    for f in spec.factors:
-        shifts = [[(y + z) % f for z in range(f)] for y in range(f)]
-        add = [[c + w for c in scaled for w in shift]
-               for scaled in ([a * f for a in row] for row in add)
-               for shift in shifts]
-        neg = [a * f + (-y) % f for a in neg for y in range(f)]
-    s = 0
-    for x, f in zip(sum_of_elements(spec), spec.factors):
-        s = s * f + x
-    return add, neg, s
 
 
 def _constraints(g: Graph) -> list[tuple[frozenset[int], bool]]:
