@@ -145,32 +145,27 @@ class GroupSpec:
     def format_element(self, g: GroupElement) -> str:
         return self.format_elements((g,))[0]
 
-    def format_elements(self, elems, head: str = "") -> list[str]:
+    def format_elements(self, elems) -> list[str]:
         """Each element as "(r1,...,rk)", filled into one %-template of the
-        group's arity. A ``head`` such as a certificate's "v %d " goes
-        before each, its %d filled with the element's position. ``elems``
-        may be any iterable: it is read once."""
+        group's arity. ``elems`` may be any iterable: it is read once."""
         elems = list(elems)
-        arity = len(self.factors)
-        if not {arity}.issuperset(map(len, elems)):
+        if not {self.arity}.issuperset(map(len, elems)):
             for g in elems:
                 self._check_arity(g)
-        template = head + "(" + ",".join(["%s"] * arity) + ")"
-        if not head:
-            return list(map(template.__mod__, map(tuple, elems)))
-        columns = [[g[k] for g in elems] for k in range(arity)]
-        return list(map(template.__mod__, zip(range(len(elems)), *columns)))
+        template = "(" + ",".join(["%s"] * self.arity) + ")"
+        return list(map(template.__mod__, map(tuple, elems)))
 
     def format_columns(self, columns, head: str = "") -> list[str]:
         """``format_elements`` of the elements given as one sequence per
         coordinate, ``columns[k][i]`` coordinate k of element i; no element
-        is built as a tuple. For the trivial group, no column gives its one
-        element."""
+        is built as a tuple. A ``head`` such as a certificate's "v %d " goes
+        before each, its %d filled with the element's position. For the
+        trivial group, no column gives its one element."""
         if len(columns) != self.arity:
             raise GroupError(f"{len(columns)} label columns for group {self}")
-        if not columns:
-            return self.format_elements([()], head)
         template = head + "(" + ",".join(["%s"] * self.arity) + ")"
+        if not columns:
+            return [template % ((0,) if head else ())]
         return list(map(template.__mod__, zip(itertools.count(), *columns)
                         if head else zip(*columns)))
 

@@ -127,14 +127,14 @@ def _cmd_search(args, out: TextIO, err: TextIO) -> int:
         lines = []
         for lab in result:
             lines.append(f"mu: {fmt(lab.magic_constant)}")
-            lines += group.format_elements(lab.assignment, "v %d ")
+            lines += group.format_columns(lab.columns, "v %d ")
             lines.append("")
         return "\n".join(lines + [f"count: {len(result)}"])
 
     _emit(args, out,
           lambda: {"mode": args.mode, "count": len(result), "labelings": [
               {"mu": fmt(lab.magic_constant),
-               "labels": group.format_elements(lab.assignment)}
+               "labels": group.format_columns(lab.columns)}
               for lab in result]},
           text)
     return 0 if result else _NEGATIVE
@@ -235,32 +235,22 @@ _VERBS = {
 
 
 @functools.cache
-def _build_parser(verb: Optional[str] = None) -> argparse.ArgumentParser:
-    """The parser of one verb, or of all verbs when ``verb`` is None; each
-    is built on its first use in a process, then reused. Only help, usage
-    errors and the argv forms that _read_argv leaves alone need one, so
-    argparse is imported here.
-
-    A one-verb parser names every verb in its usage line, so that the
-    messages it prints are those of the full parser.
-    """
+def _build_parser() -> argparse.ArgumentParser:
+    """The parser of every verb, built on its first use in a process, then
+    reused. Only help, usage errors and the argv forms that _read_argv
+    leaves alone need it, so argparse is imported here."""
     import argparse
 
     parser = argparse.ArgumentParser(
         prog="gdmagic",
         description="Construct, search for, and verify distance magic "
                     "labelings of graphs over finite abelian groups.")
-    # the metavar only where one verb is built: the full parser's errors
-    # about the verb itself name it by its dest, "verb"
-    sub = parser.add_subparsers(
-        dest="verb", required=True,
-        metavar=None if verb is None else "{" + ",".join(_VERBS) + "}")
+    sub = parser.add_subparsers(dest="verb", required=True)
     for name, (help_, rows, handler) in _VERBS.items():
-        if verb is None or name == verb:
-            p = sub.add_parser(name, help=help_)
-            for flag, kwargs in rows:
-                p.add_argument(flag, **kwargs)
-            p.set_defaults(handler=handler)
+        p = sub.add_parser(name, help=help_)
+        for flag, kwargs in rows:
+            p.add_argument(flag, **kwargs)
+        p.set_defaults(handler=handler)
     return parser
 
 
@@ -325,12 +315,10 @@ def run(argv: list[str], out: Optional[TextIO] = None,
     err = err if err is not None else sys.stderr
     args = _read_argv(argv)
     if args is None:
-        parser = _build_parser(argv[0] if argv and argv[0] in _VERBS
-                               else None)
         try:
             with (contextlib.redirect_stdout(out),
                   contextlib.redirect_stderr(err)):
-                args = parser.parse_args(argv)
+                args = _build_parser().parse_args(argv)
         except SystemExit as exc:
             return _USAGE_ERROR if exc.code not in (0, None) else 0
     try:

@@ -315,7 +315,7 @@ def magic_permutations(g: Graph, labeling: Labeling) -> Iterator[Labeling]:
     (``_common_weight``); a hit it rejects raises LabelingError.
     """
     _check_sizes(g, labeling)
-    group, rows = labeling.group, labeling.assignment
+    group = labeling.group
     neighbourhoods = g.twin_classes[0]
     d = max(1, max(map(len, neighbourhoods)))
     radix, places, place = [], [], 1  # the last factor is the lowest digit
@@ -323,9 +323,11 @@ def magic_permutations(g: Graph, labeling: Labeling) -> Iterator[Labeling]:
         radix.append((d * (f - 1) + 1, f))
         places.insert(0, place)
         place *= radix[-1][0]
-    # each label's coordinates times their places, summed
-    packed = list(map(sum, map(map, itertools.repeat(operator.mul), rows,
-                               itertools.repeat(places))))
+    # each label's coordinates times their places, summed; the trivial
+    # group's one label has no column
+    packed = [0] * g.n
+    for column, place in zip(labeling.columns, places):
+        packed = [p + c * place for p, c in zip(packed, column)]
     coordinates = [dict(zip(packed, c)).__getitem__ for c in labeling.columns]
 
     @functools.cache
@@ -608,19 +610,31 @@ def check_graph_line(graph_expr: str) -> None:
 
 
 def format_certificate(cert: Certificate) -> str:
-    """The certificate's text, one field per line; a graph expression that
-    spans lines cannot be written as one field and raises."""
+    """The certificate's text, one field per line. Raises, before any line
+    is built, on what the text cannot carry so that ``parse_certificate``
+    reads back the same certificate: a graph expression that spans lines,
+    a mu that is not an element of the group, a theorem tag that is not
+    one word as ``str.split`` counts words, rows the group cannot hold and
+    a count of labels other than the group's order."""
     check_graph_line(cert.graph_expr)
-    grp = cert.group
-    lines = []
-    if cert.theorem:
-        lines.append(f"# theorem: {cert.theorem}")
+    grp, tag = cert.group, cert.theorem
+    if not _is_element(grp, cert.mu):
+        raise CertificateError(f"mu {cert.mu!r} is not an element of {grp}")
+    if tag and tag.split() != [tag]:
+        raise CertificateError(f"theorem tag {tag!r} " + (
+            "contains a line break" if tag.splitlines() != [tag]
+            else "is not one word"))
+    # rows the group cannot hold, kept with no columns, raise here
+    columns = cert._columns or _label_columns(grp, cert.labels)
+    if columns and len(columns[0]) != grp.order:
+        raise CertificateError(f"{len(columns[0])} labels for a group of "
+                               f"order {grp.order_text()}")
+    lines = [f"# theorem: {tag}"] if tag else []
     lines.append(f"graph: {cert.graph_expr}")
     lines.append(f"group: {grp}")
-    lines.append(f"mu: {grp.format_element(cert.mu)}")
-    # rows the group cannot hold, kept with no columns, raise here
-    lines += grp.format_columns(cert._columns
-                                or _label_columns(grp, cert.labels), "v %d ")
+    # coerced, as a (True,) that is an element would print as "(True)"
+    lines.append(f"mu: {grp.format_element(grp.element(cert.mu))}")
+    lines += grp.format_columns(columns, "v %d ")
     return "\n".join(lines) + "\n"
 
 

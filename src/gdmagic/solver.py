@@ -76,7 +76,8 @@ def _naive(g: Graph, group: GroupSpec, mode: str):
     (``magic_permutations``). The scan is lazy, so first mode reads the
     permutations only up to the first hit, and count mode builds a
     Labeling only per hit."""
-    hits = magic_permutations(g, Labeling(group, tuple(group.elements())))
+    hits = magic_permutations(
+        g, Labeling(group, columns=list(zip(*group.elements()))))
     if mode == "count":
         return sum(1 for _ in hits)
     return list(itertools.islice(hits, 1 if mode == "first" else None))
@@ -216,17 +217,18 @@ def _search(g: Graph, group: GroupSpec, order: list[int], mode: str,
     the members after it. In count mode the free tail, when it is one
     class, takes the unused codes above the member before it in one way or
     none, and the count is multiplied by k! per class of k members.
-    Returns the count, or the list of labelings.
+    Returns the count, or the list of labelings, each made from its
+    codes' digits per factor as label columns and mu's fields as its
+    coordinates, with no label row built.
     """
     n = g.n
-    elements = list(group.elements())
+    digits = list(zip(*group.elements()))  # digits[k][e]: code e's residue
     # every factor's fields, one after another in one integer
     reads: list[list] = [[] for _ in range(n)]  # (shift, mask, f, solving)
     adds = [[0] * n for _ in range(n)]  # [j][e]: what code e at depth j adds
     accumulator = shift = 0
     frees, mu_fields = [], []
-    for f, s, digit in zip(group.factors, sum_of_elements(group),
-                           zip(*elements)):  # digit[e]: e's residue mod f
+    for f, s, digit in zip(group.factors, sum_of_elements(group), digits):
         if (f, s) not in systems:
             systems[f, s] = _factor_system(g, order, f, s)
         system = systems[f, s]
@@ -236,13 +238,11 @@ def _search(g: Graph, group: GroupSpec, order: list[int], mode: str,
         having = [0] * f  # having[x]: the codes of residue x
         for e, x in enumerate(digit):
             having[x] |= 1 << e
-        solving: dict[int, list[int]] = {}  # [h][t]: codes with h·x + t = 0
         for depth, at, h in system.reads:
-            if h not in solving:
-                solving[h] = [0] * f
-                for x in range(f):
-                    solving[h][-h * x % f] |= having[x]
-            reads[depth].append((shift + at, field, f, solving[h]))
+            solving = [0] * f  # [t]: the codes with h·x + t = 0
+            for x in range(f):
+                solving[-h * x % f] |= having[x]
+            reads[depth].append((shift + at, field, f, solving))
         accumulator += system.constant << shift
         for j, w in enumerate(system.weights):
             if w:
@@ -286,12 +286,11 @@ def _search(g: Graph, group: GroupSpec, order: list[int], mode: str,
                 raise SearchSizeError(
                     f"more than {ALL_MODE_CAP} labelings, over the cap of all "
                     f"mode (ALL_MODE_CAP); --mode count counts them")
-            mu = 0
-            for at, field, f in mu_fields:
-                mu = mu * f + (sums >> at & field) % f
-            found.append(Labeling(group, tuple(map(
-                elements.__getitem__, map(path.__getitem__, depth_of))),
-                elements[mu]))
+            codes = list(map(path.__getitem__, depth_of))
+            found.append(Labeling(group, columns=[
+                list(map(digit.__getitem__, codes)) for digit in digits],
+                magic_constant=[(sums >> at & field) % f
+                                for at, field, f in mu_fields]))
             return mode != "first"
         prior, room, rows, add = steps[depth]
         candidates = unused

@@ -388,7 +388,9 @@ def test_coordinate_forms_int_refuses_are_refused(text, message):
 def test_element_text_of_the_trivial_group():
     t = GroupSpec(())
     assert t.parse_elements(["()", " ( \t) "]) == [(), ()]
-    assert t.format_elements([(), ()], "v %d ") == ["v 0 ()", "v 1 ()"]
+    assert t.format_elements([(), ()]) == ["()", "()"]
+    assert t.format_columns(()) == ["()"]
+    assert t.format_columns((), "v %d ") == ["v 0 ()"]
     for bad, message in (("(0)", "element arity 1 does not match group "
                                  "trivial (arity 0)"),
                          ("(,)", "bad element coordinates in '(,)'")):
@@ -400,8 +402,9 @@ def test_element_text_of_the_trivial_group():
 def test_format_elements_fills_one_template():
     group = parse_group_spec("Z4xZ3")
     assert group.format_elements([(3, 0), [1, 2]]) == ["(3,0)", "(1,2)"]
-    assert group.format_elements([(3, 0), (1, 2)], "v %d ") == [
+    assert group.format_columns([(3, 1), (0, 2)], "v %d ") == [
         "v 0 (3,0)", "v 1 (1,2)"]
+    assert group.format_columns([(3, 1), (0, 2)]) == ["(3,0)", "(1,2)"]
     assert group.format_elements([]) == []
     with pytest.raises(GroupError, match="element arity 1 does not match"):
         group.format_elements([(3, 0), (1,)])
@@ -417,8 +420,9 @@ def test_bulk_helpers_read_an_iterator_once():
     elements = list(group.elements())
     assert group.format_elements(group.elements()) == group.format_elements(
         elements)
-    assert group.format_elements(group.elements(), "v %d ") == (
-        group.format_elements(elements, "v %d "))
+    assert group.format_columns(list(zip(*group.elements())), "v %d ") == [
+        f"v {i} {text}" for i, text in enumerate(
+            group.format_elements(elements))]
     split = find_cyclic_factor(parse_group_spec("Z4xZ6"), 4)
     pairs = [(1, 2), (0, 1)]
     assert split.from_pairs(iter([1, 2]), iter(pairs)) == [

@@ -1,7 +1,9 @@
 import itertools
+import os
 import random
 import re
 import sys
+import tempfile
 from unittest import mock
 
 import pytest
@@ -547,6 +549,89 @@ def test_certificate_from_columns_refuses_a_mu_the_group_cannot_hold():
     for bad in ((7, 0), (3,), (3, 0, 0), (3, -3), (3.5, 0), "30", 3):
         with pytest.raises(LabelingError, match=r"^mu .* is not an element"):
             Certificate.from_columns("lex(C(3),C(4))", group, bad, columns)
+
+
+@pytest.mark.parametrize("mu, n, theorem, message", [
+    ((7,), 4, None, "mu (7,) is not an element of Z4"),
+    ((0,), 4, "a\nb", "theorem tag 'a\\nb' contains a line break"),
+    ((0,), 4, "two words", "theorem tag 'two words' is not one word"),
+    ((0,), 5, None, "5 labels for a group of order 4"),
+])
+def test_format_certificate_refuses_what_would_read_back_otherwise(
+        tmp_path, mu, n, theorem, message):
+    """Each of these was written as a text that the reader refuses or
+    reads as another certificate; none is written, and no file is left."""
+    cert = Certificate("C(4)", Z4, mu, [(v % 4,) for v in range(n)], theorem)
+    path = tmp_path / "c.txt"
+    for write in (format_certificate,
+                  lambda c: magic.save_certificate(c, str(path))):
+        with pytest.raises(CertificateError) as info:
+            write(cert)
+        assert str(info.value) == message
+    assert not path.exists()
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(st.sampled_from([spec for n in range(1, 9)
+                        for spec in enumerate_abelian_groups(n)]),
+       st.data())
+def test_a_certificate_is_refused_or_read_back_as_written(group, data):
+    """format_certificate either refuses a certificate, and then
+    save_certificate writes no file, or writes a text that
+    parse_certificate reads back as the same certificate, with the same
+    verdict; a graph expression is read without surrounding blanks, and an
+    empty tag is no tag. Each part is one the text can carry three times
+    in four."""
+    draw = data.draw
+
+    def either(fine, faulty):
+        return draw(st.sampled_from(faulty if draw(st.integers(0, 3)) == 0
+                                    else fine))
+
+    labels = list(draw(st.permutations(list(group.elements()))))
+    fault = either(["none", "repeat", "unreduced"],
+                   ["arity", "not a number", "one more"])
+    if fault == "repeat" and len(labels) > 1:
+        labels[-1] = labels[0]
+    elif fault == "unreduced" and group.factors:
+        # a Certificate reduces such rows, and from_columns refuses them
+        labels[-1] = (labels[-1][0] + group.factors[0], *labels[-1][1:])
+    elif fault == "arity":
+        labels[-1] = labels[-1] + (0,)
+    elif fault == "not a number":
+        labels[-1] = ("x",) * group.arity
+    elif fault == "one more":
+        labels.append(labels[0])
+    mu = either([labels[0], (0,) * group.arity, (True,) * group.arity],
+                [(9,) * group.arity, (-1,) * group.arity,
+                 (0,) * (group.arity + 1)])
+    # Km(n), n vertices and no edge, is magic with mu 0 under any labels
+    graph = either([f"Km({group.order})", f" Km({group.order}) ", "C(4)",
+                    "Kb(2,2)", "lex(C(4),K(2))", ""], ["a\nb", "C(\x0b8)"])
+    tag = either([None, "", "demo", "x:1", "#", "\x00"],
+                 ["two words", "a\nb", "tail\n", " lead", "tab\there",
+                  "a\x85b", "\u2028"])
+    try:
+        cert = (Certificate(graph, group, mu, labels, tag)
+                if draw(st.booleans()) else
+                Certificate.from_columns(graph, group, mu, zip(*labels), tag))
+    except (GroupError, LabelingError):
+        return  # refused before there is a certificate to write
+    with tempfile.TemporaryDirectory() as scratch:
+        path = os.path.join(scratch, "c.txt")
+        try:
+            text = format_certificate(cert)
+        except (GroupError, LabelingError):
+            with pytest.raises((GroupError, LabelingError)):
+                magic.save_certificate(cert, path)
+            assert not os.path.exists(path)
+            return
+    back = parse_certificate(text)
+    assert (back.graph_expr, back.group, back.mu, back._columns,
+            back.theorem) == (cert.graph_expr.strip(), cert.group, cert.mu,
+                              cert._columns, cert.theorem or None)
+    # the verdict and the weights' mu; a detail prints mu as it was given
+    assert verify_certificate(back)[::2] == verify_certificate(cert)[::2]
 
 
 def test_verify_certificate_rejects_a_mu_of_the_wrong_arity():
@@ -1552,11 +1637,14 @@ def test_canonical_certificate_parse_agrees_with_the_per_line_reading(group,
                                                                       data):
     draw = data.draw
     labels = tuple(draw(st.permutations(list(group.elements()))))
+    tag = draw(st.sampled_from([None, "demo", "a b"]))
     cert = Certificate(
         draw(st.sampled_from(["C(4)", "lex(C(3),K(2))", "file(a b.txt)"])),
-        group, labels[-1], labels,
-        draw(st.sampled_from([None, "demo", "a b"])))
-    text = format_certificate(cert)
+        group, labels[-1], labels, tag and tag.split()[0])
+    # format_certificate refuses to write a tag of two words, so that one
+    # is put in the text by hand
+    text = format_certificate(cert).replace("theorem: a\n",
+                                            f"theorem: {tag}\n", 1)
     # read in one pass, but for the trivial group, whose "()" holds no
     # number ("a b" is a theorem tag of one word, "a", for both readers)
     assert magic._read_canonical(text) == (
